@@ -264,21 +264,25 @@ def _integrate_adaptive(model, X0, times, rtol):
                          np.eye(d, dtype=complex).ravel(),
                          (1.0j * np.eye(d, dtype=complex)).ravel()])
     y0 = np.concatenate([z0.real, z0.imag, [0.0]])
-    sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=rtol * 1e-2)
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else None
-        raise IntegrationError(
-            f"adaptive integration failed: {sol.message}", last_valid_time=last)
+    if times.size == 1:
+        ys = y0[:, None]  # T = 0: the initial sample is the whole record
+    else:
+        sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853",
+                        t_eval=times, rtol=rtol, atol=rtol * 1e-2)
+        if not sol.success:
+            last = float(sol.t[-1]) if sol.t.size else None
+            raise IntegrationError(
+                f"adaptive integration failed: {sol.message}", last_valid_time=last)
+        ys = sol.y
     points, frames, actions = [], [], []
     logdetA = [0.0 + 0.0j]
     logdet_w = []
     detA_prev = detw_prev = None
     for k in range(len(times)):
-        q, p, A, B = unpack(sol.y[:, k])
+        q, p, A, B = unpack(ys[:, k])
         points.append(PhasePoint(q.real, p.real))
         frames.append(VariationalFrame(A, B))
-        actions.append(float(sol.y[-1, k]))
+        actions.append(float(ys[-1, k]))
         detA = np.linalg.det(A)
         detw = np.linalg.det(A - 1.0j * B)
         if k == 0:

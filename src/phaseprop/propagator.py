@@ -20,9 +20,10 @@ import numpy as np
 from .errors import CausticError, ConfigurationError, EhrenfestWarning
 from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle,
                    VariationalFrame, anisotropy_Z, ehrenfest_guard,
-                   integrate_characteristics)
+                   integrate_characteristics, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
-from .transform import ComplexField, wave_packet_transform
+from .transform import (ComplexField, _momentum_scale, _position_support,
+                        wave_packet_transform)
 
 __all__ = [
     "PropagatedPacket", "propagate_packet", "eval_packet",
@@ -205,20 +206,12 @@ def _emit_ehrenfest(model, center, t, hbar, opts):
 
 
 def _source_data(model, Qg, Pg, t, opts):
-    """Per-source flow data: images, actions, and (shared or per-source)
-    doubled form and prefactor exponent."""
-    if model.bulk_flow is not None:
-        qt, pt = model.bulk_flow(Qg, Pg, t)
-        act = model.bulk_action(Qg, Pg, t)
-        A, B, ldA, ldw = model.frame_at(t)
-        Qm = double_anisotropy_Q(anisotropy_Z(VariationalFrame(A, B))).M
-        return qt, pt, act, ldA, ldw, Qm
-    # general model: one orbit per source (slow path, small grids only)
+    """Per-source flow data from one orbit each: images, actions,
+    doubled forms and prefactor exponents."""
     n = Qg.size
     qt = np.empty(n)
     pt = np.empty(n)
     act = np.empty(n)
-    ldA = np.empty(n, dtype=complex)
     ldw = np.empty(n, dtype=complex)
     Qms = np.empty((n, 2, 2), dtype=complex)
     o = opts or FlowOptions()
@@ -228,52 +221,15 @@ def _source_data(model, Qg, Pg, t, opts):
         qt[j] = b.points[i].q[0]
         pt[j] = b.points[i].p[0]
         act[j] = b.action[i]
-        ldA[j] = b.logdetA[i]
         ldw[j] = b.logdet_w[i]
         Qms[j] = double_anisotropy_Q(anisotropy_Z(b.frames[i])).M
-    return qt, pt, act, ldA, ldw, Qms
+    return qt, pt, act, ldw, Qms
 
 
-def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
-                     hbar: float | None = None, out_axes=None,
-                     opts: FlowOptions | None = None) -> ComplexField:
-    """Propagate a phase-space field: ``Psi(X, t) = integral
-    K(X, Y, t) Psi0(Y) dY`` by grid quadrature.
-
-    The output grid is derived automatically — the input support box is
-    flowed forward (corners and center) and padded by six packet decay
-    widths at spacing ``sqrt(hbar)/4`` — unless ``out_axes=(q, p)``
-    overrides it.  The propagation is unitary on analyzed fields, so
-    the output norm matches the input norm to quadrature accuracy.
-    Emits an Ehrenfest warning when the linearized flow outgrows
-    ``hbar^{-1/2}``; never silently truncates a non-decayed input.
-    """
-    if Psi0.rank != 2:
-        raise ConfigurationError("apply_propagator expects a rank-2 field")
-    hbar = float(hbar) if hbar is not None else Psi0.hbar
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
-    _warn_if_edge_mass(Psi0)
-    qs, ps = Psi0.axes
-    w = Psi0.spacing(0) * Psi0.spacing(1)
-    QQ, PP = np.meshgrid(qs, ps, indexing="ij")
-    mag = np.abs(Psi0.values)
-    keep = (mag > 1e-13 * mag.max()).ravel()
-    Qg = QQ.ravel()[keep]
-    Pg = PP.ravel()[keep]
-    Wg = Psi0.values.ravel()[keep] * w
-
-    box = _support_box(Psi0)
-    if out_axes is None:
-        qo, po = _derive_out_axes(model, box, t, hbar, opts)
-    else:
-        qo = np.asarray(out_axes[0], dtype=float)
-        po = np.asarray(out_axes[1], dtype=float)
-
-    flow_opts = _kernel_opts(model, t, opts)
-    qt, pt, act, _ldA, ldw, Qm = _source_data(model, Qg, Pg, t, flow_opts)
-    shared = Qm.ndim == 2
-
+def _dense_sum(model, t, hbar, Qg, Pg, Wg, qo, po, opts):
+    """Kernel sum with one exponential per (target, source) pair, for
+    flows without closed forms."""
+    qt, pt, act, ldw, Qm = _source_data(model, Qg, Pg, t, opts)
     pref = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5
     # source-only phase: Act + (xi.eta - xi_t.eta_t)/2, plus prefactor root
     src = np.exp(1j / hbar * (act + 0.5 * (Pg * Qg - pt * qt))
@@ -288,36 +244,152 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
         e = min(nout, s + chunk)
         vq = Xq[s:e, None] - qt[None, :]
         vp = Xp[s:e, None] - pt[None, :]
-        if shared:
-            quad = 0.5 * (Qm[0, 0] * vq ** 2 + 2 * Qm[0, 1] * vq * vp
-                          + Qm[1, 1] * vp ** 2)
-        else:
-            quad = 0.5 * (Qm[None, :, 0, 0] * vq ** 2
-                          + 2 * Qm[None, :, 0, 1] * vq * vp
-                          + Qm[None, :, 1, 1] * vp ** 2)
+        quad = 0.5 * (Qm[None, :, 0, 0] * vq ** 2
+                      + 2 * Qm[None, :, 0, 1] * vq * vp
+                      + Qm[None, :, 1, 1] * vp ** 2)
         phase = quad + 0.5 * (Xq[s:e, None] * pt[None, :]
                               - Xp[s:e, None] * qt[None, :])
         out[s:e] = np.exp(1j / hbar * phase) @ src
+    return out.reshape(qo.size, po.size)
+
+
+# Largest real part of an exponent in the tables of the separable sum.  The
+# product of the four tables and the rescaling of a tile are each at most
+# e^(4 x 60) in modulus, so every term that matters to double precision stays
+# between about 1e-224 and 1e+105: far from underflow and overflow.
+_TABLE_EXPONENT = 60.0
+
+
+def _tiles(axis: np.ndarray, reach: float, hbar: float) -> list:
+    """Split an output axis into runs of half-width at most
+    ``_TABLE_EXPONENT hbar / reach``."""
+    n = math.ceil((axis[-1] - axis[0]) * reach / (2 * _TABLE_EXPONENT * hbar))
+    return np.array_split(np.arange(axis.size), min(max(n, 1), axis.size))
+
+
+def _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po):
+    """Kernel sum for an affine flow ``Y_t = M Y + c`` as matrix products.
+
+    All sources share the frame, hence ``Q``.  In coordinates centred on
+    an output tile, ``X = xbar + x'``, and on the kept-source box,
+    ``Y = ybar + y'``, the kernel exponent is a target-only part, a
+    source-only part and the bilinear ``x'.K y'`` with
+    ``K = (J/2 - Q) M``.  Over the tensor source grid the bilinear factor
+    is four exponential tables ``exp{(i/hbar) K_ab x'_a y'_b}``, and the
+    sum over sources of one tile is the product ``W @ E^T`` of their
+    gathered products.  Tiles are narrow enough that no table exponent
+    has a real part above ``_TABLE_EXPONENT``.  The target and source
+    factors are scaled to peak modulus 1; because the kernel modulus never
+    exceeds its prefactor, the two scales multiply to at most
+    ``e^(4 _TABLE_EXPONENT)``.
+    """
+    A, B, _ldA, ldw = model.frame_at(t)
+    M = np.block([[A.real, A.imag], [B.real, B.imag]])
+    c = np.array(model.bulk_flow(0.0, 0.0, t), dtype=float)
+    Q = double_anisotropy_Q(anisotropy_Z(VariationalFrame(A, B))).M
+    J = symplectic_J(1)
+    K = (0.5 * J - Q) @ M
+
+    q0, q1, p0, p1 = iq.min(), iq.max(), ip.min(), ip.max()
+    ybar = 0.5 * np.array([qs[q0] + qs[q1], ps[p0] + ps[p1]])
+    half = 0.5 * np.array([qs[q1] - qs[q0], ps[p1] - ps[p0]])
+    yq, yp = qs[q0:q1 + 1] - ybar[0], ps[p0:p1 + 1] - ybar[1]
+    jq, jp = iq - q0, ip - p0
+    Y = np.stack([qs[iq], ps[ip]])
+    Yt = M @ Y + c[:, None]
+    v = M @ np.stack([yq[jq], yp[jp]])  # Y_t - Ybar_t
+    Ybt = M @ ybar + c
+    # source-only exponent: (i/hbar)(Act + (xi.eta - xi_t.eta_t)/2 + v.Q v/2)
+    base = 1j / hbar * (model.bulk_action(Y[0], Y[1], t)
+                        + 0.5 * (Y[0] * Y[1] - Yt[0] * Yt[1])
+                        + 0.5 * np.einsum("in,ij,jn->n", v, Q, v))
+    iv = 1j / hbar * v
+    amp = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5 * np.exp(-0.5 * ldw)
+
+    reach = np.max(np.abs(K.imag) * half, axis=1)
+    p_tiles = []
+    for rp in _tiles(po, reach[1], hbar):
+        xp = po[rp]
+        dp = xp - 0.5 * (xp[0] + xp[-1])
+        E = (np.exp(1j / hbar * K[1, 0] * np.outer(dp, yq))[:, jq]
+             * np.exp(1j / hbar * K[1, 1] * np.outer(dp, yp))[:, jp])
+        p_tiles.append((rp, xp, E))
+    out = np.empty((qo.size, po.size), dtype=complex)
+    for rq in _tiles(qo, reach[0], hbar):
+        xq = qo[rq]
+        dq = xq - 0.5 * (xq[0] + xq[-1])
+        Tq = (np.exp(1j / hbar * K[0, 0] * np.outer(dq, yq))[:, jq]
+              * np.exp(1j / hbar * K[0, 1] * np.outer(dq, yp))[:, jp])
+        uq = xq[:, None] - Ybt[0]
+        for rp, xp, E in p_tiles:
+            xbar = np.array([xq[0] + xq[-1], xp[0] + xp[-1]]) / 2
+            up = xp[None, :] - Ybt[1]
+            # target-only: X.J Ybar_t/2 + (X - Ybar_t).Q (X - Ybar_t)/2
+            tau = 1j / hbar * (0.5 * (xq[:, None] * Ybt[1] - xp[None, :] * Ybt[0])
+                               + 0.5 * (Q[0, 0] * uq ** 2 + 2 * Q[0, 1] * uq * up
+                                        + Q[1, 1] * up ** 2))
+            # source-only, plus the tile centre's share of the bilinear part
+            sigma = base + (0.5 * J.T @ xbar - Q @ (xbar - Ybt)) @ iv
+            st, ss = tau.real.max(), sigma.real.max()
+            W = Tq * (Wg * np.exp(sigma - ss))
+            out[rq[0]:rq[-1] + 1, rp[0]:rp[-1] + 1] = (
+                amp * np.exp(st + ss) * (np.exp(tau - st) * (W @ E.T)))
+    return out
+
+
+def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
+                     hbar: float | None = None, out_axes=None,
+                     opts: FlowOptions | None = None) -> ComplexField:
+    """Propagate a phase-space field: ``Psi(X, t) = integral
+    K(X, Y, t) Psi0(Y) dY`` by grid quadrature.
+
+    The output grid is derived automatically — the input support box is
+    flowed forward (corners and center) and padded by six packet decay
+    widths at spacing ``sqrt(hbar)/4`` — unless ``out_axes=(q, p)``
+    overrides it.  The propagation is unitary on analyzed fields, so
+    the output norm matches the input norm to quadrature accuracy.
+    Models with an affine closed-form flow (``bulk_flow``) are summed as
+    matrix products over output tiles; others by one orbit per source.
+    Sources below 1e-13 of the peak modulus are dropped.
+    Emits an Ehrenfest warning when the linearized flow outgrows
+    ``hbar^{-1/2}``; never silently truncates a non-decayed input.
+    """
+    if Psi0.rank != 2:
+        raise ConfigurationError("apply_propagator expects a rank-2 field")
+    hbar = float(hbar) if hbar is not None else Psi0.hbar
+    if t < 0:
+        raise ConfigurationError(f"t must be nonnegative, got {t}")
+    _warn_if_edge_mass(Psi0)
+    qs, ps = Psi0.axes
+    w = Psi0.spacing(0) * Psi0.spacing(1)
+    mag = np.abs(Psi0.values)
+    iq, ip = np.nonzero(mag > 1e-13 * mag.max())
+    Wg = Psi0.values[iq, ip] * w
+
+    box = _support_box(Psi0)
+    if out_axes is None:
+        qo, po = _derive_out_axes(model, box, t, hbar, opts)
+    else:
+        qo = np.asarray(out_axes[0], dtype=float)
+        po = np.asarray(out_axes[1], dtype=float)
+
+    if model.bulk_flow is not None:
+        out = _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po)
+    else:
+        out = _dense_sum(model, t, hbar, qs[iq], ps[ip], Wg, qo, po,
+                         _kernel_opts(model, t, opts))
     _emit_ehrenfest(model, PhasePoint([(box[0] + box[1]) / 2],
                                       [(box[2] + box[3]) / 2]), t, hbar, opts)
-    return ComplexField((qo, po), out.reshape(qo.size, po.size), hbar)
+    return ComplexField((qo, po), out, hbar)
 
 
 def _default_phase_axes(psi0: ComplexField, hbar: float):
-    from .transform import _position_support
     x = psi0.axes[0]
     i0, i1 = _position_support(psi0)
     pad = 6 * np.sqrt(hbar)
     qa, qb = float(x[i0]) - pad, float(x[i1]) + pad
     # momentum half-width: local phase-gradient scale plus packet decay
-    v = psi0.values
-    dx = psi0.spacing()
-    dpsi = (v[2:] - v[:-2]) / (2 * dx)
-    mag2 = np.abs(v[1:-1]) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ploc = hbar * np.imag(dpsi * np.conj(v[1:-1])) / np.where(mag2 > 0, mag2, 1)
-    mask = mag2 > 1e-8 * mag2.max()
-    pscale = float(np.abs(ploc[mask]).max()) if mask.any() else 0.0
+    pscale = _momentum_scale(psi0, hbar)
     P = max(abs(qa), abs(qb), pscale + pad)
     tgt = np.sqrt(hbar) / 4
     return _axis(qa, qb, tgt), _axis(-P, P, tgt)

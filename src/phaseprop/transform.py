@@ -9,7 +9,9 @@ which converge spectrally for the smooth decaying integrands used here.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +35,8 @@ class ComplexField:
     ``axes`` holds one strictly increasing, uniformly spaced coordinate
     array per dimension; ``values[i, j, ...]`` is the sample at
     ``(axes[0][i], axes[1][j], ...)``.  Rank 1 is a position-space
-    state, rank 2 a phase-space field over ``(q, p)``.
+    state, rank 2 a phase-space field over ``(q, p)``.  Values must be
+    finite.
     """
 
     axes: tuple
@@ -46,6 +49,10 @@ class ComplexField:
         if len(axes) != values.ndim:
             raise ConfigurationError(
                 f"field has {len(axes)} axes but values of rank {values.ndim}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ConfigurationError(
+                f"field has {finite.size - int(finite.sum())} non-finite values")
         for k, a in enumerate(axes):
             if a.ndim != 1 or a.size < 2:
                 raise ConfigurationError(f"axis {k} must be 1-D with >= 2 nodes")
@@ -128,6 +135,41 @@ def _check_spacing(dx: float, hbar: float, what: str) -> None:
             SpacingWarning, stacklevel=3)
 
 
+# Packet weights exp{-(x-q)^2/(2 hbar)} fall below 1e-16 beyond
+# 8.6 sqrt(hbar) of q (e^-37).
+_PACKET_RADIUS = 8.6
+
+
+def _packet_blocks(qs: np.ndarray, x: np.ndarray, hbar: float):
+    """Runs of q nodes at most two packet radii wide, each with the
+    slice of x nodes within one packet radius of the run and its centre c.
+
+    The transforms factor ``exp{-(i/hbar) p (x - q)}`` through the block
+    centre c, so the Fourier phases are ``p (x - c) / hbar`` with
+    ``|x - c|`` at most twice the per-q kernel's ``|x - q|``.  Their
+    round-off grows with their size: one block for the whole axis, with
+    phases up to ``p x / hbar``, left the position solver's norm drift a
+    unit in the last place above the per-q kernel's more often.  Nodes
+    outside the slice carry packet weights below 1e-16 and are left out.
+    """
+    radius = _PACKET_RADIUS * np.sqrt(hbar)
+    n = max(1, math.ceil((qs[-1] - qs[0]) / (2 * radius)))
+    for rows in np.array_split(np.arange(qs.size), n):
+        lo, hi = qs[rows[0]], qs[rows[-1]]
+        cols = slice(int(np.searchsorted(x, lo - radius)),
+                     int(np.searchsorted(x, hi + radius, side="right")))
+        yield rows, cols, 0.5 * (lo + hi)
+
+
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """``exp(i theta)`` for real ``theta``: the same values as ``np.exp``
+    of the imaginary array, written straight into one complex array."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     """Analyze a position-space state into its phase-space field.
 
@@ -151,13 +193,17 @@ def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     _check_spacing(float(qs[1] - qs[0]), hbar, "q grid")
     _check_spacing(float(ps[1] - ps[0]), hbar, "p grid")
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5) * dx
-    out = np.empty((qs.size, ps.size), dtype=complex)
     # conj(G)(x) = (pi hbar)^(-1/4) exp{-(x-q)^2/(2 hbar)} *
     #              exp{-(i/hbar)(p q/2 + p (x - q))}
-    for i, q in enumerate(qs):
-        g = np.exp(-(x - q) ** 2 / (2 * hbar)) * psi.values
-        ph = np.exp(-1j / hbar * np.outer(ps, x - q))
-        out[i] = pref * np.exp(-1j * ps * q / (2 * hbar)) * (ph @ g)
+    # and p (x - q) = p (x - c) - p (q - c), so over a block of q around c
+    # the sum over x is one product of a Gaussian-weight matrix [q, x] and
+    # a Fourier matrix [x, p]; neither table can overflow.
+    out = np.empty((qs.size, ps.size), dtype=complex)
+    for rows, cols, c in _packet_blocks(qs, x, hbar):
+        G = np.exp(-np.subtract.outer(qs[rows], x[cols]) ** 2 / (2 * hbar)) \
+            * psi.values[cols]
+        F = _expi(np.outer(x[cols] - c, ps) * (-1 / hbar))
+        out[rows] = pref * np.exp(-1j / hbar * np.outer(c - qs[rows] / 2, ps)) * (G @ F)
     return ComplexField((qs, ps), out, hbar)
 
 
@@ -178,13 +224,16 @@ def inverse_transform(Psi: ComplexField, position_grid) -> ComplexField:
         raise ConfigurationError("position grid must be 1-D with >= 2 nodes")
     dq, dp = Psi.spacing(0), Psi.spacing(1)
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5) * dq * dp
-    out = np.zeros(x.size, dtype=complex)
     # G_(q,p)(x) = (pi hbar)^(-1/4) exp{-(x-q)^2/(2 hbar)} *
     #              exp{(i/hbar)(p q/2 + p (x - q))}
-    for i, q in enumerate(qs):
-        row = Psi.values[i] * np.exp(1j * ps * q / (2 * hbar))
-        ph = np.exp(1j / hbar * np.outer(x - q, ps))
-        out += np.exp(-(x - q) ** 2 / (2 * hbar)) * (ph @ row)
+    # factors as the analysis kernel does: per block of q around c, a
+    # Fourier product over p, then a Gaussian-weighted sum over q.
+    out = np.zeros(x.size, dtype=complex)
+    for rows, cols, c in _packet_blocks(qs, x, hbar):
+        H = Psi.values[rows] * np.exp(1j / hbar * np.outer(c - qs[rows] / 2, ps))
+        R = H @ _expi(np.outer(ps, x[cols] - c) * (1 / hbar))
+        out[cols] += np.sum(
+            np.exp(-np.subtract.outer(qs[rows], x[cols]) ** 2 / (2 * hbar)) * R, axis=0)
     return ComplexField((x,), pref * out, hbar)
 
 
@@ -237,6 +286,21 @@ def _position_support(psi: ComplexField, rel: float = 1e-6):
     return int(idx[0]), int(idx[-1])
 
 
+def _momentum_scale(psi: ComplexField, hbar: float) -> float:
+    """Largest local momentum ``hbar * Im(psi'/psi)`` where ``|psi|^2``
+    exceeds 1e-8 of its peak (central differences on interior nodes);
+    the momentum extent of a derived phase grid is this plus a packet
+    decay pad."""
+    v = psi.values
+    dx = psi.spacing()
+    dpsi = (v[2:] - v[:-2]) / (2 * dx)
+    mag2 = np.abs(v[1:-1]) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ploc = hbar * np.imag(dpsi * np.conj(v[1:-1])) / np.where(mag2 > 0, mag2, 1)
+    mask = mag2 > 1e-8 * mag2.max()
+    return float(np.abs(ploc[mask]).max()) if mask.any() else 0.0
+
+
 def _default_husimi_grid(psi: ComplexField):
     x = psi.axes[0]
     dx = psi.spacing()
@@ -249,15 +313,7 @@ def _default_husimi_grid(psi: ComplexField):
     i1 = int(np.searchsorted(x, hi + 1e-12)) - 1
     stride = max(1, int(np.floor((np.sqrt(hbar) / 4) / dx)))
     iq = np.arange(i0, i1 + 1, stride)
-    # local momentum scale from the phase gradient on the support
-    v = psi.values
-    core = slice(max(1, i0), min(v.size - 1, i1 + 1))
-    dpsi = (v[2:] - v[:-2]) / (2 * dx)
-    mag2 = np.abs(v[1:-1]) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ploc = hbar * np.imag(dpsi * np.conj(v[1:-1])) / np.where(mag2 > 0, mag2, 1)
-    mask = mag2 > 1e-8 * mag2.max()
-    pscale = float(np.abs(ploc[mask]).max()) if mask.any() else 0.0
+    pscale = _momentum_scale(psi, hbar)
     P = pscale + 6 * np.sqrt(hbar)
     nyq = np.pi * hbar / (2 * dx)
     if P > nyq:
@@ -307,17 +363,20 @@ def husimi_check(psi: ComplexField, phase_grid=None):
 
     # Wigner function W(q_i, p) = (2 pi hbar)^(-1) * 2 dx *
     #   sum_j exp(-i p (2 dx j)/hbar) psi[i+j] conj(psi)[i-j]
-    nx = x.size
-    jmax_g = int(min(iq.max(), nx - 1 - iq.min()))
-    js = np.arange(-jmax_g, jmax_g + 1)
+    # over |j| <= min(i, nx-1-i).  The terms at j and -j are complex
+    # conjugates, so W is the j = 0 term plus twice the real part over j > 0.
+    # Padding psi with jmax zeros on each side zeroes every lag past a row's
+    # range, so the lag products of row i are a window of the padded state
+    # times the reversed window ending at i; the sum is one product with the
+    # Fourier table.
+    jmax = int(np.minimum(iq, x.size - 1 - iq).max())
+    js = np.arange(jmax + 1)
+    win = np.lib.stride_tricks.sliding_window_view(np.pad(v, jmax), js.size)
+    prod = win[iq + jmax]
+    prod *= np.conj(win[iq][:, ::-1])
+    prod[:, 1:] *= 2
     E = np.exp(-1j * np.outer(ps, 2 * dx * js) / hbar)
-    W = np.empty((qs.size, ps.size))
-    for k, i in enumerate(iq):
-        jm = int(min(i, nx - 1 - i))
-        sl = slice(jmax_g - jm, jmax_g + jm + 1)
-        jw = js[sl]
-        prod = v[i + jw] * np.conj(v[i - jw])
-        W[k] = (2 * dx) / (2 * np.pi * hbar) * np.real(E[:, sl] @ prod)
+    W = (2 * dx) / (2 * np.pi * hbar) * np.real(prod @ E.T)
 
     dq = float(qs[1] - qs[0])
     dp = float(ps[1] - ps[0])
@@ -358,14 +417,13 @@ def write_field_csv(field: ComplexField, path) -> dict:
     repr-exact precision so identical runs produce identical bytes.
     """
     names = _AXIS_NAMES.get(field.rank, tuple(f"axis{k}" for k in range(field.rank)))
-    coords = np.meshgrid(*field.axes, indexing="ij")
-    flat = [c.ravel() for c in coords]
+    # C order over the nodes is the order of itertools.product over the axes
+    nodes = itertools.product(*([format(a, ".17g") for a in axis.tolist()]
+                                for axis in field.axes))
     vals = field.values.ravel()
+    re = [format(v, ".17g") for v in vals.real.tolist()]
+    im = [format(v, ".17g") for v in vals.imag.tolist()]
+    rows = "\n".join([",".join((*node, r, i)) for node, r, i in zip(nodes, re, im)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + ",re,im\n")
-        for row in range(vals.size):
-            cells = [format(float(c[row]), ".17g") for c in flat]
-            cells.append(format(float(vals[row].real), ".17g"))
-            cells.append(format(float(vals[row].imag), ".17g"))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(names) + ",re,im\n" + rows + "\n")
     return field_metadata(field, path=str(path))

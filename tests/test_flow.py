@@ -174,3 +174,26 @@ def test_caustic_error_carries_location():
     err = CausticError("fold", t_star=0.5, alpha_star=-5.0)
     assert err.t_star == 0.5
     assert err.alpha_star == -5.0
+
+
+def test_methods_return_identical_one_sample_bundles_at_t0():
+    X0 = PhasePoint(0.3, -0.2)
+    for model in (builtin_model("harmonic"), builtin_model("free")):
+        bundles = [integrate_characteristics(model, X0, 0.0, FlowOptions(method=m))
+                   for m in ("rk4", "adaptive", "exact")]
+        for b in bundles:
+            assert b.times.tolist() == [0.0]
+            assert b.index_of(0.0) == 0
+        first = bundles[0]
+        for b in bundles[1:]:
+            assert np.array_equal(b.points[0].q, first.points[0].q)
+            assert np.array_equal(b.points[0].p, first.points[0].p)
+            assert np.array_equal(b.frames[0].A, first.frames[0].A)
+            assert np.array_equal(b.frames[0].B, first.frames[0].B)
+            assert np.array_equal(b.action, first.action)
+            assert np.array_equal(b.logdetA, first.logdetA)
+            assert np.array_equal(b.logdet_w, first.logdet_w)
+    # models without closed forms take the same path
+    quartic = polynomial_model(QUARTIC)
+    b = integrate_characteristics(quartic, X0, 0.0, FlowOptions(method="adaptive"))
+    assert b.times.tolist() == [0.0] and b.action.tolist() == [0.0]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from phaseprop import (
     CausticError,
     ComplexField,
     ConfigurationError,
+    EhrenfestWarning,
     FlowOptions,
     PhasePoint,
+    VariationalFrame,
+    anisotropy_Z,
     apply_propagator,
     bergmann_kernel,
     builtin_model,
@@ -18,6 +23,7 @@ from phaseprop import (
     kernel_Ksc,
     position_space_solution,
     propagate_packet,
+    symplectic_J,
     van_vleck_kernel,
 )
 from phaseprop.oracles import (
@@ -179,3 +185,64 @@ def test_van_vleck_tracks_focal_index_past_caustic():
 def test_van_vleck_raises_at_focal_time():
     with pytest.raises(CausticError):
         van_vleck_kernel(0.5, 0.5, np.pi / 2, builtin_model("harmonic"), HBAR)
+
+
+def per_pair_sum(Psi0, t, model, hbar, out_axes):
+    """Reference kernel sum, one ``kernel_Ksc`` call per (target, source)
+    pair, over the sources the propagator keeps (above 1e-13 of the peak)."""
+    qs, ps = Psi0.axes
+    mag = np.abs(Psi0.values)
+    sources = [(PhasePoint(qs[i], ps[j]), Psi0.values[i, j])
+               for i, j in zip(*np.nonzero(mag > 1e-13 * mag.max()))]
+    out = np.empty((out_axes[0].size, out_axes[1].size), dtype=complex)
+    for a, q in enumerate(out_axes[0]):
+        for b, p in enumerate(out_axes[1]):
+            X = PhasePoint(q, p)
+            out[a, b] = sum(kernel_Ksc(X, Y, t, model, hbar) * v for Y, v in sources)
+    return out * Psi0.cell()
+
+
+def test_affine_apply_matches_per_pair_kernel_sum():
+    # hbar = 0.005 splits the output box into several tiles; a generic
+    # (random) field exercises every source weight
+    hbar = 0.005
+    qs = np.linspace(-1.5, 1.5, 9)
+    rng = np.random.default_rng(11)
+    Psi0 = ComplexField((qs, qs), rng.standard_normal((9, 9))
+                        + 1j * rng.standard_normal((9, 9)), hbar)
+    out_axes = (np.linspace(-1.6, 1.4, 5), np.linspace(-1.4, 1.6, 5))
+    for kind in KINDS:
+        model = builtin_model(kind)
+        for t in (0.4, np.pi):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # edge mass and Ehrenfest notes
+                got = apply_propagator(Psi0, t, model, out_axes=out_axes).values
+            want = per_pair_sum(Psi0, t, model, hbar, out_axes)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err < 1e-12, (kind, t, err)
+
+
+def test_affine_apply_is_tiled_where_one_table_would_overflow():
+    # hbar = 0.02 on the 81 x 81 reference box: over the whole box the real
+    # part of the bilinear exponent x.K y / hbar reaches far past
+    # log(max double) = 709
+    hbar, t = 0.02, 0.55
+    model = builtin_model("harmonic")
+    ax = np.linspace(-5.5, 5.5, 81)
+    Q, P = np.meshgrid(ax, ax, indexing="ij")
+    Psi0 = ComplexField((ax, ax), initial_phase_state(Q, P, hbar), hbar)
+    A, B, _ldA, _ldw = model.frame_at(t)
+    M = np.block([[A.real, A.imag], [B.real, B.imag]])
+    Qd = double_anisotropy_Q(anisotropy_Z(VariationalFrame(A, B))).M
+    K = (0.5 * symplectic_J(1) - Qd) @ M
+    assert np.abs(K.imag).sum() * 5.5 * 5.5 / hbar > 2 * 709
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow anywhere
+        warnings.filterwarnings("ignore", category=EhrenfestWarning)
+        out = apply_propagator(Psi0, t, model, out_axes=(ax, ax))
+    assert np.isfinite(out.values).all()
+    # the peak and two nodes on its flank, against the per-pair sum
+    i, j = np.unravel_index(np.argmax(np.abs(out.values)), out.values.shape)
+    for a, b in ((i, j), (i + 2, j - 1), (i - 3, j + 3)):
+        want = per_pair_sum(Psi0, t, model, hbar, (ax[a:a + 1], ax[b:b + 1]))[0, 0]
+        assert abs(out.values[a, b] - want) < 1e-12 * np.abs(out.values).max()

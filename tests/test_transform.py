@@ -18,7 +18,7 @@ from phaseprop import (
     wave_packet_transform,
     write_field_csv,
 )
-from phaseprop.oracles import exact_phase_field
+from phaseprop.oracles import exact_phase_field, initial_position_state
 
 HBAR = 0.1
 
@@ -160,3 +160,124 @@ def test_csv_dump_is_deterministic(tmp_path):
     assert meta1["axes"][0]["count"] == 11
     assert meta1["norm"] == meta2["norm"]
     assert meta1["hbar"] == HBAR
+
+
+def test_field_rejects_non_finite_values():
+    x = np.linspace(0.0, 1.0, 4)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)):
+        vals = np.ones(4, dtype=complex)
+        vals[2] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            ComplexField((x,), vals, HBAR)
+
+
+def two_packet_state() -> ComplexField:
+    x = np.linspace(-5.0, 5.0, 401)
+    v = gaussian_packet(PhasePoint(-0.8, 0.4), HBAR, x) \
+        + np.exp(0.3j) * gaussian_packet(PhasePoint(0.7, -0.5), HBAR, x)
+    return ComplexField((x,), v, HBAR)
+
+
+def test_analysis_matches_per_node_quadrature():
+    # Psi(q, p) = (2 pi hbar)^(-1/2) sum_x conj(G_(q,p))(x) psi(x) dx, one
+    # packet per node
+    psi = two_packet_state()
+    x, dx = psi.axes[0], psi.spacing()
+    qs, ps = phase_axes(-2.4, 2.4, 65)
+    got = wave_packet_transform(psi, (qs, ps)).values
+    want = np.array([[np.sum(np.conj(gaussian_packet(PhasePoint(q, p), HBAR, x))
+                             * psi.values) * dx for p in ps] for q in qs])
+    want *= (2 * np.pi * HBAR) ** -0.5
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+
+def test_synthesis_matches_per_node_quadrature():
+    # psi(x) = (2 pi hbar)^(-1/2) sum_(q,p) Psi(q, p) G_(q,p)(x) dq dp on a
+    # generic (not analyzed) field
+    qs, ps = phase_axes(-2.4, 2.4, 65)
+    Q, P = np.meshgrid(qs, ps, indexing="ij")
+    rng = np.random.default_rng(7)
+    vals = (rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape)) \
+        * np.exp(-(Q ** 2 + P ** 2) / 0.2)
+    Psi = ComplexField((qs, ps), vals, HBAR)
+    x = np.linspace(-5.0, 5.0, 401)
+    got = inverse_transform(Psi, x).values
+    want = np.zeros(x.size, dtype=complex)
+    for i, q in enumerate(qs):
+        for j, p in enumerate(ps):
+            want += vals[i, j] * gaussian_packet(PhasePoint(q, p), HBAR, x)
+    want *= (2 * np.pi * HBAR) ** -0.5 * Psi.cell()
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+
+def test_husimi_wigner_sum_matches_per_row_sum():
+    # W(q_i, p) = (2 dx / 2 pi hbar) Re sum_|j|<=min(i, nx-1-i)
+    #   exp(-i p 2 dx j / hbar) psi[i+j] conj(psi[i-j]), row by row
+    psi = two_packet_state()
+    x, v, dx = psi.axes[0], psi.values, psi.spacing()
+    iq = np.arange(2, x.size - 2, 3)  # rows near both ends are truncated
+    ps = np.linspace(-2.1, 2.1, 57)
+    _hus, conv, _diff = husimi_check(psi, (x[iq], ps))
+    W = np.empty((iq.size, ps.size))
+    for k, i in enumerate(iq):
+        js = np.arange(-min(i, x.size - 1 - i), min(i, x.size - 1 - i) + 1)
+        prod = v[i + js] * np.conj(v[i - js])
+        W[k] = 2 * dx / (2 * np.pi * HBAR) * np.real(
+            np.exp(-1j * np.outer(ps, 2 * dx * js) / HBAR) @ prod)
+    qs = x[iq]
+    Gq = np.exp(-np.subtract.outer(qs, qs) ** 2 / HBAR)
+    Gp = np.exp(-np.subtract.outer(ps, ps) ** 2 / HBAR)
+    want = (qs[1] - qs[0]) * (ps[1] - ps[0]) / (np.pi * HBAR) * (Gq @ W @ Gp.T)
+    assert np.abs(conv.values - want).max() / np.abs(want).max() < 1e-12
+
+
+def test_derived_phase_grids_are_unchanged():
+    # Both derivations share one momentum-extent estimate; their grids must
+    # equal, bit for bit, the ones the two separate estimates gave.  Axes
+    # are linspace(lo, hi, n), so (lo, hi, n) pins them.
+    from phaseprop.propagator import _default_phase_axes
+    from phaseprop.transform import _default_husimi_grid
+    x = np.linspace(-8.0, 8.0, 1601)
+    reference = ComplexField((x,), initial_position_state(x, 0.05), 0.05)
+    x2 = np.linspace(-6.0, 6.0, 1201)
+    boosted = ComplexField((x2,), gaussian_packet(PhasePoint(0.5, 3.0), HBAR, x2), HBAR)
+    cases = [
+        (reference, (-6.591640786499874, 6.591640786499874, 237),
+         (-6.591640786499874, 6.591640786499874, 237),
+         (141, 1456, 5), (-5.127471522919444, 5.127471522919444, 185)),
+        (boosted, (-3.0573665961010277, 4.057366596101028, 91),
+         (-4.878048151817746, 4.878048151817746, 125),
+         (295, 1002, 7), (-4.878048151817746, 4.878048151817746, 125)),
+    ]
+    for psi, q_axis, p_axis, rows, husimi_p in cases:
+        qa, pa = _default_phase_axes(psi, psi.hbar)
+        assert np.array_equal(qa, np.linspace(*q_axis))
+        assert np.array_equal(pa, np.linspace(*p_axis))
+        iq, ps = _default_husimi_grid(psi)
+        assert np.array_equal(iq, np.arange(rows[0], rows[1] + 1, rows[2]))
+        assert np.array_equal(ps, np.linspace(*husimi_p))
+
+
+def test_csv_dump_golden_bytes(tmp_path):
+    # .17g cells, C order, "\n" line ends; -0 and subnormals included
+    f1 = ComplexField((np.linspace(-1.0, 1.0, 3),),
+                      np.array([1e-320j, 1 / 3 - 2.5e150j, 0.1]), HBAR)
+    f2 = ComplexField((np.linspace(0.0, 0.5, 2), np.linspace(-0.3, 0.3, 3)),
+                      np.array([[1.0, -1j, 2.0 ** -1074],
+                                [np.pi + np.e * 1j, -123456789.125, 1e-5 - 7e22j]]),
+                      HBAR)
+    write_field_csv(f1, tmp_path / "f1.csv")
+    write_field_csv(f2, tmp_path / "f2.csv")
+    assert (tmp_path / "f1.csv").read_bytes() == (
+        b"x,re,im\n"
+        b"-1,0,9.9998886718268301e-321\n"
+        b"0,0.33333333333333331,-2.5e+150\n"
+        b"1,0.10000000000000001,0\n")
+    assert (tmp_path / "f2.csv").read_bytes() == (
+        b"q,p,re,im\n"
+        b"0,-0.29999999999999999,1,0\n"
+        b"0,0,-0,-1\n"
+        b"0,0.29999999999999999,4.9406564584124654e-324,0\n"
+        b"0.5,-0.29999999999999999,3.1415926535897931,2.7182818284590451\n"
+        b"0.5,0,-123456789.125,0\n"
+        b"0.5,0.29999999999999999,1.0000000000000001e-05,-7.0000000000000004e+22\n")
