@@ -8,12 +8,17 @@ action integral, and a continuously branch-tracked ``log det A``.  The
 anisotropy form ``Z = B A^{-1}`` lives in the Siegel upper half-space
 and is always recovered algebraically from the linear frame, never
 integrated through its own (caustic-singular) Riccati equation.
+
+:func:`flow_batch` carries N orbits at once to one time and returns only
+their endpoints; it is the one place that chooses between closed forms
+and integration, and the bundle is the per-sample record of a batch of
+one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,18 +66,24 @@ class SiegelMatrix:
 
     def __post_init__(self):
         M = np.atleast_2d(np.asarray(self.M, dtype=complex))
-        if M.shape[0] != M.shape[1]:
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DomainError(f"SiegelMatrix must be square, got {M.shape}")
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M - M.T).max() > 1e-10 * scale:
-            raise DomainError("SiegelMatrix must be symmetric to 1e-10")
-        if np.linalg.eigvalsh(M.imag).min() <= 0:
-            raise DomainError("SiegelMatrix imaginary part must be positive definite")
+        _check_siegel(M)
         object.__setattr__(self, "M", M)
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
+
+
+def _check_siegel(M: np.ndarray) -> None:
+    """Raise unless every matrix of ``M`` (one, or a stack) is symmetric
+    with positive-definite imaginary part."""
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if (np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
+        raise DomainError("SiegelMatrix must be symmetric to 1e-10")
+    if (np.linalg.eigvalsh(M.imag).min(axis=-1) <= 0).any():
+        raise DomainError("SiegelMatrix imaginary part must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -155,155 +166,209 @@ class TrajectoryBundle:
         return self.points[self.index_of(t)]
 
 
+class FlowBatch(NamedTuple):
+    """Endpoint data of N orbits at one time: ``q``, ``p`` of shape
+    ``(N, d)``, the frames ``A``, ``B`` of shape ``(N, d, d)``, and the
+    action and the branch-tracked ``logdetA`` and ``logdet_w``, each of
+    shape ``(N,)``."""
+
+    q: np.ndarray
+    p: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    action: np.ndarray
+    logdetA: np.ndarray
+    logdet_w: np.ndarray
+
+
 def _default_times(T: float, step: float | None) -> np.ndarray:
     if T == 0.0:
         return np.array([0.0])
     h = step if step is not None else 1e-3
-    n = max(1, math.ceil(T / h))
+    n = max(1, math.ceil(abs(T) / h))
     return np.linspace(0.0, T, n + 1)
 
 
-def _log_increment(prev_det: complex, new_det: complex) -> complex:
+def _log_increment(prev_det, new_det):
     """Principal log of the determinant ratio (branch-safe increment)."""
     ratio = new_det / prev_det
-    return complex(np.log(abs(ratio)), np.angle(ratio))
+    return np.log(np.abs(ratio)) + 1j * np.angle(ratio)
 
 
 class _CharRHS:
-    """Right-hand side of the joint (X, A, B, action) system."""
+    """Right-hand side of the joint (X, frame, action) system of a batch
+    of orbits launched from the rows of ``q0``, ``p0``.  The frame is
+    carried stacked, ``F = [A; B]``, so that ``dF/dt = J H'' F``."""
 
-    def __init__(self, model: HamiltonianModel, H0: float):
-        self.model = model
-        self.H0 = H0
-        self.d = model.dim
+    def __init__(self, model: HamiltonianModel, q0, p0):
+        self.model, self.q0, self.p0 = model, q0, p0
+        self.H0 = model.bulk_value(q0, p0)
 
-    def __call__(self, q, p, A, B):
-        d = self.d
-        X = PhasePoint(q.real, p.real)
-        g = self.model.gradient(X)
-        H2 = self.model.hessian(X)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H2))):
+    def __call__(self, q, p, F):
+        g = self.model.bulk_gradient(q, p)
+        H2 = self.model.bulk_hessian(q, p)
+        if not (np.isfinite(g).all() and np.isfinite(H2).all()):
+            ok = np.isfinite(g).all(axis=1) & np.isfinite(H2).all(axis=(1, 2))
+            j = int(np.argmin(ok))
             raise ModelError(
-                f"non-finite model derivative at q={X.q}, p={X.p}")
-        Hq, Hp = g[:d], g[d:]
-        Hqq, Hqp = H2[:d, :d], H2[:d, d:]
-        Hpq, Hpp = H2[d:, :d], H2[d:, d:]
-        dq = Hp.astype(complex)
-        dp = -Hq.astype(complex)
-        dA = Hpq @ A + Hpp @ B
-        dB = -Hqq @ A - Hqp @ B
-        dact = float(np.dot(p.real, Hp)) - self.H0
-        return dq, dp, dA, dB, dact
+                f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
+                f"orbit from q={self.q0[j]}, p={self.p0[j]}")
+        d = q.shape[1]
+        Hp = g[:, d:]
+        JH = np.concatenate([H2[:, d:], -H2[:, :d]], axis=1)
+        return Hp, -g[:, :d], JH @ F, (p * Hp).sum(axis=1) - self.H0
 
 
-def _integrate_rk4(model, X0, times):
-    d = model.dim
-    H0 = model.value(X0)
-    rhs = _CharRHS(model, H0)
-    q = X0.q.astype(complex)
-    p = X0.p.astype(complex)
-    A = np.eye(d, dtype=complex)
-    B = 1.0j * np.eye(d, dtype=complex)
-    act = 0.0
-    points = [PhasePoint(q.real, p.real)]
-    frames = [VariationalFrame(A, B)]
-    actions = [0.0]
-    logdetA = [0.0 + 0.0j]
-    ldw0 = complex(np.log(np.linalg.det(A - 1.0j * B)))
-    logdet_w = [ldw0]
-    detA_prev = 1.0 + 0.0j
-    detw_prev = np.linalg.det(A - 1.0j * B)
+def _initial_frame(n: int, d: int) -> np.ndarray:
+    """``n`` copies of the Hamiltonian-gauge frame ``[A; B] = [I; iI]``."""
+    return np.broadcast_to(np.concatenate([np.eye(d), 1.0j * np.eye(d)]),
+                           (n, 2 * d, d))
+
+
+def _rk4(model, q, p, times):
+    """States ``(q, p, [A; B], action)`` at each of ``times``, every
+    orbit of the batch stepped together by classical RK4."""
+    rhs = _CharRHS(model, q, p)
+    state = (q, p, _initial_frame(*q.shape), np.zeros(len(q)))
+    yield state
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
-        k1 = rhs(q, p, A, B)
-        k2 = rhs(q + h / 2 * k1[0], p + h / 2 * k1[1],
-                 A + h / 2 * k1[2], B + h / 2 * k1[3])
-        k3 = rhs(q + h / 2 * k2[0], p + h / 2 * k2[1],
-                 A + h / 2 * k2[2], B + h / 2 * k2[3])
-        k4 = rhs(q + h * k3[0], p + h * k3[1], A + h * k3[2], B + h * k3[3])
-        q = q + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        A = A + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        B = B + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        act = act + h / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-        points.append(PhasePoint(q.real, p.real))
-        frames.append(VariationalFrame(A, B))
-        actions.append(act)
-        detA = np.linalg.det(A)
-        detw = np.linalg.det(A - 1.0j * B)
-        logdetA.append(logdetA[-1] + _log_increment(detA_prev, detA))
-        logdet_w.append(logdet_w[-1] + _log_increment(detw_prev, detw))
-        detA_prev, detw_prev = detA, detw
-    return points, frames, actions, logdetA, logdet_w
+        k1 = rhs(*state[:3])
+        k2 = rhs(*(y + h / 2 * dy for y, dy in zip(state, k1[:3])))
+        k3 = rhs(*(y + h / 2 * dy for y, dy in zip(state, k2[:3])))
+        k4 = rhs(*(y + h * dy for y, dy in zip(state, k3[:3])))
+        state = tuple(y + h / 6 * (a + 2 * b + 2 * c + e)
+                      for y, a, b, c, e in zip(state, k1, k2, k3, k4))
+        yield state
 
 
-def _integrate_adaptive(model, X0, times, rtol):
+def _adaptive(model, q0, p0, times, rtol):
+    """States ``(q, p, [A; B], action)`` at each of ``times``, from one
+    DOP853 solve per orbit.  ``solve_ivp`` measures error with an RMS norm
+    over its whole system, so a joint solve of N orbits would loosen each
+    orbit's tolerance by up to sqrt(N)."""
     from scipy.integrate import solve_ivp
 
-    d = model.dim
-    H0 = model.value(X0)
-    rhs = _CharRHS(model, H0)
+    n, d = q0.shape
     nc = 2 * d + 2 * d * d  # complex entries: q, p, A, B
 
-    def unpack(y):
-        z = y[:2 * nc].view()  # real storage
-        zc = z[:nc] + 1.0j * z[nc:]
-        q = zc[:d]
-        p = zc[d:2 * d]
-        A = zc[2 * d:2 * d + d * d].reshape(d, d)
-        B = zc[2 * d + d * d:].reshape(d, d)
-        return q, p, A, B
+    def unpack(y):  # real storage (..., 2 nc + 1) -> q, p, [A; B], action
+        zc = y[..., :nc] + 1.0j * y[..., nc:2 * nc]
+        return (zc[..., :d].real, zc[..., d:2 * d].real,
+                zc[..., 2 * d:].reshape(-1, 2 * d, d), y[..., -1])
 
-    def f(t, y):
-        q, p, A, B = unpack(y)
-        dq, dp, dA, dB, dact = rhs(q, p, A, B)
-        zc = np.concatenate([dq, dp, dA.ravel(), dB.ravel()])
-        return np.concatenate([zc.real, zc.imag, [dact]])
+    records = []
+    for j in range(n):
+        rhs = _CharRHS(model, q0[j:j + 1], p0[j:j + 1])
 
-    z0 = np.concatenate([X0.q.astype(complex), X0.p.astype(complex),
-                         np.eye(d, dtype=complex).ravel(),
-                         (1.0j * np.eye(d, dtype=complex)).ravel()])
-    y0 = np.concatenate([z0.real, z0.imag, [0.0]])
-    if times.size == 1:
-        ys = y0[:, None]  # T = 0: the initial sample is the whole record
-    else:
+        def f(t, y):
+            dq, dp, dF, dact = rhs(*unpack(y[None])[:3])
+            zc = np.concatenate([dq[0], dp[0], dF.ravel()])
+            return np.concatenate([zc.real, zc.imag, dact])
+
+        z0 = np.concatenate([q0[j], p0[j], _initial_frame(1, d).ravel()])
+        y0 = np.concatenate([z0.real, z0.imag, [0.0]])
+        if times.size == 1:
+            records.append(y0[:, None])  # T = 0: the initial sample is all
+            continue
         sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853",
                         t_eval=times, rtol=rtol, atol=rtol * 1e-2)
         if not sol.success:
             last = float(sol.t[-1]) if sol.t.size else None
             raise IntegrationError(
                 f"adaptive integration failed: {sol.message}", last_valid_time=last)
-        ys = sol.y
-    points, frames, actions = [], [], []
-    logdetA = [0.0 + 0.0j]
-    logdet_w = []
-    detA_prev = detw_prev = None
-    for k in range(len(times)):
-        q, p, A, B = unpack(ys[:, k])
-        points.append(PhasePoint(q.real, p.real))
-        frames.append(VariationalFrame(A, B))
-        actions.append(float(ys[-1, k]))
-        detA = np.linalg.det(A)
-        detw = np.linalg.det(A - 1.0j * B)
+        records.append(sol.y)
+    ys = np.stack(records)
+    for k in range(times.size):
+        yield unpack(ys[:, :, k])
+
+
+def _tracked(states):
+    """Batched states with ``log det A`` and ``log det(A - iB)`` attached,
+    each continued from the previous sample by a branch-safe increment."""
+    for k, (q, p, F, act) in enumerate(states):
+        d = q.shape[1]
+        A, B = F[:, :d], F[:, d:]
+        detA, detw = np.linalg.det(A), np.linalg.det(A - 1.0j * B)
         if k == 0:
-            logdet_w.append(complex(np.log(detw)))
+            ldA, ldw = np.zeros(len(q), dtype=complex), np.log(detw)
         else:
-            logdetA.append(logdetA[-1] + _log_increment(detA_prev, detA))
-            logdet_w.append(logdet_w[-1] + _log_increment(detw_prev, detw))
-        detA_prev, detw_prev = detA, detw
-    return points, frames, actions, logdetA, logdet_w
+            ldA = ldA + _log_increment(prevA, detA)
+            ldw = ldw + _log_increment(prevw, detw)
+        prevA, prevw = detA, detw
+        yield FlowBatch(q, p, A, B, act, ldA, ldw)
 
 
-def _integrate_exact(model, X0, times):
-    points, frames, actions, logdetA, logdet_w = [], [], [], [], []
-    for t in times:
-        points.append(model.exact_flow(X0, float(t)))
-        A, B, ldA, ldw = model.frame_at(float(t))
-        frames.append(VariationalFrame(A, B))
-        actions.append(float(model.bulk_action(X0.q, X0.p, float(t)).sum()))
-        logdetA.append(complex(ldA))
-        logdet_w.append(complex(ldw))
-    return points, frames, actions, logdetA, logdet_w
+def _closed_form(model, q0, p0, t: float) -> FlowBatch:
+    """Closed-form endpoints; the frame does not depend on the source."""
+    qt, pt = model.bulk_flow(q0, p0, t)
+    A, B, ldA, ldw = model.frame_at(t)
+    n = len(q0)
+    return FlowBatch(qt, pt, A[None].repeat(n, axis=0), B[None].repeat(n, axis=0),
+                     model.bulk_action(q0, p0, t).sum(axis=1),
+                     np.full(n, complex(ldA)), np.full(n, complex(ldw)))
+
+
+def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
+    if opts.method is None:
+        return "exact" if model.frame_at is not None else "rk4"
+    if opts.method == "exact" and model.frame_at is None:
+        raise ConfigurationError(
+            f"model kind={model.kind!r} has no closed-form flow; "
+            "use method='rk4' or 'adaptive'")
+    return opts.method
+
+
+def _states(model, q0, p0, times, method, rtol):
+    """Batched :class:`FlowBatch` states of the orbits from ``(q0, p0)``
+    at each of ``times``."""
+    if method == "exact":
+        return (_closed_form(model, q0, p0, float(t)) for t in times)
+    if method == "rk4":
+        return _tracked(_rk4(model, q0, p0, times))
+    return _tracked(_adaptive(model, q0, p0, times, rtol))
+
+
+def _last(states):
+    for state in states:
+        pass
+    return state
+
+
+def _sample_orbits(model: HamiltonianModel, Q, P, T: float,
+                  opts: FlowOptions) -> tuple:
+    """Sample times on ``[0, T]`` and the batched states of the orbits
+    from the rows of ``Q``, ``P`` at every sample."""
+    times = _default_times(float(T), opts.step)
+    return times, list(_states(model, Q, P, times, _method(model, opts),
+                               opts.rtol))
+
+
+def flow_batch(model: HamiltonianModel, Q, P, t: float,
+               opts: FlowOptions | None = None) -> FlowBatch:
+    """Endpoints at the signed time ``t`` of the orbits from the rows of
+    ``Q`` and ``P`` (shape ``(N, d)``).
+
+    The one place that chooses between closed forms and integration.
+    ``exact`` broadcasts the closed forms.  ``rk4`` steps all N orbits
+    together on the sample grid of :func:`integrate_characteristics` and
+    keeps only the current state.  ``adaptive`` makes one DOP853 solve
+    per orbit.  Log-dets are tracked along the samples as in
+    :func:`integrate_characteristics`, whose records are this batch's
+    N = 1 view.
+    """
+    opts = opts or FlowOptions()
+    method = _method(model, opts)
+    Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
+    P = np.asarray(P, dtype=float).reshape(-1, model.dim)
+    if method == "exact":
+        return _closed_form(model, Q, P, float(t))
+    times = _default_times(float(t), opts.step)
+    if method == "rk4":
+        return _last(_states(model, Q, P, times, method, opts.rtol))
+    ends = [_last(_states(model, Q[j:j + 1], P[j:j + 1], times, method, opts.rtol))
+            for j in range(len(Q))]
+    return FlowBatch(*map(np.concatenate, zip(*ends)))
 
 
 def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
@@ -330,31 +395,27 @@ def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
     if model.dim != X0.d:
         raise ConfigurationError(
             f"model dimension {model.dim} != point dimension {X0.d}")
-    method = opts.method
-    if method is None:
-        method = "exact" if model.frame_at is not None else "rk4"
-    times = _default_times(float(T), opts.step)
-    if method == "exact":
-        if model.frame_at is None:
-            raise ConfigurationError(
-                f"model kind={model.kind!r} has no closed-form flow; "
-                "use method='rk4' or 'adaptive'")
-        parts = _integrate_exact(model, X0, times)
-    elif method == "rk4":
-        parts = _integrate_rk4(model, X0, times)
-    elif method == "adaptive":
-        parts = _integrate_adaptive(model, X0, times, opts.rtol)
-    else:
-        raise ConfigurationError(
-            f"flow.method: unknown method {method!r}; "
-            "expected rk4, adaptive, or exact")
-    points, frames, actions, logdetA, logdet_w = parts
-    return TrajectoryBundle(times=times, points=tuple(points),
-                            frames=tuple(frames),
-                            action=np.asarray(actions, dtype=float),
-                            logdetA=np.asarray(logdetA, dtype=complex),
-                            logdet_w=np.asarray(logdet_w, dtype=complex),
-                            hbar=opts.hbar)
+    times, states = _sample_orbits(model, X0.q[None], X0.p[None], T, opts)
+    return TrajectoryBundle(
+        times=times,
+        points=tuple(PhasePoint(s.q[0], s.p[0]) for s in states),
+        frames=tuple(VariationalFrame(s.A[0], s.B[0]) for s in states),
+        action=np.array([s.action[0] for s in states], dtype=float),
+        logdetA=np.array([s.logdetA[0] for s in states], dtype=complex),
+        logdet_w=np.array([s.logdet_w[0] for s in states], dtype=complex),
+        hbar=opts.hbar)
+
+
+def _anisotropy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``Z = B A^{-1}``, symmetrised, of one frame or a stack of frames,
+    with the caustic and Siegel checks over the whole stack."""
+    if (np.abs(np.linalg.det(A)) < 1e-12).any():
+        raise CausticError("variational form A is numerically singular "
+                           "(integrator drift: |det A| >= 1 along exact flow)")
+    Z = B @ np.linalg.inv(A)
+    Z = (Z + np.swapaxes(Z, -1, -2)) / 2.0
+    _check_siegel(Z)
+    return Z
 
 
 def anisotropy_Z(frame: VariationalFrame) -> SiegelMatrix:
@@ -364,12 +425,13 @@ def anisotropy_Z(frame: VariationalFrame) -> SiegelMatrix:
     a singular ``A`` cannot occur in exact arithmetic (|det A| >= 1
     along the flow) and signals integrator drift.
     """
-    A, B = frame.A, frame.B
-    if abs(np.linalg.det(A)) < 1e-12:
-        raise CausticError("variational form A is numerically singular "
-                           "(integrator drift: |det A| >= 1 along exact flow)")
-    Z = B @ np.linalg.inv(A)
-    return SiegelMatrix((Z + Z.T) / 2.0)
+    return SiegelMatrix(_anisotropy(frame.A, frame.B))
+
+
+def _real_jacobian(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``[[Re A, Im A], [Re B, Im B]]`` of one frame or a stack."""
+    return np.concatenate([np.concatenate([A.real, A.imag], axis=-1),
+                           np.concatenate([B.real, B.imag], axis=-1)], axis=-2)
 
 
 def flow_jacobian(bundle: TrajectoryBundle, t: float) -> np.ndarray:
@@ -379,7 +441,7 @@ def flow_jacobian(bundle: TrajectoryBundle, t: float) -> np.ndarray:
     in the Hamiltonian gauge; satisfies ``M^T J M = J``.
     """
     f = bundle.frame(t)
-    return np.block([[f.A.real, f.A.imag], [f.B.real, f.B.imag]])
+    return _real_jacobian(f.A, f.B)
 
 
 def amplitude_a(bundle: TrajectoryBundle, t: float) -> complex:
@@ -399,12 +461,12 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     if bundle.hbar is None:
         return []
     thresh = bundle.hbar ** -0.5
+    A = np.array([f.A for f in bundle.frames])
+    B = np.array([f.B for f in bundle.frames])
+    norms = np.linalg.norm(_real_jacobian(A, B), 2, axis=(-2, -1))
     warnings_out = []
     above = False
-    for i, t in enumerate(bundle.times):
-        f = bundle.frames[i]
-        M = np.block([[f.A.real, f.A.imag], [f.B.real, f.B.imag]])
-        nrm = np.linalg.norm(M, 2)
+    for t, nrm in zip(bundle.times, norms):
         if nrm > thresh and not above:
             warnings_out.append(
                 f"linearized flow norm {nrm:.4g} exceeds hbar^-1/2 = "

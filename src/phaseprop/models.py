@@ -81,10 +81,18 @@ class HamiltonianModel:
         Built-in kind tag (``free``/``linear``/``harmonic``) or
         ``polynomial``.
 
-    The remaining private hooks carry closed-form trajectory data for
-    the quadratic built-ins (batched flow/action over coordinate
-    arrays, base-point-independent variational frames, and the inverse
-    flow); the flow module uses them for its ``exact`` method.
+    The remaining fields are private hooks.  ``bulk_value``,
+    ``bulk_gradient`` and ``bulk_hessian`` take stacks ``q``, ``p`` of
+    shape ``(N, d)`` and return shapes ``(N,)``, ``(N, 2d)`` and
+    ``(N, 2d, 2d)``; the flow module steps batches of orbits with them.
+    The factories write each derivative once, stacked, and the point
+    callables are its one-point views; a model given point callables
+    only gets stacks that call them row by row.  For the quadratic
+    built-ins, ``bulk_flow``/``bulk_action`` (flow and action over
+    coordinate arrays) and ``frame_at`` (the base-point-independent
+    frame) carry the closed forms of the ``exact`` method;
+    ``exact_flow`` and ``inverse_flow`` are point views of
+    ``bulk_flow`` at ``t`` and ``-t``.
     """
 
     dim: int
@@ -99,6 +107,16 @@ class HamiltonianModel:
     bulk_action: Callable | None = field(default=None, repr=False)
     frame_at: Callable | None = field(default=None, repr=False)
     inverse_flow: Callable | None = field(default=None, repr=False)
+    # stacked derivatives; not part of the public surface
+    bulk_value: Callable | None = field(default=None, repr=False)
+    bulk_gradient: Callable | None = field(default=None, repr=False)
+    bulk_hessian: Callable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("value", "gradient", "hessian"):
+            if getattr(self, "bulk_" + name) is None:
+                object.__setattr__(self, "bulk_" + name,
+                                   _row_by_row(getattr(self, name)))
 
     def action(self, X: PhasePoint, t: float) -> float:
         """Closed-form phase-space action, when available."""
@@ -108,21 +126,34 @@ class HamiltonianModel:
         return float(self.bulk_action(X.q, X.p, t).sum())
 
 
-def _free_pieces(d):
+def _row_by_row(point_fn):
+    """Stacked form of a point callable, evaluated one row at a time."""
+    def stacked(q, p):
+        return np.array([point_fn(PhasePoint(a, b)) for a, b in zip(q, p)])
+    return stacked
+
+
+def _from_stacks(dim, bulk_value, bulk_gradient, bulk_hessian, **hooks):
+    """Model whose point callables are one-point views of its stacks."""
     def value(X):
-        return float(np.dot(X.p, X.p))
+        return float(bulk_value(X.q[None], X.p[None])[0])
 
     def gradient(X):
-        return np.concatenate([np.zeros(d), 2.0 * X.p])
+        return bulk_gradient(X.q[None], X.p[None])[0]
 
     def hessian(X):
-        H = np.zeros((2 * d, 2 * d))
-        H[d:, d:] = 2.0 * np.eye(d)
-        return H
+        return bulk_hessian(X.q[None], X.p[None])[0]
 
-    def flow(X, t):
-        return PhasePoint(X.q + 2.0 * t * X.p, X.p)
+    return HamiltonianModel(dim=dim, value=value, gradient=gradient,
+                            hessian=hessian, bulk_value=bulk_value,
+                            bulk_gradient=bulk_gradient,
+                            bulk_hessian=bulk_hessian, **hooks)
 
+
+# Each built-in is H = |p|^2 + sum_i V(q_i) with constant V''.  Its pieces:
+# V, V', V'', and the closed-form flow, action and frame.
+
+def _free_pieces(d):
     def bulk_flow(q, p, t):
         return q + 2.0 * t * p, p + 0.0 * q
 
@@ -134,27 +165,10 @@ def _free_pieces(d):
         return (A * np.eye(d), 1.0j * np.eye(d),
                 d * np.log(A), d * np.log(A + 1.0))  # A - iB = 2 + 2it
 
-    def inverse_flow(X, t):
-        return PhasePoint(X.q - 2.0 * t * X.p, X.p)
-
-    return value, gradient, hessian, flow, bulk_flow, bulk_action, frame_at, inverse_flow
+    return np.zeros_like, np.zeros_like, 0.0, bulk_flow, bulk_action, frame_at
 
 
 def _linear_pieces(d):
-    def value(X):
-        return float(np.dot(X.p, X.p) + np.sum(X.q))
-
-    def gradient(X):
-        return np.concatenate([np.ones(d), 2.0 * X.p])
-
-    def hessian(X):
-        H = np.zeros((2 * d, 2 * d))
-        H[d:, d:] = 2.0 * np.eye(d)
-        return H
-
-    def flow(X, t):
-        return PhasePoint(X.q + 2.0 * t * X.p - t ** 2, X.p - t)
-
     def bulk_flow(q, p, t):
         return q + 2.0 * t * p - t ** 2, p - t
 
@@ -166,26 +180,10 @@ def _linear_pieces(d):
         return (A * np.eye(d), 1.0j * np.eye(d),
                 d * np.log(A), d * np.log(A + 1.0))
 
-    def inverse_flow(X, t):
-        return PhasePoint(X.q - 2.0 * t * X.p - t ** 2, X.p + t)
-
-    return value, gradient, hessian, flow, bulk_flow, bulk_action, frame_at, inverse_flow
+    return (lambda q: q), np.ones_like, 0.0, bulk_flow, bulk_action, frame_at
 
 
 def _harmonic_pieces(d):
-    def value(X):
-        return float(np.dot(X.p, X.p) + np.dot(X.q, X.q))
-
-    def gradient(X):
-        return np.concatenate([2.0 * X.q, 2.0 * X.p])
-
-    def hessian(X):
-        return 2.0 * np.eye(2 * d)
-
-    def flow(X, t):
-        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
-        return PhasePoint(c * X.q + s * X.p, c * X.p - s * X.q)
-
     def bulk_flow(q, p, t):
         c, s = np.cos(2.0 * t), np.sin(2.0 * t)
         return c * q + s * p, c * p - s * q
@@ -200,10 +198,8 @@ def _harmonic_pieces(d):
         return (w * np.eye(d), 1.0j * w * np.eye(d),
                 d * 2.0j * t, d * (np.log(2.0) + 2.0j * t))
 
-    def inverse_flow(X, t):
-        return flow(X, -t)
-
-    return value, gradient, hessian, flow, bulk_flow, bulk_action, frame_at, inverse_flow
+    return ((lambda q: q * q), (lambda q: 2.0 * q), 2.0,
+            bulk_flow, bulk_action, frame_at)
 
 
 def builtin_model(kind: str, d: int = 1) -> HamiltonianModel:
@@ -230,11 +226,28 @@ def builtin_model(kind: str, d: int = 1) -> HamiltonianModel:
         raise ConfigurationError(f"model dimension must be >= 1, got {d}")
     pieces = {"free": _free_pieces, "linear": _linear_pieces,
               "harmonic": _harmonic_pieces}[kind](d)
-    value, gradient, hessian, flow, bulk_flow, bulk_action, frame_at, inv = pieces
-    return HamiltonianModel(dim=d, value=value, gradient=gradient,
-                            hessian=hessian, exact_flow=flow, kind=kind,
-                            bulk_flow=bulk_flow, bulk_action=bulk_action,
-                            frame_at=frame_at, inverse_flow=inv)
+    V, dV, ddV, bulk_flow, bulk_action, frame_at = pieces
+    hess = np.diag(np.concatenate([np.full(d, ddV), np.full(d, 2.0)]))
+
+    def bulk_value(q, p):
+        return (p * p).sum(axis=-1) + V(q).sum(axis=-1)
+
+    def bulk_gradient(q, p):
+        return np.concatenate([dV(q), 2.0 * p], axis=-1)
+
+    def bulk_hessian(q, p):
+        return np.broadcast_to(hess, q.shape[:-1] + hess.shape)
+
+    def flow(X, t):
+        return PhasePoint(*bulk_flow(X.q, X.p, t))
+
+    def inverse_flow(X, t):
+        return PhasePoint(*bulk_flow(X.q, X.p, -t))
+
+    return _from_stacks(d, bulk_value, bulk_gradient, bulk_hessian,
+                        exact_flow=flow, kind=kind, bulk_flow=bulk_flow,
+                        bulk_action=bulk_action, frame_at=frame_at,
+                        inverse_flow=inverse_flow)
 
 
 def polynomial_model(coeffs: Mapping[tuple[int, int], float],
@@ -265,23 +278,27 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
         if c != 0.0:
             terms.append((i, j, c))
 
-    def value(X):
-        q, p = X.q[0], X.p[0]
-        return float(sum(c * q ** i * p ** j for i, j, c in terms))
+    def bulk_value(q, p):
+        q, p = q[..., 0], p[..., 0]
+        return sum((c * q ** i * p ** j for i, j, c in terms), np.zeros(q.shape))
 
-    def gradient(X):
-        q, p = X.q[0], X.p[0]
-        gq = sum(c * i * q ** (i - 1) * p ** j for i, j, c in terms if i > 0)
-        gp = sum(c * j * q ** i * p ** (j - 1) for i, j, c in terms if j > 0)
-        return np.array([gq, gp], dtype=float)
+    def bulk_gradient(q, p):
+        q, p = q[..., 0], p[..., 0]
+        g = np.empty(q.shape + (2,))
+        g[..., 0] = sum(c * i * q ** (i - 1) * p ** j for i, j, c in terms if i > 0)
+        g[..., 1] = sum(c * j * q ** i * p ** (j - 1) for i, j, c in terms if j > 0)
+        return g
 
-    def hessian(X):
-        q, p = X.q[0], X.p[0]
-        hqq = sum(c * i * (i - 1) * q ** (i - 2) * p ** j for i, j, c in terms if i > 1)
-        hpp = sum(c * j * (j - 1) * q ** i * p ** (j - 2) for i, j, c in terms if j > 1)
-        hqp = sum(c * i * j * q ** (i - 1) * p ** (j - 1)
-                  for i, j, c in terms if i > 0 and j > 0)
-        return np.array([[hqq, hqp], [hqp, hpp]], dtype=float)
+    def bulk_hessian(q, p):
+        q, p = q[..., 0], p[..., 0]
+        H = np.empty(q.shape + (2, 2))
+        H[..., 0, 0] = sum(c * i * (i - 1) * q ** (i - 2) * p ** j
+                           for i, j, c in terms if i > 1)
+        H[..., 1, 1] = sum(c * j * (j - 1) * q ** i * p ** (j - 2)
+                           for i, j, c in terms if j > 1)
+        H[..., 0, 1] = H[..., 1, 0] = sum(c * i * j * q ** (i - 1) * p ** (j - 1)
+                                          for i, j, c in terms if i > 0 and j > 0)
+        return H
 
-    return HamiltonianModel(dim=1, value=value, gradient=gradient,
-                            hessian=hessian, kind="polynomial")
+    return _from_stacks(1, bulk_value, bulk_gradient, bulk_hessian,
+                        kind="polynomial")

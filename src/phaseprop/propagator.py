@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, ConfigurationError, EhrenfestWarning
-from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle,
-                   VariationalFrame, anisotropy_Z, ehrenfest_guard,
-                   integrate_characteristics, symplectic_J)
+from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle, _anisotropy,
+                   _check_siegel, _real_jacobian, _sample_orbits, anisotropy_Z,
+                   ehrenfest_guard, flow_batch, integrate_characteristics,
+                   symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (ComplexField, _momentum_scale, _position_support,
                         wave_packet_transform)
@@ -97,21 +98,18 @@ def double_anisotropy_Q(Z) -> SiegelMatrix:
     isotropic fixed point ``Q(iI) = (i/2) I``.
     """
     M = Z.M if isinstance(Z, SiegelMatrix) else np.atleast_2d(np.asarray(Z, dtype=complex))
-    d = M.shape[0]
-    I = np.eye(d)
-    R = np.linalg.inv(I - 1j * M)
-    Q = np.block([[1j * (I - R), 0.5 * I - R],
-                  [0.5 * I - R, 1j * R]])
-    return SiegelMatrix(Q)
+    return SiegelMatrix(_doubled(M))
 
 
-def _kernel_opts(model: HamiltonianModel, t: float,
-                 opts: FlowOptions | None) -> FlowOptions:
-    if opts is not None:
-        return opts
-    if model.frame_at is not None and t > 0:
-        return FlowOptions(step=t)  # closed forms: endpoint sample suffices
-    return FlowOptions()
+def _doubled(Z: np.ndarray) -> np.ndarray:
+    """``Q(Z)`` of one width matrix or a stack, with the Siegel checks
+    over the whole stack."""
+    I = np.eye(Z.shape[-1])
+    R = np.linalg.inv(I - 1j * Z)
+    Q = np.concatenate([np.concatenate([1j * (I - R), 0.5 * I - R], axis=-1),
+                        np.concatenate([0.5 * I - R, 1j * R], axis=-1)], axis=-2)
+    _check_siegel(Q)
+    return Q
 
 
 def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
@@ -129,17 +127,17 @@ def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
 
     At t = 0 this reduces identically to the reproducing kernel.
     """
-    bundle = integrate_characteristics(model, Y, t, _kernel_opts(model, t, opts))
-    i = bundle.index_of(t)
-    Yt = bundle.points[i]
-    frame = bundle.frames[i]
-    Qm = double_anisotropy_Q(anisotropy_Z(frame)).M
+    if t < 0:
+        raise ConfigurationError(f"t must be nonnegative, got {t}")
+    e = flow_batch(model, Y.q, Y.p, t, opts)
+    qt, pt = e.q[0], e.p[0]
+    Qm = _doubled(_anisotropy(e.A, e.B))[0]
     d = Y.d
-    pref = (2 * np.pi * hbar) ** (-d) * 2 ** (d / 2) * np.exp(-0.5 * bundle.logdet_w[i])
-    v = np.concatenate([X.q - Yt.q, X.p - Yt.p])
-    phase = (bundle.action[i]
-             + (Y.p @ Y.q - Yt.p @ Yt.q) / 2
-             + (X.q @ Yt.p - X.p @ Yt.q) / 2
+    pref = (2 * np.pi * hbar) ** (-d) * 2 ** (d / 2) * np.exp(-0.5 * e.logdet_w[0])
+    v = np.concatenate([X.q - qt, X.p - pt])
+    phase = (e.action[0]
+             + (Y.p @ Y.q - pt @ qt) / 2
+             + (X.q @ pt - X.p @ qt) / 2
              + 0.5 * v @ Qm @ v)
     return complex(pref * np.exp(1j / hbar * phase))
 
@@ -165,22 +163,12 @@ def _derive_out_axes(model, box, t, hbar, opts):
     """Propagated bounding box: flow the support-box corners and center
     forward and pad by the packet decay width."""
     qa, qb, pa, pb = box
-    probes = [PhasePoint([q], [p]) for q, p in
-              ((qa, pa), (qa, pb), (qb, pa), (qb, pb),
-               ((qa + qb) / 2, (pa + pb) / 2))]
-    qs, ps = [], []
-    for X in probes:
-        if model.exact_flow is not None:
-            Xt = model.exact_flow(X, t)
-        else:
-            b = integrate_characteristics(model, X, t, opts or FlowOptions())
-            Xt = b.points[-1]
-        qs.append(float(Xt.q[0]))
-        ps.append(float(Xt.p[0]))
+    e = flow_batch(model, [qa, qa, qb, qb, (qa + qb) / 2],
+                   [pa, pb, pa, pb, (pa + pb) / 2], t, opts)
     pad = 6 * np.sqrt(hbar)
     tgt = np.sqrt(hbar) / 4
-    return (_axis(min(qs) - pad, max(qs) + pad, tgt),
-            _axis(min(ps) - pad, max(ps) + pad, tgt))
+    return (_axis(float(e.q.min()) - pad, float(e.q.max()) + pad, tgt),
+            _axis(float(e.p.min()) - pad, float(e.p.max()) + pad, tgt))
 
 
 def _warn_if_edge_mass(field: ComplexField) -> None:
@@ -205,35 +193,16 @@ def _emit_ehrenfest(model, center, t, hbar, opts):
         warnings.warn(msg, EhrenfestWarning, stacklevel=3)
 
 
-def _source_data(model, Qg, Pg, t, opts):
-    """Per-source flow data from one orbit each: images, actions,
-    doubled forms and prefactor exponents."""
-    n = Qg.size
-    qt = np.empty(n)
-    pt = np.empty(n)
-    act = np.empty(n)
-    ldw = np.empty(n, dtype=complex)
-    Qms = np.empty((n, 2, 2), dtype=complex)
-    o = opts or FlowOptions()
-    for j in range(n):
-        b = integrate_characteristics(model, PhasePoint([Qg[j]], [Pg[j]]), t, o)
-        i = b.index_of(t)
-        qt[j] = b.points[i].q[0]
-        pt[j] = b.points[i].p[0]
-        act[j] = b.action[i]
-        ldw[j] = b.logdet_w[i]
-        Qms[j] = double_anisotropy_Q(anisotropy_Z(b.frames[i])).M
-    return qt, pt, act, ldw, Qms
-
-
 def _dense_sum(model, t, hbar, Qg, Pg, Wg, qo, po, opts):
     """Kernel sum with one exponential per (target, source) pair, for
     flows without closed forms."""
-    qt, pt, act, ldw, Qm = _source_data(model, Qg, Pg, t, opts)
+    e = flow_batch(model, Qg, Pg, t, opts)
+    qt, pt = e.q[:, 0], e.p[:, 0]
+    Qm = _doubled(_anisotropy(e.A, e.B))
     pref = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5
     # source-only phase: Act + (xi.eta - xi_t.eta_t)/2, plus prefactor root
-    src = np.exp(1j / hbar * (act + 0.5 * (Pg * Qg - pt * qt))
-                 - 0.5 * ldw) * Wg * pref
+    src = np.exp(1j / hbar * (e.action + 0.5 * (Pg * Qg - pt * qt))
+                 - 0.5 * e.logdet_w) * Wg * pref
 
     Xq = np.repeat(qo, po.size)
     Xp = np.tile(po, qo.size)
@@ -284,9 +253,9 @@ def _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po):
     ``e^(4 _TABLE_EXPONENT)``.
     """
     A, B, _ldA, ldw = model.frame_at(t)
-    M = np.block([[A.real, A.imag], [B.real, B.imag]])
+    M = _real_jacobian(A, B)
     c = np.array(model.bulk_flow(0.0, 0.0, t), dtype=float)
-    Q = double_anisotropy_Q(anisotropy_Z(VariationalFrame(A, B))).M
+    Q = _doubled(_anisotropy(A, B))
     J = symplectic_J(1)
     K = (0.5 * J - Q) @ M
 
@@ -376,8 +345,7 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     if model.bulk_flow is not None:
         out = _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po)
     else:
-        out = _dense_sum(model, t, hbar, qs[iq], ps[ip], Wg, qo, po,
-                         _kernel_opts(model, t, opts))
+        out = _dense_sum(model, t, hbar, qs[iq], ps[ip], Wg, qo, po, opts)
     _emit_ehrenfest(model, PhasePoint([(box[0] + box[1]) / 2],
                                       [(box[2] + box[3]) / 2]), t, hbar, opts)
     return ComplexField((qo, po), out, hbar)
@@ -431,32 +399,13 @@ def position_space_solution(psi0: ComplexField, t: float,
     Pg = PP.ravel()[keep]
     Wg = Psi0.values.ravel()[keep] * w
 
-    flow_opts = _kernel_opts(model, t, opts)
-    if model.bulk_flow is not None:
-        qt, pt = model.bulk_flow(Qg, Pg, t)
-        act = model.bulk_action(Qg, Pg, t)
-        A, B, ldA, _ldw = model.frame_at(t)
-        z = np.full(Qg.size, (B @ np.linalg.inv(A))[0, 0])
-        amp = np.full(Qg.size, np.exp(-0.5 * ldA))
-    else:
-        n = Qg.size
-        qt = np.empty(n)
-        pt = np.empty(n)
-        act = np.empty(n)
-        z = np.empty(n, dtype=complex)
-        amp = np.empty(n, dtype=complex)
-        for j in range(n):
-            b = integrate_characteristics(model, PhasePoint([Qg[j]], [Pg[j]]),
-                                          t, flow_opts)
-            i = b.index_of(t)
-            qt[j] = b.points[i].q[0]
-            pt[j] = b.points[i].p[0]
-            act[j] = b.action[i]
-            z[j] = anisotropy_Z(b.frames[i]).M[0, 0]
-            amp[j] = np.exp(-0.5 * b.logdetA[i])
+    e = flow_batch(model, Qg, Pg, t, opts)
+    qt, pt = e.q[:, 0], e.p[:, 0]
+    z = _anisotropy(e.A, e.B)[:, 0, 0]
+    amp = np.exp(-0.5 * e.logdetA)
 
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5)
-    src = pref * amp * Wg * np.exp(1j / hbar * (act + 0.5 * Pg * Qg))
+    src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
     out = np.empty(x.size, dtype=complex)
     chunk = max(1, int(4e6 / max(1, Qg.size)))
     for s in range(0, x.size, chunk):
@@ -524,23 +473,24 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
                 f"no trajectory from y={y} reaches x={x} at t={t} within "
                 "the scan window")
 
+    # the samples only resolve the sign changes of Im A: closed forms
+    # need few, integrated orbits take the integration step
+    sampling = (FlowOptions(step=min(1e-3, t / 16)) if model.frame_at is None
+                else FlowOptions(step=t / 256))
+    times, states = _sample_orbits(model, np.full((len(roots), 1), y),
+                                   np.array(roots)[:, None], t, sampling)
+    imA = np.array([s.A[:, 0, 0].imag for s in states])
+    end = states[-1]
     total = 0.0j
-    for p0 in roots:
-        bundle = integrate_characteristics(
-            model, PhasePoint([y], [p0]), t,
-            FlowOptions(step=min(1e-3, t / 16)) if model.frame_at is None
-            else FlowOptions(step=t / 256))
-        i = bundle.index_of(bundle.times[-1])
-        imA = np.array([f.A[0, 0].imag for f in bundle.frames])
-        imA_t = imA[i]
-        if abs(imA_t) < 1e-8 * max(1.0, abs(bundle.frames[i].A[0, 0])):
-            _nu, first = _imA_zero_count_and_first(bundle.times, imA, t)
+    for r in range(len(roots)):
+        imA_t = imA[-1, r]
+        nu, first = _imA_zero_count_and_first(times, imA[:, r], t)
+        if abs(imA_t) < 1e-8 * max(1.0, abs(end.A[r, 0, 0])):
             raise CausticError(
                 "trajectory endpoint is focal (Im A vanishes)",
                 t_star=first if first is not None else t)
-        nu, _first = _imA_zero_count_and_first(bundle.times, imA, t)
         amp = (2 * np.pi * hbar) ** -0.5 * np.exp(-0.25j * np.pi) / np.sqrt(abs(imA_t))
-        total += amp * np.exp(1j / hbar * bundle.action[i] - 0.5j * np.pi * nu)
+        total += amp * np.exp(1j / hbar * end.action[r] - 0.5j * np.pi * nu)
     return complex(total)
 
 
@@ -548,17 +498,19 @@ def _scan_roots(model, x, y, t):
     """Bracket-and-solve on p0 -> q_t(y, p0) - x for general models."""
     from scipy.optimize import brentq
 
+    opts = FlowOptions(step=max(t / 400, 1e-3))
+
     def g(p0):
-        b = integrate_characteristics(model, PhasePoint([y], [p0]), t,
-                                      FlowOptions(step=max(t / 400, 1e-3)))
-        return b.points[-1].q[0] - x
+        p0 = np.atleast_1d(p0)
+        return flow_batch(model, np.full(p0.shape, y), p0, t, opts).q[:, 0] - x
 
     center = (x - y) / (2 * t)
     width = max(4.0, 2 * abs(x - y) / max(t, 1e-2))
     grid = np.linspace(center - width, center + width, 41)
-    vals = np.array([g(p) for p in grid])
+    vals = g(grid)
     roots = []
     for k in range(len(grid) - 1):
         if np.sign(vals[k]) != np.sign(vals[k + 1]):
-            roots.append(float(brentq(g, grid[k], grid[k + 1], xtol=1e-12)))
+            roots.append(float(brentq(lambda p0: g(p0)[0], grid[k], grid[k + 1],
+                                      xtol=1e-12)))
     return roots

@@ -13,7 +13,6 @@ is the object being differentiated.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,10 +22,9 @@ from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
-from .flow import (FlowOptions, VariationalFrame, anisotropy_Z,
-                   integrate_characteristics, symplectic_J)
+from .flow import FlowOptions, _anisotropy, flow_batch, symplectic_J
 from .models import HamiltonianModel, PhasePoint
-from .propagator import double_anisotropy_Q
+from .propagator import _doubled
 from .transform import ComplexField
 
 __all__ = [
@@ -258,30 +256,9 @@ def _flow_alpha(data: WKBData, model: HamiltonianModel, t: float,
     """Flow the manifold samples (alpha, S0'(alpha)) to time t.
 
     Returns (q_t, p_t, action, dq_t/dalpha)."""
-    q0 = alpha
-    p0 = data.s0_prime(alpha)
-    s2 = data.s0_second(alpha)
-    if model.bulk_flow is not None:
-        qt, pt = model.bulk_flow(q0, p0, t)
-        act = model.bulk_action(q0, p0, t)
-        A, _B, _ldA, _ldw = model.frame_at(t)
-        a = A[0, 0]
-        dqda = a.real + a.imag * s2
-        dqda = np.broadcast_to(np.asarray(dqda), alpha.shape).astype(float)
-        return qt, pt, act, dqda
-    o = opts or FlowOptions()
-    qt = np.empty_like(alpha)
-    pt = np.empty_like(alpha)
-    act = np.empty_like(alpha)
-    dqda = np.empty_like(alpha)
-    for j, a0 in enumerate(alpha):
-        b = integrate_characteristics(model, PhasePoint([a0], [p0[j]]), t, o)
-        qt[j] = b.points[-1].q[0]
-        pt[j] = b.points[-1].p[0]
-        act[j] = b.action[-1]
-        Af = b.frames[-1].A[0, 0]
-        dqda[j] = Af.real + Af.imag * s2[j]
-    return qt, pt, act, dqda
+    e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
+    A = e.A[:, 0, 0]
+    return e.q[:, 0], e.p[:, 0], e.action, A.real + A.imag * data.s0_second(alpha)
 
 
 def _earliest_fold(data, model, t, alpha, opts):
@@ -351,32 +328,17 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
     return None
 
 
-def _traj_end(model: HamiltonianModel, Y: PhasePoint, t: float,
-              opts: FlowOptions | None):
-    """Endpoint data of the orbit from Y: (Y_t, action, frame)."""
-    if model.frame_at is not None:
-        Yt = model.exact_flow(Y, t)
-        act = model.action(Y, t)
-        A, B, _ldA, _ldw = model.frame_at(t)
-        return Yt, act, VariationalFrame(A, B)
-    b = integrate_characteristics(model, Y, t, opts or FlowOptions())
-    return b.points[-1], float(b.action[-1]), b.frames[-1]
-
-
-def _F_value(data: WKBData, model: HamiltonianModel, X: PhasePoint,
-             eta: float, xi: float, t: float,
-             opts: FlowOptions | None) -> complex:
-    """The double-phase-space phase F(X, Y, t) for Y = (eta, xi)."""
-    z = complex(_z_grid(data, np.asarray(eta), np.asarray(xi)))
-    Yt, act, frame = _traj_end(model, PhasePoint([eta], [xi]), t, opts)
-    Qm = double_anisotropy_Q(anisotropy_Z(frame)).M
-    q, p = float(X.q[0]), float(X.p[0])
-    eta_t, xi_t = float(Yt.q[0]), float(Yt.p[0])
-    v = np.array([q - eta_t, p - xi_t])
-    return complex(
-        data.ext_S0(z) - xi * (z - eta) + 0.5j * (z - eta) ** 2
-        + act - 0.5 * xi_t * eta_t + 0.5 * (q * xi_t - p * eta_t)
-        + 0.5 * (v @ Qm @ v))
+def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
+              xi: np.ndarray, e) -> np.ndarray:
+    """The double-phase-space phase F(X, Y, t) at X = (q, p) for the
+    sources Y = (eta, xi), from the endpoints ``e`` of their orbits."""
+    z = _z_grid(data, eta, xi)
+    Qm = _doubled(_anisotropy(e.A, e.B))
+    eta_t, xi_t = e.q[:, 0], e.p[:, 0]
+    v = np.stack([q - eta_t, p - xi_t], axis=1)
+    return (data.ext_S0(z) - xi * (z - eta) + 0.5j * (z - eta) ** 2
+            + e.action - 0.5 * xi_t * eta_t + 0.5 * (q * xi_t - p * eta_t)
+            + 0.5 * np.einsum("ni,nij,nj->n", v, Qm, v))
 
 
 def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,
@@ -404,7 +366,8 @@ def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,
             raise ProjectionError(
                 f"Y = ({Y.q[0]}, {Y.p[0]}) is not on the initial manifold "
                 f"p = S0'(q) (expected p = {xi_expected})")
-    return _F_value(data, model, X, float(Y.q[0]), float(Y.p[0]), t, opts)
+    e = flow_batch(model, Y.q, Y.p, t, opts)
+    return complex(_F_values(data, float(X.q[0]), float(X.p[0]), Y.q, Y.p, e)[0])
 
 
 def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
@@ -460,52 +423,19 @@ def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
     return a
 
 
-def _backward_point(model: HamiltonianModel, X: PhasePoint, t: float
-                    ) -> PhasePoint:
-    """g^{-t} X: closed form when available, else fixed-step reverse
-    integration of Hamilton's equations."""
-    if model.inverse_flow is not None:
-        return model.inverse_flow(X, t)
-    n = max(1, math.ceil(t / 1e-3))
-    h = t / n
-    y = X.as_vector().astype(float)
-    d = model.dim
-    J = symplectic_J(d)
-
-    def f(v):
-        g = model.gradient(PhasePoint(v[:d], v[d:]))
-        return -(J @ g)
-
-    for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + h / 2 * k1)
-        k3 = f(y + h / 2 * k2)
-        k4 = f(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return PhasePoint.from_vector(y)
+# Stencil of the stationary-phase Hessian in units of its difference step:
+# the centre, the eta and xi axis points, then the corners (+,+), (+,-),
+# (-,+), (-,-).
+_STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
 
-def _hessF(data, model, X, eta, xi, t, opts, d):
-    """Central-difference Hessian of F in the source variables."""
-    def f(e, x):
-        return _F_value(data, model, X, e, x, t, opts)
-
-    H = np.empty((2, 2), dtype=complex)
-    f0 = f(eta, xi)
-    H[0, 0] = (f(eta + d, xi) - 2 * f0 + f(eta - d, xi)) / d ** 2
-    H[1, 1] = (f(eta, xi + d) - 2 * f0 + f(eta, xi - d)) / d ** 2
-    H[0, 1] = H[1, 0] = (f(eta + d, xi + d) - f(eta + d, xi - d)
-                         - f(eta - d, xi + d) + f(eta - d, xi - d)) / (4 * d ** 2)
-    return H
-
-
-def _detF_richardson(data, model, X, eta, xi, t, opts, d=1e-3):
-    """det of the stationary-phase Hessian with one Richardson step
-    (leading error O(d^4))."""
-    H1 = _hessF(data, model, X, eta, xi, t, opts, d)
-    H2 = _hessF(data, model, X, eta, xi, t, opts, d / 2)
-    H = (4.0 * H2 - H1) / 3.0
-    return complex(np.linalg.det(H))
+def _stencil_hessian(f: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Hessian from F on the stencil of step h."""
+    c, ep, em, xp, xm, pp, pm, mp, mm = f
+    cross = (pp - pm - mp + mm) / (4 * h ** 2)
+    return np.array([[(ep - 2 * c + em) / h ** 2, cross],
+                     [cross, (xp - 2 * c + xm) / h ** 2]])
 
 
 def _sqrt_tracked_ratio(vals: np.ndarray) -> complex:
@@ -538,8 +468,8 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
-    Y0 = _backward_point(model, X, t)
-    eta, xi = float(Y0.q[0]), float(Y0.p[0])
+    back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
+    eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
     xi_expected = float(data.s0_prime(eta))
     if abs(xi - xi_expected) > 1e-6 * max(1.0, abs(xi_expected)):
         raise ProjectionError(
@@ -549,16 +479,22 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     s2 = float(data.s0_second(eta))
     w0 = 1 - 1j * s2
 
+    # F'' by one Richardson step, (4 H(d/2) - H(d)) / 3 with d = 1e-3
+    # (leading error O(d^4)); the stencil's first source is the centre
+    steps = np.array([1e-3, 0.5e-3])
+    src_eta = eta + (steps[:, None] * _STENCIL[:, 0]).ravel()
+    src_xi = xi + (steps[:, None] * _STENCIL[:, 1]).ravel()
     taus = np.linspace(0.0, t, n_track) if t > 0 else np.array([0.0])
     us = np.empty(taus.size, dtype=complex)
     for k, tau in enumerate(taus):
-        Ytau, _act, frame = _traj_end(model, Y0, float(tau), opts)
-        dw = (frame.A[0, 0] - 1j * frame.B[0, 0]) / 2
-        detF = _detF_richardson(data, model, Ytau, eta, xi, float(tau), opts)
-        us[k] = dw * w0 * detF
+        e = flow_batch(model, src_eta, src_xi, float(tau), opts)
+        dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
+        f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
+        H1, H2 = (_stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), steps))
+        us[k] = dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0))
     ratio = _sqrt_tracked_ratio(us)
 
-    _Yt, act, _frame = _traj_end(model, Y0, t, opts)
+    act = e.action[0]  # the last tau is t
     q, p = float(X.q[0]), float(X.p[0])
     amp = (np.pi * hbar) ** (-0.25) * float(data.R0(eta))
     phase = -0.5 * p * q + float(data.S0(eta)) + act
@@ -593,8 +529,10 @@ def double_phase_characteristics(model: HamiltonianModel, X0: PhasePoint,
     stays locked to the orbit, ``P_t = J X_t / 2``, so the doubled
     integral of motion ``c(t) = X_t/2 + J P_t`` vanishes identically.
     Returns ``(X_t, P_t, c)``."""
-    b = integrate_characteristics(model, X0, t, opts)
-    Xt = b.points[-1]
+    if t < 0:
+        raise ConfigurationError(f"t must be nonnegative, got {t}")
+    e = flow_batch(model, X0.q, X0.p, t, opts)
+    Xt = PhasePoint(e.q[0], e.p[0])
     J = symplectic_J(model.dim)
     Pt = 0.5 * (J @ Xt.as_vector())
     c = 0.5 * Xt.as_vector() + J @ Pt

@@ -205,6 +205,24 @@ def test_asymptotic_phase_off_manifold_and_errors():
         asymptotic_phase_Fsc(X, 0.4, data, model, Y=PhasePoint(0.5, 3.0))
 
 
+def test_asymptotic_phase_off_manifold_matches_free_closed_form():
+    # free flow from Y = (eta, xi) on p = S0'(q) = q: z = eta, Y_t =
+    # (eta + 2t xi, xi), Act = xi^2 t, Z = i/(1 + 2it), and Q(Z) written
+    # out with R = (1 - iZ)^-1 = (1 + 2it)/(2 + 2it)
+    data = reference_data()
+    eta = xi = 0.6
+    t, q, p = 0.4, 1.3, -0.2
+    eta_t = eta + 2 * t * xi
+    R = (1 + 2j * t) / (2 + 2j * t)
+    Q = np.array([[1j * (1 - R), 0.5 - R], [0.5 - R, 1j * R]])
+    v = np.array([q - eta_t, p - xi])
+    want = (0.5 * eta ** 2 + xi ** 2 * t - 0.5 * xi * eta_t
+            + 0.5 * (q * xi - p * eta_t) + 0.5 * v @ Q @ v)
+    got = asymptotic_phase_Fsc(PhasePoint(q, p), t, data, builtin_model("free"),
+                               Y=PhasePoint(eta, xi))
+    assert abs(got - want) < 1e-13
+
+
 def test_asymptotic_phase_near_fold():
     data3 = cubic_data()
     model = builtin_model("free")
