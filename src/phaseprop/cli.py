@@ -17,8 +17,7 @@ Configuration is a versioned INI file (``schema_version`` under ``[meta]``);
 all physical parameters are runtime values.  Reports are machine-first (JSON
 lines, one object per line) with a human summary on standard output.  Outputs
 are deterministic: an identical config yields bit-identical CSV/JSONL files.
-``--threads`` is accepted for interface stability but execution is serial;
-``--seed`` only affects randomly generated probe points.
+``--threads`` is accepted for interface stability but execution is serial.
 """
 
 from __future__ import annotations
@@ -708,8 +707,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for interface stability; execution is serial")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomly generated probe points")
 
     common(sub.add_parser("run", help="full pipeline with error report"),
            needs_config=True)

@@ -9,10 +9,10 @@ anisotropy form ``Z = B A^{-1}`` lives in the Siegel upper half-space
 and is always recovered algebraically from the linear frame, never
 integrated through its own (caustic-singular) Riccati equation.
 
-:func:`flow_batch` carries N orbits at once to one time and returns only
-their endpoints; it is the one place that chooses between closed forms
-and integration, and the bundle is the per-sample record of a batch of
-one.
+``_sample_orbits`` carries N orbits at once through a grid of times in
+one pass and is the one place that chooses between closed forms and
+integration; :func:`flow_batch` is its endpoint view and the bundle its
+per-step record of a batch of one.
 """
 from __future__ import annotations
 
@@ -181,12 +181,18 @@ class FlowBatch(NamedTuple):
     logdet_w: np.ndarray
 
 
-def _default_times(T: float, step: float | None) -> np.ndarray:
-    if T == 0.0:
-        return np.array([0.0])
+def _n_steps(d: float, step: float | None) -> int:
+    """Equal steps that cover an interval of length ``|d|``: ``ceil(|d| / step)``
+    (step default 1e-3), but one for an interval at most one step long up to a
+    relative 1e-9, so that round-off never splits a step of the grid (on a
+    20 000-step grid an interval exceeds its step by up to 2e-12)."""
     h = step if step is not None else 1e-3
-    n = max(1, math.ceil(abs(T) / h))
-    return np.linspace(0.0, T, n + 1)
+    return 1 if 0 < abs(d) <= h * (1 + 1e-9) else math.ceil(abs(d) / h)
+
+
+def _default_times(T: float, step: float | None) -> np.ndarray:
+    """The step grid of ``[0, T]``: equal steps no longer than ``step``."""
+    return np.linspace(0.0, T, _n_steps(T, step) + 1)
 
 
 def _log_increment(prev_det, new_det):
@@ -319,56 +325,47 @@ def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
     return opts.method
 
 
-def _states(model, q0, p0, times, method, rtol):
-    """Batched :class:`FlowBatch` states of the orbits from ``(q0, p0)``
-    at each of ``times``."""
+def _sample_orbits(model: HamiltonianModel, Q, P, times,
+                   opts: FlowOptions | None = None) -> list:
+    """Batched :class:`FlowBatch` states, at each of the signed ``times``
+    (monotone, starting at 0), of the orbits from the rows of ``Q``, ``P``.
+
+    The one place that chooses between closed forms and integration.
+    ``exact`` broadcasts the closed forms at each time.  Otherwise each
+    interval of ``times`` gets ``ceil(|interval| / step)`` equal steps and
+    one pass carries the batch through all of them, tracking the log-dets
+    at every step: ``rk4`` steps all N orbits together, ``adaptive`` makes
+    one DOP853 solve per orbit.
+    """
+    opts = opts or FlowOptions()
+    method = _method(model, opts)
     if method == "exact":
-        return (_closed_form(model, q0, p0, float(t)) for t in times)
-    if method == "rk4":
-        return _tracked(_rk4(model, q0, p0, times))
-    return _tracked(_adaptive(model, q0, p0, times, rtol))
-
-
-def _last(states):
-    for state in states:
-        pass
-    return state
-
-
-def _sample_orbits(model: HamiltonianModel, Q, P, T: float,
-                  opts: FlowOptions) -> tuple:
-    """Sample times on ``[0, T]`` and the batched states of the orbits
-    from the rows of ``Q``, ``P`` at every sample."""
-    times = _default_times(float(T), opts.step)
-    return times, list(_states(model, Q, P, times, _method(model, opts),
-                               opts.rtol))
+        return [_closed_form(model, Q, P, float(t)) for t in times]
+    pieces, ends = [times[:1]], [0]
+    for a, b in zip(times[:-1], times[1:]):
+        n = _n_steps(b - a, opts.step)
+        pieces.append(np.linspace(a, b, n + 1)[1:])
+        ends.append(ends[-1] + n)
+    grid = np.concatenate(pieces)
+    states = (_rk4(model, Q, P, grid) if method == "rk4"
+              else _adaptive(model, Q, P, grid, opts.rtol))
+    kept = dict.fromkeys(ends)
+    for k, state in enumerate(_tracked(states)):
+        if k in kept:
+            kept[k] = state
+    return [kept[k] for k in ends]
 
 
 def flow_batch(model: HamiltonianModel, Q, P, t: float,
                opts: FlowOptions | None = None) -> FlowBatch:
     """Endpoints at the signed time ``t`` of the orbits from the rows of
-    ``Q`` and ``P`` (shape ``(N, d)``).
-
-    The one place that chooses between closed forms and integration.
-    ``exact`` broadcasts the closed forms.  ``rk4`` steps all N orbits
-    together on the sample grid of :func:`integrate_characteristics` and
-    keeps only the current state.  ``adaptive`` makes one DOP853 solve
-    per orbit.  Log-dets are tracked along the samples as in
-    :func:`integrate_characteristics`, whose records are this batch's
-    N = 1 view.
+    ``Q`` and ``P`` (shape ``(N, d)``): the ``(0, t)`` view of
+    :func:`_sample_orbits`, so an integrated batch takes the steps of
+    :func:`integrate_characteristics` and keeps only the current state.
     """
-    opts = opts or FlowOptions()
-    method = _method(model, opts)
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    if method == "exact":
-        return _closed_form(model, Q, P, float(t))
-    times = _default_times(float(t), opts.step)
-    if method == "rk4":
-        return _last(_states(model, Q, P, times, method, opts.rtol))
-    ends = [_last(_states(model, Q[j:j + 1], P[j:j + 1], times, method, opts.rtol))
-            for j in range(len(Q))]
-    return FlowBatch(*map(np.concatenate, zip(*ends)))
+    return _sample_orbits(model, Q, P, np.array([0.0, float(t)]), opts)[-1]
 
 
 def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
@@ -395,7 +392,8 @@ def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
     if model.dim != X0.d:
         raise ConfigurationError(
             f"model dimension {model.dim} != point dimension {X0.d}")
-    times, states = _sample_orbits(model, X0.q[None], X0.p[None], T, opts)
+    times = _default_times(float(T), opts.step)
+    states = _sample_orbits(model, X0.q[None], X0.p[None], times, opts)
     return TrajectoryBundle(
         times=times,
         points=tuple(PhasePoint(s.q[0], s.p[0]) for s in states),

@@ -453,19 +453,10 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
     x = float(x)
     y = float(y)
 
-    kind = model.kind
-    roots: list[float] = []
-    if kind == "free":
-        roots = [(x - y) / (2 * t)]
-    elif kind == "linear":
-        roots = [(x - y + t ** 2) / (2 * t)]
-    elif kind == "harmonic":
-        s = np.sin(2 * t)
-        if abs(s) < 1e-10:
-            raise CausticError(
-                "endpoint lies on a focal surface of the harmonic flow",
-                t_star=float(np.pi / 2))
-        roots = [(x - y * np.cos(2 * t)) / s]
+    if model.frame_at is not None:
+        # closed forms, an affine flow: q_t(y, p0) = q_t(y, 0) + Im A(t) p0
+        q0 = model.bulk_flow(np.array([[y]]), np.zeros((1, 1)), t)[0][0, 0]
+        roots = [(x - q0) / model.frame_at(t)[0][0, 0].imag]
     else:
         roots = _scan_roots(model, x, y, t)
         if not roots:
@@ -473,12 +464,10 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
                 f"no trajectory from y={y} reaches x={x} at t={t} within "
                 "the scan window")
 
-    # the samples only resolve the sign changes of Im A: closed forms
-    # need few, integrated orbits take the integration step
-    sampling = (FlowOptions(step=min(1e-3, t / 16)) if model.frame_at is None
-                else FlowOptions(step=t / 256))
-    times, states = _sample_orbits(model, np.full((len(roots), 1), y),
-                                   np.array(roots)[:, None], t, sampling)
+    # the samples resolve the sign changes of Im A (the focal points)
+    times = np.linspace(0.0, t, 257)
+    states = _sample_orbits(model, np.full((len(roots), 1), y),
+                            np.array(roots)[:, None], times, FlowOptions(step=1e-3))
     imA = np.array([s.A[:, 0, 0].imag for s in states])
     end = states[-1]
     total = 0.0j

@@ -22,7 +22,8 @@ from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
-from .flow import FlowOptions, _anisotropy, flow_batch, symplectic_J
+from .flow import (FlowOptions, _anisotropy, _sample_orbits, flow_batch,
+                   symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .propagator import _doubled
 from .transform import ComplexField
@@ -251,29 +252,34 @@ def lift_wkb(data: WKBData, phase_grid, hbar: float) -> ComplexField:
     return ComplexField((qs, ps), vals, hbar)
 
 
+def _dq_dalpha(data: WKBData, alpha: np.ndarray, e) -> np.ndarray:
+    """``dq_t/dalpha = Re A + Im A S0''(alpha)`` of the manifold samples
+    ``alpha`` from the batch ``e`` of their orbits."""
+    A = e.A[:, 0, 0]
+    return A.real + A.imag * data.s0_second(alpha)
+
+
 def _flow_alpha(data: WKBData, model: HamiltonianModel, t: float,
                 alpha: np.ndarray, opts: FlowOptions | None):
     """Flow the manifold samples (alpha, S0'(alpha)) to time t.
 
     Returns (q_t, p_t, action, dq_t/dalpha)."""
     e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
-    A = e.A[:, 0, 0]
-    return e.q[:, 0], e.p[:, 0], e.action, A.real + A.imag * data.s0_second(alpha)
+    return e.q[:, 0], e.p[:, 0], e.action, _dq_dalpha(data, alpha, e)
 
 
 def _earliest_fold(data, model, t, alpha, opts):
-    """Scan (0, t] for the first time the projection folds; returns
-    (t_star, alpha_star)."""
-    taus = np.linspace(0.0, t, 81)[1:]
-    for tau in taus:
-        _qt, _pt, _act, dqda = _flow_alpha(data, model, tau, alpha, opts)
+    """Scan 80 samples of (0, t] for the first time the projection folds;
+    returns (t_star, alpha_star)."""
+    taus = np.linspace(0.0, t, 81)
+    states = _sample_orbits(model, alpha[:, None], data.s0_prime(alpha)[:, None],
+                            taus, opts)
+    for tau, e in zip(taus[1:], states[1:]):
+        dqda = _dq_dalpha(data, alpha, e)
         scale = max(1.0, float(np.abs(dqda).max()))
-        bad = (dqda < 1e-9 * scale)
-        if bad.any():
-            j = int(np.argmin(np.abs(dqda)))
-            return float(tau), float(alpha[j])
-    j = 0
-    return float(t), float(alpha[j])
+        if (dqda < 1e-9 * scale).any():
+            return float(tau), float(alpha[np.argmin(np.abs(dqda))])
+    return float(t), float(alpha[0])
 
 
 def transport_manifold(data: WKBData, model: HamiltonianModel, t: float,
@@ -311,21 +317,15 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
     from scipy.optimize import brentq
 
     a = np.asarray([alpha], dtype=float)
-
-    def g(tau: float) -> float:
-        if tau == 0.0:
-            return 1.0
-        _qt, _pt, _act, dqda = _flow_alpha(data, model, tau, a, opts)
-        return float(dqda[0])
-
     taus = np.linspace(0.0, t_max, 2001)
-    prev = g(taus[0])
-    for tau in taus[1:]:
-        cur = g(tau)
-        if np.sign(cur) != np.sign(prev):
-            return float(brentq(g, tau - (taus[1] - taus[0]), tau, xtol=1e-12))
-        prev = cur
-    return None
+    states = _sample_orbits(model, a[:, None], data.s0_prime(a)[:, None], taus, opts)
+    dqda = np.array([_dq_dalpha(data, a, e)[0] for e in states])
+    flips = np.nonzero(np.sign(dqda[1:]) != np.sign(dqda[:-1]))[0]
+    if flips.size == 0:
+        return None
+    k = flips[0]
+    return float(brentq(lambda tau: float(_flow_alpha(data, model, tau, a, opts)[3][0]),
+                        taus[k], taus[k + 1], xtol=1e-12))
 
 
 def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
@@ -460,14 +460,18 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     manifold and evaluates ``(pi hbar)^(-d/4) R0(eta)
     exp{(i/hbar)(-p q/2 + S0(eta) + Act)}`` divided by the square root
     of ``det((A - iB)/2) det(1 - i S0''(eta)) det F''`` — the root is
-    branch-tracked continuously in time from its exact initial value,
-    with the stationary-phase Hessian ``F''`` taken by Richardson-
-    extrapolated central differences of the double-phase-space phase.
+    branch-tracked continuously in time from its exact initial value
+    over ``n_track >= 2`` equally spaced times of ``[0, t]``, read from
+    one sampled pass of the orbits, with the stationary-phase Hessian
+    ``F''`` taken by Richardson-extrapolated central differences of the
+    double-phase-space phase.
     """
     if X.d != 1:
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
+    if n_track < 2:
+        raise ConfigurationError(f"n_track must be at least 2, got {n_track}")
     back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
     eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
     xi_expected = float(data.s0_prime(eta))
@@ -484,17 +488,17 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     steps = np.array([1e-3, 0.5e-3])
     src_eta = eta + (steps[:, None] * _STENCIL[:, 0]).ravel()
     src_xi = xi + (steps[:, None] * _STENCIL[:, 1]).ravel()
-    taus = np.linspace(0.0, t, n_track) if t > 0 else np.array([0.0])
-    us = np.empty(taus.size, dtype=complex)
-    for k, tau in enumerate(taus):
-        e = flow_batch(model, src_eta, src_xi, float(tau), opts)
+    states = _sample_orbits(model, src_eta[:, None], src_xi[:, None],
+                            np.linspace(0.0, t, n_track), opts)
+    us = np.empty(n_track, dtype=complex)
+    for k, e in enumerate(states):
         dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
         f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
         H1, H2 = (_stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), steps))
         us[k] = dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0))
     ratio = _sqrt_tracked_ratio(us)
 
-    act = e.action[0]  # the last tau is t
+    act = states[-1].action[0]
     q, p = float(X.q[0]), float(X.p[0])
     amp = (np.pi * hbar) ** (-0.25) * float(data.R0(eta))
     phase = -0.5 * p * q + float(data.S0(eta)) + act

@@ -26,7 +26,7 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import _anisotropy, flow_batch
+from phaseprop.flow import _anisotropy, _sample_orbits, flow_batch
 
 MODELS = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}
 MODELS["quartic"] = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
@@ -74,6 +74,37 @@ def test_batch_endpoints_match_per_orbit_integration(kind, src, t):
                 assert np.array_equal(got, want[name]), (method, name)
             else:
                 assert close(got, want[name], 1e-12), (method, name)
+
+
+def test_record_and_endpoint_take_the_same_steps():
+    # at these T some intervals of linspace(0, T, ceil(T / step) + 1) exceed
+    # the step by round-off; splitting them would move the record's last
+    # sample off the endpoint of the (0, T) batch
+    opts = opts_for("rk4")
+    for T in (0.04, 0.05, 0.06, 0.08, 0.09):
+        b = integrate_characteristics(MODELS["quartic"], PhasePoint(0.3, -0.2), T, opts)
+        assert (np.diff(b.times) > opts.step).any()
+        e = flow_batch(MODELS["quartic"], [0.3], [-0.2], T, opts)
+        assert np.array_equal(b.points[-1].q, e.q[0]) and np.array_equal(b.frames[-1].A, e.A[0])
+        assert b.action[-1] == e.action[0] and b.logdetA[-1] == e.logdetA[0]
+
+
+@SEEDED
+@given(kind=st.sampled_from(sorted(MODELS)), src=sources,
+       ts=st.lists(times, min_size=1, max_size=4, unique=True), sign=st.sampled_from([1, -1]))
+def test_sampled_states_match_endpoints_at_each_time(kind, src, ts, sign):
+    # one pass through all requested times against one batch per time; the
+    # step grids differ, so integrated states agree to the rk4 error
+    model = MODELS[kind]
+    taus = sign * np.array([0.0, *sorted(ts)])
+    for method in METHODS[kind]:
+        tol = 1e-12 if method == "exact" else 1e-7
+        states = _sample_orbits(model, src[:, :1], src[:, 1:], taus, opts_for(method))
+        assert len(states) == len(taus)
+        for tau, got in zip(taus, states):
+            want = flow_batch(model, src[:, :1], src[:, 1:], tau, opts_for(method))
+            for name in FIELDS:
+                assert close(getattr(got, name), getattr(want, name), tol), (method, tau, name)
 
 
 @SEEDED

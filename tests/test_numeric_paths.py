@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from phaseprop import (
+    CausticError,
     ComplexField,
     FlowOptions,
     PhasePoint,
@@ -24,9 +25,10 @@ from phaseprop import (
     solution_on_manifold,
     transport_manifold,
     van_vleck_kernel,
+    vertical_tangent_time,
 )
 from phaseprop.oracles import initial_phase_state, initial_position_state
-from test_wkb import reference_data
+from test_wkb import cubic_data, reference_data
 
 HBAR = 0.1
 T = 0.5
@@ -71,6 +73,28 @@ def test_transport_manifold_integrating_branch():
     want = transport_manifold(reference_data(), HARMONIC, T, alpha)
     for name in ("q", "p", "phase"):
         assert rel(getattr(got, name), getattr(want, name)) <= TOL, name
+
+
+def test_vertical_tangent_time_integrating_branch():
+    # the default window t_max = 2 holds the fold at 3 pi / 8: one sampled
+    # pass finds the bracket, brentq refines it on integrated endpoints
+    got = vertical_tangent_time(reference_data(), TRAP, opts=RK4)
+    want = vertical_tangent_time(reference_data(), HARMONIC)
+    assert abs(got - want) <= TOL
+
+
+def test_fold_location_integrating_branch():
+    # the fold of tests/test_wkb.py's cubic-phase transport, found on the
+    # sampled orbits of the free flow written as a polynomial
+    alpha = np.linspace(-5.0, -2.5, 26)
+    folds = []
+    for model, opts in ((polynomial_model({(0, 2): 1.0}), RK4),
+                        (builtin_model("free"), None)):
+        with pytest.raises(CausticError) as exc:
+            transport_manifold(cubic_data(), model, 0.6, alpha, opts)
+        folds.append((exc.value.t_star, exc.value.alpha_star))
+    assert folds[0] == pytest.approx(folds[1], abs=1e-12)
+    assert folds[0] == pytest.approx((0.5, -5.0), abs=1e-2)
 
 
 def test_solution_on_manifold_integrating_branch():

@@ -248,6 +248,17 @@ def test_solution_on_manifold_tracks_display_to_first_order():
             assert rel < 5 * hbar, (kind, a0, rel)
 
 
+def test_solution_on_manifold_needs_two_tracking_times():
+    # one tracking time would read the tau = 0 action instead of the one at t
+    model = builtin_model("harmonic")
+    X = model.exact_flow(PhasePoint(0.3, 0.3), 0.4)
+    for n_track in (0, 1):
+        with pytest.raises(ConfigurationError, match="n_track"):
+            solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=n_track)
+    got = solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=2)
+    assert got == pytest.approx(exact_phase_solution("harmonic", X, 0.4, HBAR), rel=5 * HBAR)
+
+
 def test_gaussian_integral_against_quadrature():
     assert gaussian_integral(np.eye(1), np.zeros(1), HBAR) == pytest.approx(1.0)
     M = np.array([[1.0 + 0.4j, 0.3j], [0.3j, 1.5 - 0.2j]])
