@@ -17,6 +17,7 @@ per-step record of a batch of one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -249,44 +250,43 @@ def _rk4(model, q, p, times):
 
 
 def _adaptive(model, q0, p0, times, rtol):
-    """States ``(q, p, [A; B], action)`` at each of ``times``, from one
-    DOP853 solve per orbit.  ``solve_ivp`` measures error with an RMS norm
-    over its whole system, so a joint solve of N orbits would loosen each
-    orbit's tolerance by up to sqrt(N)."""
-    from scipy.integrate import solve_ivp
+    """States ``(q, p, [A; B], action)`` at each of ``times`` of one orbit
+    (a batch of one), from one lazily stepped DOP853 solve: each step's
+    samples are read from its dense output, as ``solve_ivp`` reads them."""
+    from scipy.integrate import DOP853
 
-    n, d = q0.shape
+    d = q0.shape[1]
     nc = 2 * d + 2 * d * d  # complex entries: q, p, A, B
 
     def unpack(y):  # real storage (..., 2 nc + 1) -> q, p, [A; B], action
-        zc = y[..., :nc] + 1.0j * y[..., nc:2 * nc]
-        return (zc[..., :d].real, zc[..., d:2 * d].real,
-                zc[..., 2 * d:].reshape(-1, 2 * d, d), y[..., -1])
+        zc = y[..., :nc] + 1.0j * y[..., nc:2 * nc]  # copies, as does the action,
+        return (zc[..., :d].real, zc[..., d:2 * d].real,  # so no state holds a step
+                zc[..., 2 * d:].reshape(-1, 2 * d, d), y[..., -1].copy())
 
-    records = []
-    for j in range(n):
-        rhs = _CharRHS(model, q0[j:j + 1], p0[j:j + 1])
+    rhs = _CharRHS(model, q0, p0)
 
-        def f(t, y):
-            dq, dp, dF, dact = rhs(*unpack(y[None])[:3])
-            zc = np.concatenate([dq[0], dp[0], dF.ravel()])
-            return np.concatenate([zc.real, zc.imag, dact])
+    def f(t, y):
+        dq, dp, dF, dact = rhs(*unpack(y[None])[:3])
+        zc = np.concatenate([dq[0], dp[0], dF.ravel()])
+        return np.concatenate([zc.real, zc.imag, dact])
 
-        z0 = np.concatenate([q0[j], p0[j], _initial_frame(1, d).ravel()])
-        y0 = np.concatenate([z0.real, z0.imag, [0.0]])
-        if times.size == 1:
-            records.append(y0[:, None])  # T = 0: the initial sample is all
-            continue
-        sol = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853",
-                        t_eval=times, rtol=rtol, atol=rtol * 1e-2)
-        if not sol.success:
-            last = float(sol.t[-1]) if sol.t.size else None
+    z0 = np.concatenate([q0[0], p0[0], _initial_frame(1, d).ravel()])
+    y0 = np.concatenate([z0.real, z0.imag, [0.0]])
+    solver = DOP853(f, float(times[0]), y0, float(times[-1]),
+                    rtol=rtol, atol=rtol * 1e-2)
+    signed = solver.direction * times  # increasing
+    k = 0
+    while k < times.size:
+        message = solver.step()
+        if solver.status == "failed":
             raise IntegrationError(
-                f"adaptive integration failed: {sol.message}", last_valid_time=last)
-        records.append(sol.y)
-    ys = np.stack(records)
-    for k in range(times.size):
-        yield unpack(ys[:, :, k])
+                f"adaptive integration failed: {message}",
+                last_valid_time=float(times[k - 1]) if k else None)
+        stop = np.searchsorted(signed, solver.direction * solver.t, side="right")
+        if stop > k:
+            for y in solver.dense_output()(times[k:stop]).T:
+                yield unpack(y[None])
+            k = stop
 
 
 def _tracked(states):
@@ -326,34 +326,43 @@ def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
 
 
 def _sample_orbits(model: HamiltonianModel, Q, P, times,
-                   opts: FlowOptions | None = None) -> list:
-    """Batched :class:`FlowBatch` states, at each of the signed ``times``
-    (monotone, starting at 0), of the orbits from the rows of ``Q``, ``P``.
+                   opts: FlowOptions | None = None):
+    """Yield the batched :class:`FlowBatch` states, at each of the signed
+    ``times`` (monotone, starting at 0), of the orbits from the rows of
+    ``Q``, ``P``.
 
     The one place that chooses between closed forms and integration.
-    ``exact`` broadcasts the closed forms at each time.  Otherwise each
+    ``exact`` evaluates the closed forms at each time.  Otherwise each
     interval of ``times`` gets ``ceil(|interval| / step)`` equal steps and
     one pass carries the batch through all of them, tracking the log-dets
     at every step: ``rk4`` steps all N orbits together, ``adaptive`` makes
-    one DOP853 solve per orbit.
+    one DOP853 solve per orbit (an RMS error norm over a joint solve would
+    loosen each orbit's tolerance by up to sqrt(N)).  The pass is lazy, so
+    a caller that stops early integrates no further.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)
     if method == "exact":
-        return [_closed_form(model, Q, P, float(t)) for t in times]
+        for t in times:
+            yield _closed_form(model, Q, P, float(t))
+        return
     pieces, ends = [times[:1]], [0]
     for a, b in zip(times[:-1], times[1:]):
         n = _n_steps(b - a, opts.step)
         pieces.append(np.linspace(a, b, n + 1)[1:])
         ends.append(ends[-1] + n)
     grid = np.concatenate(pieces)
-    states = (_rk4(model, Q, P, grid) if method == "rk4"
-              else _adaptive(model, Q, P, grid, opts.rtol))
-    kept = dict.fromkeys(ends)
-    for k, state in enumerate(_tracked(states)):
-        if k in kept:
-            kept[k] = state
-    return [kept[k] for k in ends]
+    if method == "rk4":
+        runs = [_rk4(model, Q, P, grid)]
+    else:  # one orbit after another: one orbit's solve is held at a time
+        runs = [_adaptive(model, Q[j:j + 1], P[j:j + 1], grid, opts.rtol)
+                for j in range(len(Q))]
+    hits = Counter(ends)
+    runs = [(s for k, s in enumerate(_tracked(run)) for _ in range(hits[k])) for run in runs]
+    done = [list(run) for run in runs[:-1]]  # the last run stays lazy
+    for k, last in enumerate(runs[-1]):
+        yield (FlowBatch(*map(np.concatenate, zip(*(run[k] for run in done), last)))
+               if done else last)
 
 
 def flow_batch(model: HamiltonianModel, Q, P, t: float,
@@ -365,7 +374,8 @@ def flow_batch(model: HamiltonianModel, Q, P, t: float,
     """
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    return _sample_orbits(model, Q, P, np.array([0.0, float(t)]), opts)[-1]
+    _start, end = _sample_orbits(model, Q, P, np.array([0.0, float(t)]), opts)
+    return end
 
 
 def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
@@ -393,7 +403,7 @@ def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
         raise ConfigurationError(
             f"model dimension {model.dim} != point dimension {X0.d}")
     times = _default_times(float(T), opts.step)
-    states = _sample_orbits(model, X0.q[None], X0.p[None], times, opts)
+    states = list(_sample_orbits(model, X0.q[None], X0.p[None], times, opts))
     return TrajectoryBundle(
         times=times,
         points=tuple(PhasePoint(s.q[0], s.p[0]) for s in states),

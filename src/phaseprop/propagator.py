@@ -464,10 +464,11 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
                 f"no trajectory from y={y} reaches x={x} at t={t} within "
                 "the scan window")
 
-    # the samples resolve the sign changes of Im A (the focal points)
-    times = np.linspace(0.0, t, 257)
-    states = _sample_orbits(model, np.full((len(roots), 1), y),
-                            np.array(roots)[:, None], times, FlowOptions(step=1e-3))
+    # the samples resolve the sign changes of Im A (the focal points): at
+    # least 256 intervals, none longer than the integration step 1e-3
+    times = np.linspace(0.0, t, max(257, math.ceil(t / 1e-3) + 1))
+    states = list(_sample_orbits(model, np.full((len(roots), 1), y),
+                                 np.array(roots)[:, None], times, FlowOptions(step=1e-3)))
     imA = np.array([s.A[:, 0, 0].imag for s in states])
     end = states[-1]
     total = 0.0j

@@ -16,14 +16,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
-from .flow import (FlowOptions, _anisotropy, _sample_orbits, flow_batch,
-                   symplectic_J)
+from .flow import (FlowOptions, _anisotropy, _default_times, _method,
+                   _sample_orbits, flow_batch, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .propagator import _doubled
 from .transform import ComplexField
@@ -270,11 +271,11 @@ def _flow_alpha(data: WKBData, model: HamiltonianModel, t: float,
 
 def _earliest_fold(data, model, t, alpha, opts):
     """Scan 80 samples of (0, t] for the first time the projection folds;
-    returns (t_star, alpha_star)."""
+    returns (t_star, alpha_star).  At tau = 0, dq/dalpha = 1."""
     taus = np.linspace(0.0, t, 81)
     states = _sample_orbits(model, alpha[:, None], data.s0_prime(alpha)[:, None],
                             taus, opts)
-    for tau, e in zip(taus[1:], states[1:]):
+    for tau, e in zip(taus, states):
         dqda = _dq_dalpha(data, alpha, e)
         scale = max(1.0, float(np.abs(dqda).max()))
         if (dqda < 1e-9 * scale).any():
@@ -318,14 +319,22 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
 
     a = np.asarray([alpha], dtype=float)
     taus = np.linspace(0.0, t_max, 2001)
-    states = _sample_orbits(model, a[:, None], data.s0_prime(a)[:, None], taus, opts)
-    dqda = np.array([_dq_dalpha(data, a, e)[0] for e in states])
-    flips = np.nonzero(np.sign(dqda[1:]) != np.sign(dqda[:-1]))[0]
-    if flips.size == 0:
+    dqda = (_dq_dalpha(data, a, e)[0]
+            for e in _sample_orbits(model, a[:, None], data.s0_prime(a)[:, None], taus, opts))
+    k = next((k for k, v in enumerate(dqda) if not v > 0), None)  # the pass stops here
+    if k is None:
         return None
-    k = flips[0]
-    return float(brentq(lambda tau: float(_flow_alpha(data, model, tau, a, opts)[3][0]),
-                        taus[k], taus[k + 1], xtol=1e-12))
+
+    def g(tau: float) -> float:
+        return float(_flow_alpha(data, model, tau, a, opts)[3][0])
+
+    # flow_batch steps from 0 on its own grid, so its sign at a bracket end
+    # may differ from the pass's; the zero is then that close to the end
+    ends = taus[k - 1:k + 1]
+    g_ends = [g(tau) for tau in ends]
+    if np.sign(g_ends[0]) == np.sign(g_ends[1]):
+        return float(ends[np.argmin(np.abs(g_ends))])
+    return float(brentq(g, *ends, xtol=1e-12))
 
 
 def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
@@ -461,10 +470,11 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     exp{(i/hbar)(-p q/2 + S0(eta) + Act)}`` divided by the square root
     of ``det((A - iB)/2) det(1 - i S0''(eta)) det F''`` — the root is
     branch-tracked continuously in time from its exact initial value
-    over ``n_track >= 2`` equally spaced times of ``[0, t]``, read from
-    one sampled pass of the orbits, with the stationary-phase Hessian
-    ``F''`` taken by Richardson-extrapolated central differences of the
-    double-phase-space phase.
+    over ``n_track >= 2`` equally spaced times of ``[0, t]`` (for an
+    integrated flow, the steps nearest them), read from one pass of the
+    orbits, with the stationary-phase Hessian ``F''`` taken by
+    Richardson-extrapolated central differences of the double-phase-space
+    phase.
     """
     if X.d != 1:
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
@@ -488,17 +498,22 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     steps = np.array([1e-3, 0.5e-3])
     src_eta = eta + (steps[:, None] * _STENCIL[:, 0]).ravel()
     src_xi = xi + (steps[:, None] * _STENCIL[:, 1]).ravel()
-    states = _sample_orbits(model, src_eta[:, None], src_xi[:, None],
-                            np.linspace(0.0, t, n_track), opts)
-    us = np.empty(n_track, dtype=complex)
-    for k, e in enumerate(states):
+    # the root is tracked over n_track even times of [0, t]; an integrating
+    # pass takes the steps of flow_batch to t and reads the nearest ones
+    opts = opts or FlowOptions()
+    grid = (np.linspace(0.0, t, n_track) if _method(model, opts) == "exact"
+            else _default_times(t, opts.step))
+    tracked = np.isin(np.arange(grid.size), np.rint(np.linspace(0, grid.size - 1, n_track)))
+    us = []
+    for e in compress(_sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts),
+                      tracked):
         dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
         f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
         H1, H2 = (_stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), steps))
-        us[k] = dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0))
+        us.append(dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0)))
     ratio = _sqrt_tracked_ratio(us)
 
-    act = states[-1].action[0]
+    act = e.action[0]  # the last sample is t
     q, p = float(X.q[0]), float(X.p[0])
     amp = (np.pi * hbar) ** (-0.25) * float(data.R0(eta))
     phase = -0.5 * p * q + float(data.S0(eta)) + act

@@ -5,6 +5,8 @@ every run draw the same examples.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,12 +101,28 @@ def test_sampled_states_match_endpoints_at_each_time(kind, src, ts, sign):
     taus = sign * np.array([0.0, *sorted(ts)])
     for method in METHODS[kind]:
         tol = 1e-12 if method == "exact" else 1e-7
-        states = _sample_orbits(model, src[:, :1], src[:, 1:], taus, opts_for(method))
+        states = list(_sample_orbits(model, src[:, :1], src[:, 1:], taus, opts_for(method)))
         assert len(states) == len(taus)
         for tau, got in zip(taus, states):
             want = flow_batch(model, src[:, :1], src[:, 1:], tau, opts_for(method))
             for name in FIELDS:
                 assert close(getattr(got, name), getattr(want, name), tol), (method, tau, name)
+
+
+def test_adaptive_batch_holds_one_orbit_at_a_time():
+    # each orbit's solve is stepped through and let go before the next, so
+    # the peak allocation does not grow by a sample record per orbit
+    model, opts = MODELS["free"], FlowOptions(method="adaptive", step=1e-3)
+    flow_batch(model, [0.0], [0.0], 1.0, opts)  # load scipy's solver first
+    peaks = []
+    for n in (1, 8):
+        src = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+        tracemalloc.start()
+        flow_batch(model, src[:, :1], src[:, 1:], 1.0, opts)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    record = 1001 * 9 * 8  # 1001 samples of q, p, A, B (complex) and action
+    assert peaks[1] - peaks[0] < 2 * record
 
 
 @SEEDED

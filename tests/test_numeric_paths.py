@@ -83,6 +83,17 @@ def test_vertical_tangent_time_integrating_branch():
     assert abs(got - want) <= TOL
 
 
+def test_vertical_tangent_time_keeps_a_bracket_end_within_integrator_error():
+    # t_max puts a sample 3e-6 past the fold at 3 pi / 8.  The pass takes one
+    # short step per sample and sees the flip there; flow_batch steps by 0.1
+    # from 0 and moves the zero past that sample, so both bracket ends keep
+    # one sign under it and the sampled end is returned
+    t_max = 2 * (3 * np.pi / 8 + 3e-6)
+    got = vertical_tangent_time(reference_data(), TRAP, t_max=t_max,
+                                opts=FlowOptions(method="rk4", step=0.1))
+    assert got == pytest.approx(3 * np.pi / 8, abs=1e-5)
+
+
 def test_fold_location_integrating_branch():
     # the fold of tests/test_wkb.py's cubic-phase transport, found on the
     # sampled orbits of the free flow written as a polynomial
@@ -103,6 +114,27 @@ def test_solution_on_manifold_integrating_branch():
                                n_track=11)
     want = solution_on_manifold(X, T, reference_data(), HARMONIC, HBAR,
                                 n_track=11)
+    assert rel(got, want) <= TOL
+
+
+def test_solution_on_manifold_steps_do_not_depend_on_n_track():
+    # the pass takes the steps of flow_batch to T whatever n_track is, so
+    # n_track moves only the samples the root is tracked on, while halving
+    # the step moves the value
+    X = HARMONIC.exact_flow(PhasePoint(0.3, 0.3), T)
+    got = [solution_on_manifold(X, T, reference_data(), TRAP, HBAR, RK4, n_track=n)
+           for n in (11, 41, 101)]
+    assert got[0] == got[1] == got[2]
+    half = solution_on_manifold(X, T, reference_data(), TRAP, HBAR,
+                                FlowOptions(method="rk4", step=RK4.step / 2))
+    assert 0 < rel(half, got[0]) <= TOL
+
+
+def test_van_vleck_focal_count_integrating_branch():
+    # by t = 5 the orbit has passed the focal points pi/2, pi and 3 pi/2,
+    # each counted from a sign change of Im A on the sampled orbit
+    got = van_vleck_kernel(0.6, -0.2, 5.0, TRAP, HBAR)
+    want = van_vleck_kernel(0.6, -0.2, 5.0, HARMONIC, HBAR)
     assert rel(got, want) <= TOL
 
 

@@ -11,7 +11,9 @@ from phaseprop import (
     ComplexField,
     ConfigurationError,
     DomainError,
+    FlowOptions,
     GaussianPoly,
+    ModelError,
     PhasePoint,
     ProjectionError,
     WKBData,
@@ -164,6 +166,23 @@ def test_vertical_tangent_time():
     t = vertical_tangent_time(data, builtin_model("harmonic"))
     assert t == pytest.approx(harmonic_vertical_time(1), abs=1e-9)
     assert vertical_tangent_time(data, builtin_model("free")) is None
+
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_vertical_tangent_time_returns_a_fold_before_a_blow_up():
+    # over the barrier of p^2 + q^2 - q^4/4 the orbit from alpha = 0.9
+    # folds near t = 0.46 and then runs off to infinity before t = 3: the
+    # sampled pass stops at the fold and never reaches the blow-up
+    data = WKBData(S0=[0.0, 0.0, -0.5], R0=unit_gaussian(), r=2)
+    model = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): -0.25})
+    opts = FlowOptions(method="rk4", step=1e-2)
+    with pytest.raises(ModelError):
+        double_phase_characteristics(model, PhasePoint(0.9, -0.9), 3.0, opts)
+    got = vertical_tangent_time(data, model, 0.9, t_max=3.0, opts=opts)
+    want = vertical_tangent_time(data, model, 0.9, t_max=0.5, opts=opts)
+    assert got == pytest.approx(want, abs=1e-10)
+    assert got == pytest.approx(0.46, abs=1e-2)
 
 
 def test_hamilton_jacobi_residual_of_asymptotic_phase():
