@@ -54,14 +54,10 @@ class ComplexField:
             raise ConfigurationError(
                 f"field has {finite.size - int(finite.sum())} non-finite values")
         for k, a in enumerate(axes):
-            if a.ndim != 1 or a.size < 2:
-                raise ConfigurationError(f"axis {k} must be 1-D with >= 2 nodes")
+            _checked_axis(a, f"axis {k}")
             if a.size != values.shape[k]:
                 raise ConfigurationError(
                     f"axis {k} has {a.size} nodes, values expect {values.shape[k]}")
-            d = np.diff(a)
-            if d.min() <= 0 or (d.max() - d.min()) > 1e-9 * d.mean():
-                raise ConfigurationError(f"axis {k} must be uniform increasing")
         if not (self.hbar > 0):
             raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
         object.__setattr__(self, "axes", axes)
@@ -86,6 +82,18 @@ class ComplexField:
         """L2 norm with the plain Lebesgue measure (the analysis map is
         an isometry, so phase fields use the same measure)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.cell()))
+
+
+def _checked_axis(a, name: str) -> np.ndarray:
+    """``a`` as a float array; raises unless it is 1-D with at least two
+    uniformly spaced, strictly increasing nodes."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size < 2:
+        raise ConfigurationError(f"{name} must be 1-D with >= 2 nodes")
+    d = np.diff(a)
+    if not (d.min() > 0 and d.max() - d.min() <= 1e-9 * d.mean()):
+        raise ConfigurationError(f"{name} must be uniform increasing")
+    return a
 
 
 def gaussian_packet(center: PhasePoint, hbar: float, x) -> np.ndarray:

@@ -21,11 +21,14 @@ from phaseprop import (
     eval_packet,
     gaussian_packet,
     kernel_Ksc,
+    polynomial_model,
     position_space_solution,
     propagate_packet,
     symplectic_J,
     van_vleck_kernel,
+    wave_packet_transform,
 )
+from phaseprop.flow import flow_batch
 from phaseprop.oracles import (
     exact_kernel,
     exact_phase_field,
@@ -165,6 +168,119 @@ def test_position_space_solution_matches_closed_form():
         mask = np.abs(want) > 1e-3 * np.abs(want).max()
         err = (np.abs(got.values - want)[mask] / np.abs(want)[mask]).max()
         assert err < 1e-4, kind
+
+
+def dense_synthesis(psi0, t, model, phase_axes, out_axis, opts=None):
+    """Reference for ``position_space_solution``: one exponential per
+    (output node, kept source) pair, every kept source at every node, in
+    grid order.  Returns the values and each source's ``z = B / A``."""
+    hbar = psi0.hbar
+    Psi0 = wave_packet_transform(psi0, phase_axes)
+    Q, P = np.meshgrid(*Psi0.axes, indexing="ij")
+    mag = np.abs(Psi0.values)
+    keep = mag > 1e-13 * mag.max()
+    Qg, Pg = Q[keep], P[keep]
+    e = flow_batch(model, Qg, Pg, t, opts)
+    qt, pt = e.q[:, 0], e.p[:, 0]
+    z = e.B[:, 0, 0] / e.A[:, 0, 0]
+    src = ((np.pi * hbar) ** -0.25 * (2 * np.pi * hbar) ** -0.5
+           * np.exp(-0.5 * e.logdetA) * Psi0.values[keep] * Psi0.cell()
+           * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg)))
+    dx = out_axis[:, None] - qt[None, :]
+    return np.exp(1j / hbar * (pt * dx + 0.5 * z * dx ** 2)) @ src, z
+
+
+SYNTH_X = np.linspace(-8.0, 8.0, 321)
+SYNTH_AXES = (np.linspace(-6.0, 6.0, 161), np.linspace(-6.0, 6.0, 161))
+QUARTIC_TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): 0.25})
+
+
+@pytest.mark.parametrize("model, t, out_axis, opts", [
+    # free at t = 1: Im z = 1/5, the widest packets and the longest reach
+    (builtin_model("free"), 1.0, SYNTH_X, None),
+    (builtin_model("linear"), 0.6, SYNTH_X, None),
+    (builtin_model("harmonic"), 0.8, SYNTH_X, None),
+    # integrated orbits of an anharmonic trap: z differs from source to source
+    (QUARTIC_TRAP, 0.5, SYNTH_X, FlowOptions(method="rk4", step=1e-2)),
+    # nodes far right of every source: their windows hold no source
+    (builtin_model("harmonic"), 0.8, np.linspace(-8.0, 24.0, 641), None),
+], ids=["free", "linear", "harmonic", "quartic-rk4", "empty-windows"])
+def test_windowed_synthesis_matches_full_per_pair_sum(model, t, out_axis, opts):
+    psi0 = ComplexField((SYNTH_X,), initial_position_state(SYNTH_X, HBAR), HBAR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EhrenfestWarning)
+        got = position_space_solution(psi0, t, model, phase_axes=SYNTH_AXES,
+                                      out_axis=out_axis, opts=opts).values
+    want, z = dense_synthesis(psi0, t, model, SYNTH_AXES, out_axis, opts)
+    if model is QUARTIC_TRAP:
+        assert np.ptp(z.imag) > 0.1
+    # empty-windows case: the harmonic flow rotates the sources, so none
+    # reaches q_t > 6 sqrt(2) = 8.5 and each window past 8.5 + R = 11.3 is
+    # an empty slice summing to exactly 0 (other cases stop at x = 8)
+    assert not got[out_axis > 12.0].any()
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= 1e-14, err
+
+
+def test_position_solution_composes_on_the_harmonic_trap():
+    # psi(t1 + t2) = U(t2) U(t1) psi, each step a full analysis and synthesis;
+    # the axis is wide enough that the state at t1 decays at its ends, and
+    # fine enough (half the spacing that would do for psi0) for its chirp
+    x = np.linspace(-12.0, 12.0, 961)
+    psi0 = ComplexField((x,), initial_position_state(x, HBAR), HBAR)
+    model = builtin_model("harmonic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EhrenfestWarning)
+        once = position_space_solution(psi0, 0.8, model).values
+        twice = position_space_solution(
+            position_space_solution(psi0, 0.3, model), 0.5, model).values
+    mask = np.abs(once) > 1e-3 * np.abs(once).max()
+    err = (np.abs(twice - once)[mask] / np.abs(once)[mask]).max()
+    assert err < 1e-4, err
+
+
+def test_zero_input_field_is_rejected():
+    x = np.linspace(-3.0, 3.0, 81)
+    model = builtin_model("free")
+    with pytest.raises(ConfigurationError, match="zero everywhere"):
+        position_space_solution(ComplexField((x,), np.zeros(x.size), HBAR), 0.3, model)
+    with pytest.raises(ConfigurationError, match="zero everywhere"):
+        apply_propagator(ComplexField((x, x), np.zeros((x.size, x.size)), HBAR),
+                         0.3, model)
+    # a state with no weight near the phase grid analyses to zero
+    psi = ComplexField((x,), gaussian_packet(PhasePoint(0, 0), HBAR, x), HBAR)
+    far = (np.linspace(40.0, 41.0, 21), np.linspace(-1.0, 1.0, 41))
+    with pytest.raises(ConfigurationError, match="zero everywhere"):
+        position_space_solution(psi, 0.3, model, phase_axes=far)
+
+
+BAD_AXES = {
+    "2-D": np.linspace(-3.0, 3.0, 5)[:, None],
+    "one node": np.array([0.5]),
+    "decreasing": np.linspace(3.0, -3.0, 5),
+    "non-uniform": np.array([-3.0, -2.0, 0.0, 1.0, 3.0]),
+    "nan": np.full(5, np.nan),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_AXES.values(), ids=BAD_AXES.keys())
+def test_output_axes_are_checked_before_any_orbit(bad, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the output axes were checked")
+
+    for name in ("flow_batch", "wave_packet_transform", "_derive_out_axes"):
+        monkeypatch.setattr(f"phaseprop.propagator.{name}", forbidden)
+    x = np.linspace(-3.0, 3.0, 81)
+    model = builtin_model("free")
+    psi = ComplexField((x,), gaussian_packet(PhasePoint(0, 0), HBAR, x), HBAR)
+    with pytest.raises(ConfigurationError, match="out_axis"):
+        position_space_solution(psi, 0.3, model, out_axis=bad)
+    Psi = ComplexField((x, x), np.outer(psi.values, psi.values), HBAR)
+    for out_axes in ((bad, x), (x, bad)):
+        with pytest.raises(ConfigurationError, match="out_axes"):
+            apply_propagator(Psi, 0.3, model, out_axes=out_axes)
+    with pytest.raises(ConfigurationError, match="out_axes"):
+        apply_propagator(Psi, 0.3, model, out_axes=(x, x, x))
 
 
 def test_van_vleck_matches_closed_forms():
