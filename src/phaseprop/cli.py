@@ -17,7 +17,6 @@ Configuration is a versioned INI file (``schema_version`` under ``[meta]``);
 all physical parameters are runtime values.  Reports are machine-first (JSON
 lines, one object per line) with a human summary on standard output.  Outputs
 are deterministic: an identical config yields bit-identical CSV/JSONL files.
-``--threads`` is accepted for interface stability but execution is serial.
 """
 
 from __future__ import annotations
@@ -705,8 +704,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config,
                        help="INI run description (schema_version 1)")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; execution is serial")
 
     common(sub.add_parser("run", help="full pipeline with error report"),
            needs_config=True)
@@ -753,8 +750,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigurationError("--threads: must be a positive integer")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         config = load_config(args.config) if args.config else None

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticError, ConfigurationError, EhrenfestWarning
+from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
+                     SpacingWarning)
 from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle, _anisotropy,
                    _check_siegel, _real_jacobian, _sample_orbits, anisotropy_Z,
                    ehrenfest_guard, flow_batch, integrate_characteristics,
@@ -373,9 +374,19 @@ def _default_phase_axes(psi0: ComplexField, hbar: float):
     i0, i1 = _position_support(psi0)
     pad = 6 * np.sqrt(hbar)
     qa, qb = float(x[i0]) - pad, float(x[i1]) + pad
-    # momentum half-width: local phase-gradient scale plus packet decay
+    # momentum half-width: local phase-gradient scale plus packet decay,
+    # within the momenta the position spacing resolves (a source packet at
+    # |p| > pi hbar / dx aliases on the grid)
     pscale = _momentum_scale(psi0, hbar)
     P = max(abs(qa), abs(qb), pscale + pad)
+    dx = psi0.spacing()
+    nyq = np.pi * hbar / dx
+    if P > nyq:
+        warnings.warn(
+            f"position spacing {dx:.4g} resolves momenta only up to "
+            f"{nyq:.4g} < requested {P:.4g}; clipping the p axis",
+            SpacingWarning, stacklevel=3)
+        P = nyq
     tgt = np.sqrt(hbar) / 4
     return _axis(qa, qb, tgt), _axis(-P, P, tgt)
 

@@ -7,9 +7,8 @@ Initial data ``psi0 = R0 exp(i S0 / hbar)`` induces the manifold
 reproduced asymptotically by evaluating truncated analytic extensions
 of ``S0`` and ``R0`` at a complex stationary point.  Everything here
 carries derivative stacks symbolically — no numerical differentiation
-enters any stationary-point evaluation; finite differences appear only
-in the stationary-phase Hessian, where the defining functional itself
-is the object being differentiated.
+enters any stationary-point evaluation — and reads the tangent of the
+transported manifold from the flow's variational frame.
 """
 from __future__ import annotations
 
@@ -202,13 +201,12 @@ def stationary_point_z(data: WKBData, X: PhasePoint) -> complex:
     """
     if X.d != 1:
         raise ConfigurationError("stationary_point_z supports d = 1 only")
-    q, p = float(X.q[0]), float(X.p[0])
-    s1 = float(data.s0_prime(q))
-    s2 = float(data.s0_second(q))
-    return complex(q + 1j * (s1 - p) / (1 - 1j * s2))
+    return complex(_z_grid(data, float(X.q[0]), float(X.p[0])))
 
 
 def _z_grid(data: WKBData, Q, P):
+    """The stationary point ``z`` at each node ``(Q, P)``, with
+    ``i (1 - i S0'')^(-1) = (i - S0'') / (1 + S0''^2)``."""
     s1 = data.s0_prime(Q)
     s2 = data.s0_second(Q)
     return Q + (s1 - P) * (1j - s2) / (1 + s2 ** 2)
@@ -253,20 +251,23 @@ def lift_wkb(data: WKBData, phase_grid, hbar: float) -> ComplexField:
     return ComplexField((qs, ps), vals, hbar)
 
 
-def _dq_dalpha(data: WKBData, alpha: np.ndarray, e) -> np.ndarray:
-    """``dq_t/dalpha = Re A + Im A S0''(alpha)`` of the manifold samples
-    ``alpha`` from the batch ``e`` of their orbits."""
-    A = e.A[:, 0, 0]
-    return A.real + A.imag * data.s0_second(alpha)
+def _tangent(data: WKBData, alpha, e) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent ``(dq_t/dalpha, dp_t/dalpha)`` of the transported manifold
+    at the samples ``alpha``, read from the frames of the batch ``e`` of
+    their orbits: the flow Jacobian ``[[Re A, Im A], [Re B, Im B]]``
+    applied to the initial tangent ``(1, S0''(alpha))``."""
+    s2 = data.s0_second(alpha)
+    A, B = e.A[:, 0, 0], e.B[:, 0, 0]
+    return A.real + A.imag * s2, B.real + B.imag * s2
 
 
 def _flow_alpha(data: WKBData, model: HamiltonianModel, t: float,
                 alpha: np.ndarray, opts: FlowOptions | None):
     """Flow the manifold samples (alpha, S0'(alpha)) to time t.
 
-    Returns (q_t, p_t, action, dq_t/dalpha)."""
+    Returns (q_t, p_t, action, (dq_t/dalpha, dp_t/dalpha))."""
     e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
-    return e.q[:, 0], e.p[:, 0], e.action, _dq_dalpha(data, alpha, e)
+    return e.q[:, 0], e.p[:, 0], e.action, _tangent(data, alpha, e)
 
 
 def _earliest_fold(data, model, t, alpha, opts):
@@ -276,7 +277,7 @@ def _earliest_fold(data, model, t, alpha, opts):
     states = _sample_orbits(model, alpha[:, None], data.s0_prime(alpha)[:, None],
                             taus, opts)
     for tau, e in zip(taus, states):
-        dqda = _dq_dalpha(data, alpha, e)
+        dqda = _tangent(data, alpha, e)[0]
         scale = max(1.0, float(np.abs(dqda).max()))
         if (dqda < 1e-9 * scale).any():
             return float(tau), float(alpha[np.argmin(np.abs(dqda))])
@@ -297,7 +298,7 @@ def transport_manifold(data: WKBData, model: HamiltonianModel, t: float,
     alpha = np.asarray(alpha_grid, dtype=float)
     if alpha.ndim != 1 or alpha.size < 2:
         raise ConfigurationError("alpha grid must be 1-D with >= 2 samples")
-    qt, pt, act, dqda = _flow_alpha(data, model, t, alpha, opts)
+    qt, pt, act, (dqda, _dpda) = _flow_alpha(data, model, t, alpha, opts)
     scale = max(1.0, float(np.abs(dqda).max()))
     if (dqda < 1e-9 * scale).any() or (np.sign(dqda) != np.sign(dqda[0])).any():
         t_star, a_star = _earliest_fold(data, model, t, alpha, opts)
@@ -319,14 +320,14 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
 
     a = np.asarray([alpha], dtype=float)
     taus = np.linspace(0.0, t_max, 2001)
-    dqda = (_dq_dalpha(data, a, e)[0]
+    dqda = (_tangent(data, a, e)[0][0]
             for e in _sample_orbits(model, a[:, None], data.s0_prime(a)[:, None], taus, opts))
     k = next((k for k, v in enumerate(dqda) if not v > 0), None)  # the pass stops here
     if k is None:
         return None
 
     def g(tau: float) -> float:
-        return float(_flow_alpha(data, model, tau, a, opts)[3][0])
+        return float(_flow_alpha(data, model, tau, a, opts)[3][0][0])
 
     # flow_batch steps from 0 on its own grid, so its sign at a bracket end
     # may differ from the pass's; the zero is then that close to the end
@@ -398,12 +399,8 @@ def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
                 UserWarning, stacklevel=3)
 
     def g(a: float) -> float:
-        d = 1e-6 * max(1.0, abs(a))
-        arrs = np.asarray([a - d, a, a + d])
-        q3, p3, _a3, _d3 = _flow_alpha(data, model, t, arrs, opts)
-        dq = (q3[2] - q3[0]) / (2 * d)
-        dp = (p3[2] - p3[0]) / (2 * d)
-        return float((X.q[0] - q3[1]) * dq + (X.p[0] - p3[1]) * dp)
+        qa, pa, _act, (dq, dp) = _flow_alpha(data, model, t, np.asarray([a]), opts)
+        return float((X.q[0] - qa[0]) * dq[0] + (X.p[0] - pa[0]) * dp[0])
 
     a = float(alpha[j0])
     h = float(alpha[1] - alpha[0])
@@ -432,21 +429,6 @@ def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
     return a
 
 
-# Stencil of the stationary-phase Hessian in units of its difference step:
-# the centre, the eta and xi axis points, then the corners (+,+), (+,-),
-# (-,+), (-,-).
-_STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
-                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-
-
-def _stencil_hessian(f: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Hessian from F on the stencil of step h."""
-    c, ep, em, xp, xm, pp, pm, mp, mm = f
-    cross = (pp - pm - mp + mm) / (4 * h ** 2)
-    return np.array([[(ep - 2 * c + em) / h ** 2, cross],
-                     [cross, (xp - 2 * c + xm) / h ** 2]])
-
-
 def _sqrt_tracked_ratio(vals: np.ndarray) -> complex:
     """Continuous square root of ``vals[-1]/vals[0]`` along the path,
     equal to +1 at the start."""
@@ -467,14 +449,18 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
 
     Pulls X back to its source ``(eta, xi) = g^{-t} X`` on the initial
     manifold and evaluates ``(pi hbar)^(-d/4) R0(eta)
-    exp{(i/hbar)(-p q/2 + S0(eta) + Act)}`` divided by the square root
-    of ``det((A - iB)/2) det(1 - i S0''(eta)) det F''`` — the root is
-    branch-tracked continuously in time from its exact initial value
-    over ``n_track >= 2`` equally spaced times of ``[0, t]`` (for an
-    integrated flow, the steps nearest them), read from one pass of the
-    orbits, with the stationary-phase Hessian ``F''`` taken by
-    Richardson-extrapolated central differences of the double-phase-space
-    phase.
+    exp{(i/hbar)(-p q/2 + S0(eta) + Act)} / sqrt(T_q - i T_p)``, where
+    ``T = (dq_t/dalpha, dp_t/dalpha)`` is the tangent of the transported
+    manifold at X.  This is the stationary-phase value in double phase
+    space: at ``X = Y_t`` the Hessian of its phase is
+    ``F'' = M^T Q M + Phi''`` (``M`` the real flow Jacobian, ``Q`` the
+    doubled anisotropy, ``Phi''`` the lift phase's Hessian; every term with
+    a second flow derivative carries ``X - Y_t``), and for symplectic ``M``
+    ``det((A - iB)/2) (1 - i S0''(eta)) det F'' = -(T_q - i T_p)``.  The
+    root starts at the principal ``sqrt(1 - i S0''(eta))`` and is
+    continued through ``n_track >= 2`` equally spaced times of ``[0, t]``
+    (for an integrated flow, the steps nearest them), read from one pass
+    of the source's orbit.
     """
     if X.d != 1:
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
@@ -490,14 +476,8 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
             f"X does not lie on the transported manifold: its source "
             f"({eta:.6g}, {xi:.6g}) is off p = S0'(q) by "
             f"{abs(xi - xi_expected):.3e}")
-    s2 = float(data.s0_second(eta))
-    w0 = 1 - 1j * s2
+    w0 = 1 - 1j * float(data.s0_second(eta))
 
-    # F'' by one Richardson step, (4 H(d/2) - H(d)) / 3 with d = 1e-3
-    # (leading error O(d^4)); the stencil's first source is the centre
-    steps = np.array([1e-3, 0.5e-3])
-    src_eta = eta + (steps[:, None] * _STENCIL[:, 0]).ravel()
-    src_xi = xi + (steps[:, None] * _STENCIL[:, 1]).ravel()
     # the root is tracked over n_track even times of [0, t]; an integrating
     # pass takes the steps of flow_batch to t and reads the nearest ones
     opts = opts or FlowOptions()
@@ -505,13 +485,10 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
             else _default_times(t, opts.step))
     tracked = np.isin(np.arange(grid.size), np.rint(np.linspace(0, grid.size - 1, n_track)))
     us = []
-    for e in compress(_sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts),
-                      tracked):
-        dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
-        f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
-        H1, H2 = (_stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), steps))
-        us.append(dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0)))
-    ratio = _sqrt_tracked_ratio(us)
+    for e in compress(_sample_orbits(model, back.q, back.p, grid, opts), tracked):
+        dq, dp = _tangent(data, eta, e)
+        us.append(complex(dq[0] - 1j * dp[0]))
+    ratio = _sqrt_tracked_ratio(us)  # us[0] = w0
 
     act = e.action[0]  # the last sample is t
     q, p = float(X.q[0]), float(X.p[0])

@@ -165,14 +165,6 @@ def test_descending_times_exit_two(tmp_path, capsys):
     assert "[run] times" in capsys.readouterr().err
 
 
-def test_nonpositive_thread_count_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    rc = main(["run", "--config", cfg, "--threads", "0",
-               "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert "--threads" in capsys.readouterr().err
-
-
 def test_convergence_step_study_recovers_fourth_order_slope(tmp_path):
     """Halving the integrator step four-folds the flow error, twice over."""
     cfg = write_config(

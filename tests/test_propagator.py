@@ -12,6 +12,7 @@ from phaseprop import (
     EhrenfestWarning,
     FlowOptions,
     PhasePoint,
+    SpacingWarning,
     VariationalFrame,
     anisotropy_Z,
     apply_propagator,
@@ -29,6 +30,7 @@ from phaseprop import (
     wave_packet_transform,
 )
 from phaseprop.flow import flow_batch
+from phaseprop.propagator import _default_phase_axes
 from phaseprop.oracles import (
     exact_kernel,
     exact_phase_field,
@@ -237,6 +239,30 @@ def test_position_solution_composes_on_the_harmonic_trap():
     mask = np.abs(once) > 1e-3 * np.abs(once).max()
     err = (np.abs(twice - once)[mask] / np.abs(once)[mask]).max()
     assert err < 1e-4, err
+
+
+def test_derived_phase_axes_stop_at_the_grid_momentum():
+    # on 481 nodes of [-12, 12] (dx = 0.05, below sqrt(hbar)/4) the derived
+    # momentum half-width, 7.15 for psi0 and 9.2 at t = 0.3, passes the
+    # grid's pi hbar / dx = 6.28, beyond which a source packet aliases on the
+    # nodes; the axes stop there.  Measured errors of the two steps against
+    # the oracle at t = 0.8: 9.7e-7 with the cap, 8.1e-5 without it
+    x = np.linspace(-12.0, 12.0, 481)
+    psi0 = ComplexField((x,), initial_position_state(x, HBAR), HBAR)
+    model = builtin_model("harmonic")
+    nyquist = np.pi * HBAR / (x[1] - x[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EhrenfestWarning)
+        with pytest.warns(SpacingWarning, match="clipping the p axis"):
+            _qa, pa = _default_phase_axes(psi0, HBAR)
+        assert pa[-1] == -pa[0] == pytest.approx(nyquist, rel=1e-15)
+        with pytest.warns(SpacingWarning):
+            twice = position_space_solution(
+                position_space_solution(psi0, 0.3, model), 0.5, model).values
+    want = exact_position_solution("harmonic", x, 0.8, HBAR)
+    mask = np.abs(want) > 1e-3 * np.abs(want).max()
+    err = (np.abs(twice - want)[mask] / np.abs(want)[mask]).max()
+    assert err < 1e-5, err
 
 
 def test_zero_input_field_is_rejected():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from phaseprop import (
     transport_manifold,
     vertical_tangent_time,
 )
+from phaseprop.flow import _default_times, _method, _sample_orbits, flow_batch
+from phaseprop.wkb import _F_values, _tangent
 from phaseprop.oracles import (
     exact_manifold,
     exact_phase_solution,
@@ -276,6 +279,87 @@ def test_solution_on_manifold_needs_two_tracking_times():
             solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=n_track)
     got = solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=2)
     assert got == pytest.approx(exact_phase_solution("harmonic", X, 0.4, HBAR), rel=5 * HBAR)
+
+
+# The stationary-phase Hessian F'' that solution_on_manifold's amplitude
+# reduces to: a 9-point central-difference stencil of the double-phase-space
+# phase around the source (centre, eta and xi axis points, corners), with one
+# Richardson step (4 H(d/2) - H(d)) / 3 at d = 1e-3.
+STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                    [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+STENCIL_STEPS = np.array([1e-3, 0.5e-3])
+
+
+def stencil_hessian(f, h):
+    c, ep, em, xp, xm, pp, pm, mp, mm = f
+    cross = (pp - pm - mp + mm) / (4 * h ** 2)
+    return np.array([[(ep - 2 * c + em) / h ** 2, cross],
+                     [cross, (xp - 2 * c + xm) / h ** 2]])
+
+
+def stationary_phase_products(X, t, data, model, opts, n_track=41):
+    """At each of the n_track times solution_on_manifold tracks, the product
+    ``det((A - iB)/2) (1 - i S0''(eta)) det F''`` from the stencil Hessian,
+    and ``-(T_q - i T_p)`` from the tangent the flow's frame gives."""
+    back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
+    eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
+    w0 = 1 - 1j * float(data.s0_second(eta))
+    src_eta = eta + (STENCIL_STEPS[:, None] * STENCIL[:, 0]).ravel()
+    src_xi = xi + (STENCIL_STEPS[:, None] * STENCIL[:, 1]).ravel()
+    opts = opts or FlowOptions()
+    grid = (np.linspace(0.0, t, n_track) if _method(model, opts) == "exact"
+            else _default_times(t, opts.step))
+    keep = np.isin(np.arange(grid.size), np.rint(np.linspace(0, grid.size - 1, n_track)))
+    hessian, tangent = [], []
+    for e in compress(_sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts),
+                      keep):
+        dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
+        f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
+        H1, H2 = (stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), STENCIL_STEPS))
+        hessian.append(dw * w0 * complex(np.linalg.det((4.0 * H2 - H1) / 3.0)))
+        dq, dp = _tangent(data, eta, e)
+        tangent.append(-(dq[0] - 1j * dp[0]))
+    return eta, np.array(hessian), np.array(tangent)
+
+
+def stationary_phase_solution(X, t, data, model, hbar, opts=None):
+    """The on-manifold value with its amplitude from the stencil Hessian, the
+    root continued from +1 through the tracked times."""
+    eta, hessian, _tangent_products = stationary_phase_products(X, t, data, model, opts)
+    root = 1.0 + 0.0j
+    for u in hessian[1:]:
+        r = np.sqrt(u / hessian[0])
+        root = r if abs(r - root) <= abs(r + root) else -r
+    act = flow_batch(model, [eta], [float(data.s0_prime(eta))], t, opts).action[0]
+    amp = (np.pi * hbar) ** (-0.25) * float(data.R0(eta))
+    phase = -0.5 * float(X.p[0]) * float(X.q[0]) + float(data.S0(eta)) + act
+    return amp * np.exp(1j * phase / hbar) / (np.sqrt(1 - 1j * float(data.s0_second(eta))) * root)
+
+
+QUARTIC_PHASE = WKBData(S0=[0.0, 0.2, 0.5, 0.2 / 3, 0.05], R0=unit_gaussian(), r=3)
+
+
+# Tolerances on the value and on the products, each about twice the largest
+# measured: 1.5e-9 and 8.1e-9 on closed forms, 6.5e-7 and 1.3e-6 with rk4.
+@pytest.mark.parametrize("model, opts, data, t, tol_value, tol_product", [
+    # past the trap's fold at 3 pi / 8; by t = 2.5 the root has wound once
+    (builtin_model("harmonic"), None, reference_data(), 1.5, 3e-9, 2e-8),
+    (builtin_model("harmonic"), None, reference_data(), 2.5, 3e-9, 2e-8),
+    (builtin_model("harmonic"), None, QUARTIC_PHASE, 1.5, 3e-9, 2e-8),
+    # the rk4 pass misses the source's accurate image by its step error
+    (polynomial_model({(0, 2): 1.0, (4, 0): 1.0}),
+     FlowOptions(method="rk4", step=1e-2), reference_data(), 0.4, 1.5e-6, 3e-6),
+], ids=["harmonic-1.5", "harmonic-2.5", "quartic-phase", "quartic-rk4"])
+def test_solution_on_manifold_amplitude_is_the_stationary_phase_hessian(
+        model, opts, data, t, tol_value, tol_product):
+    for a in (-0.8, 0.3, 0.9):
+        e = flow_batch(model, [a], [float(data.s0_prime(a))], t, FlowOptions(step=1e-3))
+        X = PhasePoint(e.q[0], e.p[0])
+        _eta, hessian, tangent = stationary_phase_products(X, t, data, model, opts)
+        assert np.abs(hessian - tangent).max() / np.abs(tangent).max() < tol_product, a
+        got = solution_on_manifold(X, t, data, model, HBAR, opts)
+        want = stationary_phase_solution(X, t, data, model, HBAR, opts)
+        assert abs(got - want) / abs(want) < tol_value, (a, got, want)
 
 
 def test_gaussian_integral_against_quadrature():
