@@ -44,7 +44,7 @@ from .oracles import (
     initial_phase_state,
     initial_position_state,
 )
-from .propagator import apply_propagator, kernel_Ksc, position_space_solution
+from .propagator import _Kernel, apply_propagator, position_space_solution
 from .transform import (
     ComplexField,
     field_metadata,
@@ -533,13 +533,10 @@ def _verb_kernel_dump(config: RunConfig, out_dir: Path) -> int:
     Y = PhasePoint(np.array([config.kernel_y[0]]), np.array([config.kernel_y[1]]))
     t = config.kernel_t
     qa, pa = config.phase_axes()
-    vals = np.empty((qa.size, pa.size), dtype=complex)
-    for i, q in enumerate(qa):
-        for j, p in enumerate(pa):
-            X = PhasePoint(np.array([q]), np.array([p]))
-            vals[i, j] = kernel_Ksc(X, Y, t, model, config.hbar)
-    fld = ComplexField(axes=(qa, pa), values=vals, hbar=config.hbar)
-    write_field_csv(fld, out_dir / "kernel.csv")
+    kernel = _Kernel.launched(model, Y.q, Y.p, t)  # the one orbit, from Y
+    X = np.stack(np.meshgrid(qa, pa, indexing="ij"), axis=-1)
+    write_field_csv(ComplexField((qa, pa), kernel.values(X, config.hbar)[..., 0],
+                                 config.hbar), out_dir / "kernel.csv")
     print(f"kernel-dump: K(., Y=({Y.q[0]:g},{Y.p[0]:g}), t={t:g}) "
           f"written to {out_dir / 'kernel.csv'}")
     return 0

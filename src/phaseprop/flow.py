@@ -10,9 +10,9 @@ and is always recovered algebraically from the linear frame, never
 integrated through its own (caustic-singular) Riccati equation.
 
 ``_sample_orbits`` carries N orbits at once through a grid of times in
-one pass and is the one place that chooses between closed forms and
-integration; :func:`flow_batch` is its endpoint view and the bundle its
-per-step record of a batch of one.
+one pass, by closed forms or integration as ``_method`` alone chooses;
+:func:`flow_batch` is its endpoint view and the bundle its per-step
+record of a batch of one.
 """
 from __future__ import annotations
 
@@ -252,7 +252,8 @@ def _rk4(model, q, p, times):
 def _adaptive(model, q0, p0, times, rtol):
     """States ``(q, p, [A; B], action)`` at each of ``times`` of one orbit
     (a batch of one), from one lazily stepped DOP853 solve: each step's
-    samples are read from its dense output, as ``solve_ivp`` reads them."""
+    samples are read from its dense output, as ``solve_ivp`` reads them,
+    then its end with no action, so that the log-dets track every step."""
     from scipy.integrate import DOP853
 
     d = q0.shape[1]
@@ -287,11 +288,14 @@ def _adaptive(model, q0, p0, times, rtol):
             for y in solver.dense_output()(times[k:stop]).T:
                 yield unpack(y[None])
             k = stop
+        if k < times.size:
+            yield unpack(solver.y[None])[:3] + (None,)
 
 
 def _tracked(states):
     """Batched states with ``log det A`` and ``log det(A - iB)`` attached,
-    each continued from the previous sample by a branch-safe increment."""
+    each continued from the previous state by a branch-safe increment.  A
+    state without action only carries the tracking on and is not yielded."""
     for k, (q, p, F, act) in enumerate(states):
         d = q.shape[1]
         A, B = F[:, :d], F[:, d:]
@@ -302,7 +306,8 @@ def _tracked(states):
             ldA = ldA + _log_increment(prevA, detA)
             ldw = ldw + _log_increment(prevw, detw)
         prevA, prevw = detA, detw
-        yield FlowBatch(q, p, A, B, act, ldA, ldw)
+        if act is not None:
+            yield FlowBatch(q, p, A, B, act, ldA, ldw)
 
 
 def _closed_form(model, q0, p0, t: float) -> FlowBatch:
@@ -316,6 +321,7 @@ def _closed_form(model, q0, p0, t: float) -> FlowBatch:
 
 
 def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
+    """The one choice between closed forms (``"exact"``) and integration."""
     if opts.method is None:
         return "exact" if model.frame_at is not None else "rk4"
     if opts.method == "exact" and model.frame_at is None:
@@ -331,14 +337,14 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
     ``times`` (monotone, starting at 0), of the orbits from the rows of
     ``Q``, ``P``.
 
-    The one place that chooses between closed forms and integration.
-    ``exact`` evaluates the closed forms at each time.  Otherwise each
-    interval of ``times`` gets ``ceil(|interval| / step)`` equal steps and
-    one pass carries the batch through all of them, tracking the log-dets
-    at every step: ``rk4`` steps all N orbits together, ``adaptive`` makes
-    one DOP853 solve per orbit (an RMS error norm over a joint solve would
-    loosen each orbit's tolerance by up to sqrt(N)).  The pass is lazy, so
-    a caller that stops early integrates no further.
+    ``exact`` (as :func:`_method` picks) evaluates the closed forms at each
+    time.  Otherwise each interval of ``times`` gets ``ceil(|interval| /
+    step)`` equal steps and one pass carries the batch through all of them,
+    tracking the log-dets at every step: ``rk4`` steps all N orbits
+    together, ``adaptive`` makes one DOP853 solve per orbit (an RMS error
+    norm over a joint solve would loosen each orbit's tolerance by up to
+    sqrt(N)).  The pass is lazy, so a caller that stops early integrates
+    no further.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)

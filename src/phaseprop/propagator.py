@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
                      SpacingWarning)
 from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle, _anisotropy,
-                   _check_siegel, _real_jacobian, _sample_orbits, anisotropy_Z,
-                   ehrenfest_guard, flow_batch, integrate_characteristics,
-                   symplectic_J)
+                   _check_siegel, _method, _real_jacobian, _sample_orbits,
+                   anisotropy_Z, ehrenfest_guard, flow_batch,
+                   integrate_characteristics, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (ComplexField, _checked_axis, _momentum_scale,
                         _position_support, wave_packet_transform)
@@ -56,9 +56,7 @@ def propagate_packet(model: HamiltonianModel, X0: PhasePoint, T: float,
                      hbar: float, opts: FlowOptions | None = None
                      ) -> PropagatedPacket:
     """Carry the packet centered at X0 along its orbit up to time T."""
-    opts = opts or FlowOptions()
-    opts = FlowOptions(method=opts.method, step=opts.step, rtol=opts.rtol,
-                       hbar=hbar)
+    opts = replace(opts or FlowOptions(), hbar=hbar)
     return PropagatedPacket(integrate_characteristics(model, X0, T, opts), hbar)
 
 
@@ -113,6 +111,43 @@ def _doubled(Z: np.ndarray) -> np.ndarray:
     return Q
 
 
+class _Kernel:
+    """The kernel ``K(X, Y_s, t)`` of :func:`kernel_Ksc` for the sources
+    ``Y_s = (eta_s, xi_s)``, the rows of ``eta`` and ``xi``, from the
+    endpoints ``e`` of their orbits (one :func:`flow_batch`), at targets
+    ``X = (q, p)`` along the last axis of an array: one exponential per
+    (target, source) pair."""
+
+    def __init__(self, eta, xi, e):
+        self.Yt = np.concatenate([e.q, e.p], axis=1)
+        self.JYt = symplectic_J(e.q.shape[1]) @ self.Yt.T
+        self.Q = _doubled(_anisotropy(e.A, e.B))
+        # the source-only phase Act + (xi.eta - xi_t.eta_t)/2
+        xi_eta = np.reshape(np.multiply(xi, eta), e.q.shape)
+        self.base = e.action + 0.5 * np.sum(xi_eta - e.p * e.q, axis=1)
+        self.logdet_w = e.logdet_w
+
+    @classmethod
+    def launched(cls, model, eta, xi, t: float, opts: FlowOptions | None = None):
+        """The kernel of the sources at time ``t >= 0``."""
+        if t < 0:
+            raise ConfigurationError(f"t must be nonnegative, got {t}")
+        return cls(eta, xi, flow_batch(model, eta, xi, t, opts))
+
+    def phase(self, X: np.ndarray) -> np.ndarray:
+        """The phase of ``K``, with a last axis over the sources."""
+        n = self.Yt.shape[1]
+        v = [X[..., k, None] - self.Yt[:, k] for k in range(n)]
+        quad = sum(v[i] * ((2 - (i == j)) * self.Q[:, i, j] * v[j])
+                   for i in range(n) for j in range(i, n))
+        return self.base + 0.5 * (X @ self.JYt + quad)
+
+    def values(self, X: np.ndarray, hbar: float) -> np.ndarray:
+        d = self.Yt.shape[1] / 2  # (2 pi hbar)^(-d) 2^(d/2) det(A - iB)^(-1/2)
+        log_amp = d * np.log(2 ** 0.5 / (2 * np.pi * hbar)) - 0.5 * self.logdet_w
+        return np.exp(log_amp + 1j / hbar * self.phase(X))
+
+
 def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
                model: HamiltonianModel, hbar: float,
                opts: FlowOptions | None = None) -> complex:
@@ -128,19 +163,8 @@ def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
 
     At t = 0 this reduces identically to the reproducing kernel.
     """
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
-    e = flow_batch(model, Y.q, Y.p, t, opts)
-    qt, pt = e.q[0], e.p[0]
-    Qm = _doubled(_anisotropy(e.A, e.B))[0]
-    d = Y.d
-    pref = (2 * np.pi * hbar) ** (-d) * 2 ** (d / 2) * np.exp(-0.5 * e.logdet_w[0])
-    v = np.concatenate([X.q - qt, X.p - pt])
-    phase = (e.action[0]
-             + (Y.p @ Y.q - pt @ qt) / 2
-             + (X.q @ pt - X.p @ qt) / 2
-             + 0.5 * v @ Qm @ v)
-    return complex(pref * np.exp(1j / hbar * phase))
+    kernel = _Kernel.launched(model, Y.q, Y.p, t, opts)
+    return complex(kernel.values(X.as_vector(), hbar)[0])
 
 
 def _require_nonzero(field: ComplexField, name: str) -> None:
@@ -191,41 +215,12 @@ def _warn_if_edge_mass(field: ComplexField) -> None:
 def _emit_ehrenfest(model, center, t, hbar, opts):
     if t <= 0:
         return
-    step = max(t / 400, 1e-3) if model.frame_at is None else t / 200
-    guard_opts = FlowOptions(method=opts.method if opts else None,
-                             step=step, hbar=hbar)
-    bundle = integrate_characteristics(model, center, t, guard_opts)
+    opts = opts or FlowOptions()
+    step = t / 200 if _method(model, opts) == "exact" else max(t / 400, 1e-3)
+    bundle = integrate_characteristics(model, center, t,
+                                       replace(opts, step=step, hbar=hbar))
     for msg in ehrenfest_guard(bundle):
         warnings.warn(msg, EhrenfestWarning, stacklevel=3)
-
-
-def _dense_sum(model, t, hbar, Qg, Pg, Wg, qo, po, opts):
-    """Kernel sum with one exponential per (target, source) pair, for
-    flows without closed forms."""
-    e = flow_batch(model, Qg, Pg, t, opts)
-    qt, pt = e.q[:, 0], e.p[:, 0]
-    Qm = _doubled(_anisotropy(e.A, e.B))
-    pref = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5
-    # source-only phase: Act + (xi.eta - xi_t.eta_t)/2, plus prefactor root
-    src = np.exp(1j / hbar * (e.action + 0.5 * (Pg * Qg - pt * qt))
-                 - 0.5 * e.logdet_w) * Wg * pref
-
-    Xq = np.repeat(qo, po.size)
-    Xp = np.tile(po, qo.size)
-    nout = Xq.size
-    out = np.empty(nout, dtype=complex)
-    chunk = max(1, int(4e6 / max(1, Qg.size)))
-    for s in range(0, nout, chunk):
-        e = min(nout, s + chunk)
-        vq = Xq[s:e, None] - qt[None, :]
-        vp = Xp[s:e, None] - pt[None, :]
-        quad = 0.5 * (Qm[None, :, 0, 0] * vq ** 2
-                      + 2 * Qm[None, :, 0, 1] * vq * vp
-                      + Qm[None, :, 1, 1] * vp ** 2)
-        phase = quad + 0.5 * (Xq[s:e, None] * pt[None, :]
-                              - Xp[s:e, None] * qt[None, :])
-        out[s:e] = np.exp(1j / hbar * phase) @ src
-    return out.reshape(qo.size, po.size)
 
 
 # Largest real part of an exponent in the tables of the separable sum.  The
@@ -323,8 +318,9 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     widths at spacing ``sqrt(hbar)/4`` — unless ``out_axes=(q, p)``, two
     uniform increasing axes, overrides it.  The propagation is unitary on analyzed fields, so
     the output norm matches the input norm to quadrature accuracy.
-    Models with an affine closed-form flow (``bulk_flow``) are summed as
-    matrix products over output tiles; others by one orbit per source.
+    A flow in closed form (method ``"exact"``, the default for models that
+    carry closed forms) is affine and summed as matrix products over output
+    tiles; an integrated flow pair by pair, over one orbit per source.
     Sources below 1e-13 of the peak modulus are dropped.
     Emits an Ehrenfest warning when the linearized flow outgrows
     ``hbar^{-1/2}``; never silently truncates a non-decayed input.
@@ -351,10 +347,14 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     if out_axes is None:
         qo, po = _derive_out_axes(model, box, t, hbar, opts)
 
-    if model.bulk_flow is not None:
+    if _method(model, opts or FlowOptions()) == "exact":
         out = _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po)
-    else:
-        out = _dense_sum(model, t, hbar, qs[iq], ps[ip], Wg, qo, po, opts)
+    else:  # one integrated orbit per source; about a million pairs at a time
+        kernel = _Kernel.launched(model, qs[iq], ps[ip], t, opts)
+        X = np.stack(np.meshgrid(qo, po, indexing="ij"), axis=-1)
+        rows = max(1, int(1e6 / (Wg.size * po.size)))
+        out = np.concatenate([kernel.values(X[s:s + rows], hbar) @ Wg
+                              for s in range(0, qo.size, rows)])
     _emit_ehrenfest(model, PhasePoint([(box[0] + box[1]) / 2],
                                       [(box[2] + box[3]) / 2]), t, hbar, opts)
     return ComplexField((qo, po), out, hbar)
@@ -498,10 +498,10 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
     x = float(x)
     y = float(y)
 
-    if model.frame_at is not None:
+    if _method(model, FlowOptions()) == "exact":
         # closed forms, an affine flow: q_t(y, p0) = q_t(y, 0) + Im A(t) p0
-        q0 = model.bulk_flow(np.array([[y]]), np.zeros((1, 1)), t)[0][0, 0]
-        roots = [(x - q0) / model.frame_at(t)[0][0, 0].imag]
+        e = flow_batch(model, [y], [0.0], t)
+        roots = [(x - e.q[0, 0]) / e.A[0, 0, 0].imag]
     else:
         roots = _scan_roots(model, x, y, t)
         if not roots:

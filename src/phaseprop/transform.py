@@ -182,22 +182,20 @@ def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     """Analyze a position-space state into its phase-space field.
 
     ``Psi(q, p) = (2 pi hbar)^(-d/2) integral conj(G_(q,p))(x) psi(x) dx``
-    evaluated on the tensor grid ``phase_grid = (q_axis, p_axis)``.
-    The state must decay below 1e-12 of its peak at the position-grid
-    boundary; spacings beyond ``sqrt(hbar)/4`` trigger a warning.
+    evaluated on the tensor grid ``phase_grid = (q_axis, p_axis)`` of two
+    uniform increasing axes, checked before any work.  The state must
+    decay below 1e-12 of its peak at the position-grid boundary; spacings
+    beyond ``sqrt(hbar)/4`` trigger a warning.
     """
     if psi.rank != 1:
         raise ConfigurationError("wave_packet_transform expects a rank-1 field")
+    qs = _checked_axis(phase_grid[0], "q axis")
+    ps = _checked_axis(phase_grid[1], "p axis")
     hbar = psi.hbar
     x = psi.axes[0]
     dx = psi.spacing()
     _check_boundary(psi.values, 1e-12, "position-space state")
     _check_spacing(dx, hbar, "position grid")
-    qs = np.asarray(phase_grid[0], dtype=float)
-    ps = np.asarray(phase_grid[1], dtype=float)
-    for a, nm in ((qs, "q"), (ps, "p")):
-        if a.ndim != 1 or a.size < 2:
-            raise ConfigurationError(f"{nm} axis must be 1-D with >= 2 nodes")
     _check_spacing(float(qs[1] - qs[0]), hbar, "q grid")
     _check_spacing(float(ps[1] - ps[0]), hbar, "p grid")
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5) * dx
@@ -219,17 +217,15 @@ def inverse_transform(Psi: ComplexField, position_grid) -> ComplexField:
     """Synthesize a position-space state from a phase-space field.
 
     ``psi(x) = (2 pi hbar)^(-d/2) integral Psi(q, p) G_(q,p)(x) dq dp``.
-    The field must decay below 1e-10 of its peak at the phase-grid
-    boundary.
+    ``position_grid`` must be uniform and increasing, and the field must
+    decay below 1e-10 of its peak at the phase-grid boundary.
     """
     if Psi.rank != 2:
         raise ConfigurationError("inverse_transform expects a rank-2 field")
+    x = _checked_axis(position_grid, "position grid")
     hbar = Psi.hbar
     _check_boundary(Psi.values, 1e-10, "phase-space field")
     qs, ps = Psi.axes
-    x = np.asarray(position_grid, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ConfigurationError("position grid must be 1-D with >= 2 nodes")
     dq, dp = Psi.spacing(0), Psi.spacing(1)
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5) * dq * dp
     # G_(q,p)(x) = (pi hbar)^(-1/4) exp{-(x-q)^2/(2 hbar)} *

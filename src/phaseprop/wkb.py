@@ -22,10 +22,10 @@ from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
-from .flow import (FlowOptions, _anisotropy, _default_times, _method,
-                   _sample_orbits, flow_batch, symplectic_J)
+from .flow import (FlowOptions, _default_times, _method, _sample_orbits,
+                   flow_batch, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
-from .propagator import _doubled
+from .propagator import _Kernel
 from .transform import ComplexField
 
 __all__ = [
@@ -246,9 +246,13 @@ def lift_wkb(data: WKBData, phase_grid, hbar: float) -> ComplexField:
             "prefactor square root is discontinuous between adjacent grid "
             "nodes; refine the phase grid")
     amp = data.ext_R0(z) / np.sqrt(w)
-    phase = (data.ext_S0(z) - P * (z - Q) + 0.5j * (z - Q) ** 2 - 0.5 * P * Q)
-    vals = (np.pi * hbar) ** (-0.25) * amp * np.exp(1j * phase / hbar)
+    vals = (np.pi * hbar) ** (-0.25) * amp * np.exp(1j * _lift_phase(data, Q, P, z) / hbar)
     return ComplexField((qs, ps), vals, hbar)
+
+
+def _lift_phase(data: WKBData, Q, P, z):
+    """The phase of :func:`lift_wkb` at nodes ``(Q, P)`` with stationary points ``z``."""
+    return data.ext_S0(z) - P * (z - Q) + 0.5j * (z - Q) ** 2 - 0.5 * P * Q
 
 
 def _tangent(data: WKBData, alpha, e) -> tuple[np.ndarray, np.ndarray]:
@@ -341,14 +345,10 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
 def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
               xi: np.ndarray, e) -> np.ndarray:
     """The double-phase-space phase F(X, Y, t) at X = (q, p) for the
-    sources Y = (eta, xi), from the endpoints ``e`` of their orbits."""
-    z = _z_grid(data, eta, xi)
-    Qm = _doubled(_anisotropy(e.A, e.B))
-    eta_t, xi_t = e.q[:, 0], e.p[:, 0]
-    v = np.stack([q - eta_t, p - xi_t], axis=1)
-    return (data.ext_S0(z) - xi * (z - eta) + 0.5j * (z - eta) ** 2
-            + e.action - 0.5 * xi_t * eta_t + 0.5 * (q * xi_t - p * eta_t)
-            + 0.5 * np.einsum("ni,nij,nj->n", v, Qm, v))
+    sources Y = (eta, xi), from the endpoints ``e`` of their orbits: the
+    lift's phase at Y plus the kernel's."""
+    kernel = _Kernel(eta, xi, e).phase(np.array([q, p], dtype=float))
+    return _lift_phase(data, eta, xi, _z_grid(data, eta, xi)) + kernel
 
 
 def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,

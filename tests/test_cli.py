@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import phaseprop
+from phaseprop import propagator
 from phaseprop.cli import main
-from phaseprop.models import PhasePoint
+from phaseprop.models import PhasePoint, polynomial_model
+from phaseprop.propagator import kernel_Ksc
 from phaseprop.oracles import exact_kernel, exact_manifold
 
 
@@ -231,6 +233,38 @@ def test_kernel_dump_honors_kernel_section(tmp_path):
     Y = PhasePoint(np.array([-0.3]), np.array([0.4]))
     want = exact_kernel("free", X, Y, 0.7, 0.1)
     assert complex(re, im) == pytest.approx(want, rel=1e-10)
+
+
+def test_kernel_dump_steps_one_orbit_and_matches_the_pointwise_kernel(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        "[meta]\nschema_version = 1\n\n"
+        "[model]\nkind = polynomial\ncoeffs = (0;2):1, (4;0):1\n\n"
+        "[run]\nhbar = 0.1\n\n"
+        "[grid.phase]\nq_min = -1\nq_max = 1\nq_count = 21\n"
+        "p_min = -1\np_max = 1\np_count = 21\n\n"
+        "[kernel]\ny_q = -0.3\ny_p = 0.4\nt = 0.02\n",
+        name="kernel.ini",
+    )
+    orbits = []
+    flow_batch = propagator.flow_batch
+
+    def counting(model, Q, P, t, opts=None):
+        orbits.append(np.size(Q))
+        return flow_batch(model, Q, P, t, opts)
+
+    monkeypatch.setattr(propagator, "flow_batch", counting)
+    out = tmp_path / "out"
+    assert main(["kernel-dump", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert orbits == [1]
+    monkeypatch.undo()
+    rows = np.loadtxt(out / "kernel.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 21 * 21
+    model = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
+    Y = PhasePoint(np.array([-0.3]), np.array([0.4]))
+    for q, p, re, im in rows:
+        want = kernel_Ksc(PhasePoint(q, p), Y, 0.02, model, 0.1)
+        assert abs(complex(re, im) - want) <= 1e-12 * abs(want)
 
 
 def test_lift_manifold_and_on_manifold_verbs_write_tables(tmp_path, capsys):

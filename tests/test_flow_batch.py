@@ -201,3 +201,17 @@ def test_endpoint_callers_reject_negative_times():
             kernel_Ksc(X, X, -0.1, model, 0.1)
         with pytest.raises(ConfigurationError, match="nonnegative"):
             double_phase_characteristics(model, X, -0.1)
+
+
+def test_adaptive_log_dets_stay_on_their_branch_over_a_coarse_grid():
+    # DOP853 steps past the grid's one interval; the log-dets continue
+    # through its steps, so they reach 2iT, not a principal value
+    model, X0 = MODELS["harmonic"], PhasePoint(0.3, -0.2)
+    for T in (2.0, 20.0):
+        want = flow_batch(model, X0.q, X0.p, T)
+        opts = FlowOptions(method="adaptive", step=T)
+        e = flow_batch(model, X0.q, X0.p, T, opts)
+        b = integrate_characteristics(model, X0, T, opts)
+        for got in ((e.logdetA[0], e.logdet_w[0]), (b.logdetA[-1], b.logdet_w[-1])):
+            assert abs(got[0] - want.logdetA[0]) < 1e-9, T
+            assert abs(got[1] - want.logdet_w[0]) < 1e-9, T

@@ -29,6 +29,7 @@ from phaseprop import (
     van_vleck_kernel,
     wave_packet_transform,
 )
+from phaseprop import flow
 from phaseprop.flow import flow_batch
 from phaseprop.propagator import _default_phase_axes
 from phaseprop.oracles import (
@@ -388,3 +389,51 @@ def test_affine_apply_is_tiled_where_one_table_would_overflow():
     for a, b in ((i, j), (i + 2, j - 1), (i - 3, j + 3)):
         want = per_pair_sum(Psi0, t, model, hbar, (ax[a:a + 1], ax[b:b + 1]))[0, 0]
         assert abs(out.values[a, b] - want) < 1e-12 * np.abs(out.values).max()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_in_two_dimensions_is_the_product_of_one_dimensional_kernels(kind):
+    X = PhasePoint([0.3, -0.5], [0.2, 0.7])
+    Y = PhasePoint([-0.4, 0.1], [0.6, -0.3])
+    got = kernel_Ksc(X, Y, 0.7, builtin_model(kind, d=2), HBAR)
+    want = np.prod([kernel_Ksc(PhasePoint(X.q[k], X.p[k]), PhasePoint(Y.q[k], Y.p[k]),
+                               0.7, builtin_model(kind), HBAR) for k in range(2)])
+    assert abs(got - want) / abs(want) < 1e-14
+
+
+def test_apply_propagator_integrates_when_asked_to(monkeypatch):
+    # an explicit rk4 sums over integrated orbits even where closed forms exist
+    axis = np.linspace(-2.0, 2.0, 41)
+    Q, P = np.meshgrid(axis, axis, indexing="ij")
+    Psi0 = ComplexField((axis, axis), initial_phase_state(Q, P, HBAR), HBAR)
+    model = builtin_model("harmonic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = apply_propagator(Psi0, 0.5, model, out_axes=Psi0.axes)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed-form sum ran under method='rk4'")
+
+        monkeypatch.setattr("phaseprop.propagator._affine_sum", forbidden)
+        got = apply_propagator(Psi0, 0.5, model, out_axes=Psi0.axes,
+                               opts=FlowOptions(method="rk4", step=1e-2))
+    assert np.abs(got.values - want.values).max() <= 1e-6 * np.abs(want.values).max()
+
+
+def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
+    seen = []
+
+    def recording(model, X0, T, opts=None):
+        seen.append(opts)
+        return flow.integrate_characteristics(model, X0, T, opts)
+
+    monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", recording)
+    axis = np.linspace(-1.0, 1.0, 5)
+    Psi0 = ComplexField((axis, axis), np.ones((5, 5)), HBAR)
+    opts = FlowOptions(method="adaptive", step=0.1, rtol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apply_propagator(Psi0, 0.3, builtin_model("harmonic"), out_axes=Psi0.axes,
+                         opts=opts)
+    propagate_packet(builtin_model("harmonic"), PhasePoint(0.0, 0.0), 0.3, HBAR, opts)
+    assert [(o.method, o.rtol, o.hbar) for o in seen] == [("adaptive", 1e-6, HBAR)] * 2

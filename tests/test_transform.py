@@ -281,3 +281,21 @@ def test_csv_dump_golden_bytes(tmp_path):
         b"0.5,-0.29999999999999999,3.1415926535897931,2.7182818284590451\n"
         b"0.5,0,-123456789.125,0\n"
         b"0.5,0.29999999999999999,1.0000000000000001e-05,-7.0000000000000004e+22\n")
+
+
+def test_transform_axes_are_checked_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the axes were checked")
+
+    monkeypatch.setattr("phaseprop.transform._packet_blocks", forbidden)
+    psi = packet_state(0.0, 0.0)
+    good = np.linspace(-2.0, 2.0, 9)
+    bad = np.array([-2.0, -1.0, 0.0, 0.5, 2.0])
+    with pytest.raises(ConfigurationError, match="q axis"):
+        wave_packet_transform(psi, (bad, good))
+    with pytest.raises(ConfigurationError, match="p axis"):
+        wave_packet_transform(psi, (good, bad))
+    axis = np.linspace(-8.0, 8.0, 33)
+    Psi = ComplexField((axis, axis), np.exp(-np.add.outer(axis ** 2, axis ** 2)), HBAR)
+    with pytest.raises(ConfigurationError, match="position grid"):
+        inverse_transform(Psi, bad)
