@@ -199,80 +199,102 @@ def _default_times(T: float, step: float | None) -> np.ndarray:
 def _log_increment(prev_det, new_det):
     """Principal log of the determinant ratio (branch-safe increment)."""
     ratio = new_det / prev_det
-    return np.log(np.abs(ratio)) + 1j * np.angle(ratio)
+    return np.log(np.abs(ratio)) + 1j * np.arctan2(ratio.imag, ratio.real)
+
+
+def _pack(q, p) -> np.ndarray:
+    """Packed states of orbits from the rows of ``q``, ``p`` at t = 0: one
+    real row per orbit holding ``q``, ``p``, the Hamiltonian-gauge frame
+    ``F = [A; B] = [I; iI]`` as interleaved (re, im) pairs, and the action 0."""
+    n, d = q.shape
+    y = np.zeros((n, 2 * d + 4 * d * d + 1))
+    y[:, :d], y[:, d:2 * d] = q, p
+    y[:, 2 * d:-1] = np.concatenate([np.eye(d), 1.0j * np.eye(d)]).view(float).ravel()
+    return y
+
+
+def _unpack(y, d: int):
+    """Views ``(q, p, [A; B], action)`` of packed states; the interleaved
+    frame is a complex view, so nothing is copied."""
+    return (y[:, :d], y[:, d:2 * d],
+            y[:, 2 * d:-1].view(complex).reshape(len(y), 2 * d, d), y[:, -1])
 
 
 class _CharRHS:
     """Right-hand side of the joint (X, frame, action) system of a batch
-    of orbits launched from the rows of ``q0``, ``p0``.  The frame is
-    carried stacked, ``F = [A; B]``, so that ``dF/dt = J H'' F``."""
+    of orbits launched from the rows of ``q0``, ``p0``, on packed states
+    (:func:`_pack`).  A real matrix acts on the interleaved (re, im) frame
+    as on the complex one, so ``dF/dt = (J H'') F`` is one real product,
+    and ``dX/dt = g J^T``."""
 
     def __init__(self, model: HamiltonianModel, q0, p0):
         self.model, self.q0, self.p0 = model, q0, p0
         self.H0 = model.bulk_value(q0, p0)
+        self.d = q0.shape[1]
+        self.J = symplectic_J(self.d)
 
-    def __call__(self, q, p, F):
-        g = self.model.bulk_gradient(q, p)
-        H2 = self.model.bulk_hessian(q, p)
-        if not (np.isfinite(g).all() and np.isfinite(H2).all()):
+    def __call__(self, y):
+        n, d = len(y), self.d
+        q, p = y[:, :d], y[:, d:2 * d]
+        g, H2 = self.model.bulk_derivatives(q, p)
+        dy = np.empty_like(y)
+        dy[:, :2 * d] = g @ self.J.T
+        dy[:, 2 * d:-1] = (self.J @ H2 @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
+                           ).reshape(n, 4 * d * d)
+        dy[:, -1] = np.vecdot(p, g[:, d:]) - self.H0
+        if not np.isfinite(dy).all():  # any non-finite derivative reaches dy
             ok = np.isfinite(g).all(axis=1) & np.isfinite(H2).all(axis=(1, 2))
-            j = int(np.argmin(ok))
-            raise ModelError(
-                f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
-                f"orbit from q={self.q0[j]}, p={self.p0[j]}")
-        d = q.shape[1]
-        Hp = g[:, d:]
-        JH = np.concatenate([H2[:, d:], -H2[:, :d]], axis=1)
-        return Hp, -g[:, :d], JH @ F, (p * Hp).sum(axis=1) - self.H0
-
-
-def _initial_frame(n: int, d: int) -> np.ndarray:
-    """``n`` copies of the Hamiltonian-gauge frame ``[A; B] = [I; iI]``."""
-    return np.broadcast_to(np.concatenate([np.eye(d), 1.0j * np.eye(d)]),
-                           (n, 2 * d, d))
+            if not ok.all():
+                j = int(np.argmin(ok))
+                raise ModelError(
+                    f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
+                    f"orbit from q={self.q0[j]}, p={self.p0[j]}")
+        return dy
 
 
 def _rk4(model, q, p, times):
     """States ``(q, p, [A; B], action)`` at each of ``times``, every
-    orbit of the batch stepped together by classical RK4."""
-    rhs = _CharRHS(model, q, p)
-    state = (q, p, _initial_frame(*q.shape), np.zeros(len(q)))
-    yield state
+    orbit of the batch stepped together by classical RK4 on one packed
+    array, so each stage is one ``y + h k``."""
+    rhs, d = _CharRHS(model, q, p), q.shape[1]
+    y = _pack(q, p)
+    yield _unpack(y, d)
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
-        k1 = rhs(*state[:3])
-        k2 = rhs(*(y + h / 2 * dy for y, dy in zip(state, k1[:3])))
-        k3 = rhs(*(y + h / 2 * dy for y, dy in zip(state, k2[:3])))
-        k4 = rhs(*(y + h * dy for y, dy in zip(state, k3[:3])))
-        state = tuple(y + h / 6 * (a + 2 * b + 2 * c + e)
-                      for y, a, b, c, e in zip(state, k1, k2, k3, k4))
-        yield state
+        k1 = rhs(y)
+        k2 = rhs(y + h / 2 * k1)
+        k3 = rhs(y + h / 2 * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield _unpack(y, d)
 
 
 def _adaptive(model, q0, p0, times, rtol):
     """States ``(q, p, [A; B], action)`` at each of ``times`` of one orbit
     (a batch of one), from one lazily stepped DOP853 solve: each step's
     samples are read from its dense output, as ``solve_ivp`` reads them,
-    then its end with no action, so that the log-dets track every step."""
+    then its end with no action, so that the log-dets track every step.
+
+    DOP853 keeps its own state layout, the real parts of ``(q, p, A, B)``,
+    then their imaginary parts, then the action, and ``perm`` maps it to the
+    packed one: the solver's RMS error norm runs over its layout (the zero
+    imaginary parts of ``q`` and ``p`` included), so the packed layout would
+    move its step choices and its endpoints by up to about 1e-11."""
     from scipy.integrate import DOP853
 
     d = q0.shape[1]
     nc = 2 * d + 2 * d * d  # complex entries: q, p, A, B
-
-    def unpack(y):  # real storage (..., 2 nc + 1) -> q, p, [A; B], action
-        zc = y[..., :nc] + 1.0j * y[..., nc:2 * nc]  # copies, as does the action,
-        return (zc[..., :d].real, zc[..., d:2 * d].real,  # so no state holds a step
-                zc[..., 2 * d:].reshape(-1, 2 * d, d), y[..., -1].copy())
-
+    frame = 2 * d + np.arange(2 * d * d)
+    perm = np.concatenate([np.arange(2 * d), (frame[:, None] + [0, nc]).ravel(), [2 * nc]])
     rhs = _CharRHS(model, q0, p0)
 
     def f(t, y):
-        dq, dp, dF, dact = rhs(*unpack(y[None])[:3])
-        zc = np.concatenate([dq[0], dp[0], dF.ravel()])
-        return np.concatenate([zc.real, zc.imag, dact])
+        dy = np.zeros(2 * nc + 1)  # q and p stay real
+        dy[perm] = rhs(y[perm][None])[0]
+        return dy
 
-    z0 = np.concatenate([q0[0], p0[0], _initial_frame(1, d).ravel()])
-    y0 = np.concatenate([z0.real, z0.imag, [0.0]])
+    y0 = np.zeros(2 * nc + 1)
+    y0[perm] = _pack(q0, p0)[0]
     solver = DOP853(f, float(times[0]), y0, float(times[-1]),
                     rtol=rtol, atol=rtol * 1e-2)
     signed = solver.direction * times  # increasing
@@ -285,29 +307,33 @@ def _adaptive(model, q0, p0, times, rtol):
                 last_valid_time=float(times[k - 1]) if k else None)
         stop = np.searchsorted(signed, solver.direction * solver.t, side="right")
         if stop > k:
-            for y in solver.dense_output()(times[k:stop]).T:
-                yield unpack(y[None])
+            for y in solver.dense_output()(times[k:stop]).T:  # y[perm] copies,
+                yield _unpack(y[perm][None], d)  # so no state holds a step
             k = stop
         if k < times.size:
-            yield unpack(solver.y[None])[:3] + (None,)
+            yield _unpack(solver.y[perm][None], d)[:3] + (None,)
 
 
-def _tracked(states):
+def _tracked(states, on_steps: bool = False):
     """Batched states with ``log det A`` and ``log det(A - iB)`` attached,
     each continued from the previous state by a branch-safe increment.  A
-    state without action only carries the tracking on and is not yielded."""
+    state without action only carries the tracking on and is not yielded.
+    With ``on_steps``, the states with action are samples between those
+    steps: each takes one increment from the last step and the tracking
+    does not pass through it, so the log-dets do not depend on which
+    times are sampled."""
     for k, (q, p, F, act) in enumerate(states):
         d = q.shape[1]
         A, B = F[:, :d], F[:, d:]
-        detA, detw = np.linalg.det(A), np.linalg.det(A - 1.0j * B)
-        if k == 0:
-            ldA, ldw = np.zeros(len(q), dtype=complex), np.log(detw)
-        else:
-            ldA = ldA + _log_increment(prevA, detA)
-            ldw = ldw + _log_increment(prevw, detw)
-        prevA, prevw = detA, detw
+        AW = np.empty((2,) + A.shape, dtype=complex)
+        AW[0] = A
+        np.subtract(A, 1.0j * B, out=AW[1])
+        dets = AW[..., 0, 0] if d == 1 else np.linalg.det(AW)
+        ld = np.log(dets) if k == 0 else last_ld + _log_increment(last_det, dets)
+        if k == 0 or act is None or not on_steps:
+            last_ld, last_det = ld, dets
         if act is not None:
-            yield FlowBatch(q, p, A, B, act, ldA, ldw)
+            yield FlowBatch(q, p, A, B, act, ld[0], ld[1])
 
 
 def _closed_form(model, q0, p0, t: float) -> FlowBatch:
@@ -338,13 +364,13 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
     ``Q``, ``P``.
 
     ``exact`` (as :func:`_method` picks) evaluates the closed forms at each
-    time.  Otherwise each interval of ``times`` gets ``ceil(|interval| /
-    step)`` equal steps and one pass carries the batch through all of them,
-    tracking the log-dets at every step: ``rk4`` steps all N orbits
-    together, ``adaptive`` makes one DOP853 solve per orbit (an RMS error
-    norm over a joint solve would loosen each orbit's tolerance by up to
-    sqrt(N)).  The pass is lazy, so a caller that stops early integrates
-    no further.
+    time.  ``rk4`` gives each interval of ``times`` ``ceil(|interval| /
+    step)`` equal steps and carries all N orbits through all of them in one
+    pass, tracking the log-dets at every step.  ``adaptive`` makes one
+    DOP853 solve per orbit (an RMS error norm over a joint solve would
+    loosen each orbit's tolerance by up to sqrt(N)), reads its dense output
+    at ``times`` only, and tracks the log-dets through every accepted step.
+    The pass is lazy, so a caller that stops early integrates no further.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)
@@ -352,19 +378,18 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
         for t in times:
             yield _closed_form(model, Q, P, float(t))
         return
-    pieces, ends = [times[:1]], [0]
-    for a, b in zip(times[:-1], times[1:]):
-        n = _n_steps(b - a, opts.step)
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-        ends.append(ends[-1] + n)
-    grid = np.concatenate(pieces)
-    if method == "rk4":
-        runs = [_rk4(model, Q, P, grid)]
-    else:  # one orbit after another: one orbit's solve is held at a time
-        runs = [_adaptive(model, Q[j:j + 1], P[j:j + 1], grid, opts.rtol)
-                for j in range(len(Q))]
-    hits = Counter(ends)
-    runs = [(s for k, s in enumerate(_tracked(run)) for _ in range(hits[k])) for run in runs]
+    if method == "adaptive":  # one orbit after another: one orbit's solve is held at a time
+        runs = [_tracked(_adaptive(model, Q[j:j + 1], P[j:j + 1], times, opts.rtol),
+                         on_steps=True) for j in range(len(Q))]
+    else:
+        pieces, ends = [times[:1]], [0]
+        for a, b in zip(times[:-1], times[1:]):
+            n = _n_steps(b - a, opts.step)
+            pieces.append(np.linspace(a, b, n + 1)[1:])
+            ends.append(ends[-1] + n)
+        hits = Counter(ends)
+        runs = [(s for k, s in enumerate(_tracked(_rk4(model, Q, P, np.concatenate(pieces))))
+                 for _ in range(hits[k]))]
     done = [list(run) for run in runs[:-1]]  # the last run stays lazy
     for k, last in enumerate(runs[-1]):
         yield (FlowBatch(*map(np.concatenate, zip(*(run[k] for run in done), last)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseprop import (
     ConfigurationError,
@@ -109,3 +111,47 @@ def test_polynomial_model_rejects_bad_terms():
         polynomial_model({(-1, 0): 1.0})
     with pytest.raises(ConfigurationError):
         polynomial_model({(1, 0): float("nan")})
+
+
+MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]  # total degree <= 4
+coef = st.floats(-3.0, 3.0)
+coeff_maps = st.one_of(
+    st.dictionaries(st.sampled_from(MONOMIALS), coef, min_size=1, max_size=8),
+    coef.map(lambda c: {(0, 0): c}),  # constant only
+    st.dictionaries(st.sampled_from([(0, j) for j in range(5)]), coef, min_size=1),  # pure p
+    st.tuples(coef, st.dictionaries(st.sampled_from(MONOMIALS), coef, max_size=4))
+    .map(lambda t: {**t[1], (1, 1): t[0]}),  # with the q p cross term
+)
+stacks = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                  min_size=1, max_size=6).map(np.array)
+
+
+def per_term(coeffs, q, p, m, n):
+    """``d^m/dq^m d^n/dp^n`` of ``sum c q^i p^j`` at one point, summed one term
+    at a time, and the sum of the terms' moduli (the scale of its round-off)."""
+    def dpow(x, k, order):
+        return math.perm(k, order) * x ** (k - order) if k >= order else 0.0
+    terms = [c * dpow(q, i, m) * dpow(p, j, n) for (i, j), c in coeffs.items()]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+@settings(max_examples=200)
+@given(coeffs=coeff_maps, pts=stacks)
+def test_compiled_polynomial_matches_its_terms(coeffs, pts):
+    model = polynomial_model(coeffs)
+    q, p = pts[:, :1], pts[:, 1:]
+    value = model.bulk_value(q, p)
+    grad, hess = model.bulk_derivatives(q, p)
+    assert value.shape == (len(pts),) and grad.shape == (len(pts), 2)
+    assert hess.shape == (len(pts), 2, 2)
+    for k, (a, b) in enumerate(pts):
+        X = PhasePoint(a, b)
+        for got, m, n in ((value[k], 0, 0), (model.value(X), 0, 0),
+                          (grad[k, 0], 1, 0), (grad[k, 1], 0, 1),
+                          (model.gradient(X)[0], 1, 0), (model.gradient(X)[1], 0, 1),
+                          (hess[k, 0, 0], 2, 0), (hess[k, 1, 1], 0, 2),
+                          (hess[k, 0, 1], 1, 1), (hess[k, 1, 0], 1, 1),
+                          (model.hessian(X)[0, 0], 2, 0), (model.hessian(X)[1, 1], 0, 2),
+                          (model.hessian(X)[0, 1], 1, 1), (model.hessian(X)[1, 0], 1, 1)):
+            want, scale = per_term(coeffs, a, b, m, n)
+            assert abs(got - want) <= 1e-13 * scale, (m, n, got, want)
