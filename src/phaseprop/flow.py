@@ -157,7 +157,7 @@ class TrajectoryBundle:
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise GridRangeError(
                 f"t={t} is not a stored sample (nearest {self.times[i]}); "
-                "integrate with a step that lands on the requested time")
+                + _landing_step(t, self.T, len(self.times) - 1))
         return i
 
     def frame(self, t: float) -> VariationalFrame:
@@ -165,6 +165,19 @@ class TrajectoryBundle:
 
     def point(self, t: float) -> PhasePoint:
         return self.points[self.index_of(t)]
+
+
+def _landing_step(t: float, T: float, n: int) -> str:
+    """Advice naming the step ``T / k`` of the fewest equal steps ``k``, from
+    ``n`` (no coarser than an ``n``-step grid of ``[0, T]``) to a million,
+    that puts a sample on ``t`` within the tolerance of ``index_of``.  The
+    step is printed rounded up, so that ``ceil(T / step)`` is ``k``."""
+    most = 10 ** 6
+    k = np.arange(max(n, 1), most + 1)
+    k = k[np.abs(np.round(t * k / T) * T / k - t) <= 1e-9 * max(1.0, abs(t))]
+    if not k.size:
+        return f"no step T / k with k <= {most} lands on it; integrate to T = {t} instead"
+    return f"integrate with step T / {k[0]} = {T / k[0] * (1 + 1e-11):.12g} to land on it"
 
 
 class FlowBatch(NamedTuple):
@@ -493,19 +506,28 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     """Scan a bundle for linearized-flow growth past ``hbar^{-1/2}``.
 
     Returns one warning string per upward crossing of the threshold by
-    the operator norm of the flow Jacobian (monotone growth yields a
-    single entry at the first crossing).  Disabled — empty list — when
-    the bundle carries no ``hbar``.  Never aborts.
+    the operator norm of the flow Jacobian at the bundle's samples
+    (monotone growth yields a single entry at the first crossing).
+    Disabled — empty list — when the bundle carries no ``hbar``.  Never
+    aborts.  ``apply_propagator`` and ``position_space_solution`` read
+    the same crossings from their own orbit pass when they integrate.
     """
     if bundle.hbar is None:
         return []
-    thresh = bundle.hbar ** -0.5
     A = np.array([f.A for f in bundle.frames])
     B = np.array([f.B for f in bundle.frames])
     norms = np.linalg.norm(_real_jacobian(A, B), 2, axis=(-2, -1))
+    return _ehrenfest_crossings(bundle.times, norms, bundle.hbar)
+
+
+def _ehrenfest_crossings(times, norms, hbar: float) -> list[str]:
+    """One warning string per upward crossing of ``hbar^{-1/2}`` by the
+    flow Jacobian's ``norms`` at ``times``: the first sample above the
+    threshold, then the first above it again after one at or below it."""
+    thresh = hbar ** -0.5
     warnings_out = []
     above = False
-    for t, nrm in zip(bundle.times, norms):
+    for t, nrm in zip(times, norms):
         if nrm > thresh and not above:
             warnings_out.append(
                 f"linearized flow norm {nrm:.4g} exceeds hbar^-1/2 = "

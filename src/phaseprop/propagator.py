@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
                      SpacingWarning)
-from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle, _anisotropy,
-                   _check_siegel, _method, _real_jacobian, _sample_orbits,
-                   anisotropy_Z, ehrenfest_guard, flow_batch,
+from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
+                   _anisotropy, _check_siegel, _default_times,
+                   _ehrenfest_crossings, _method, _real_jacobian,
+                   _sample_orbits, anisotropy_Z, ehrenfest_guard, flow_batch,
                    integrate_characteristics, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (ComplexField, _checked_axis, _momentum_scale,
@@ -212,15 +213,41 @@ def _warn_if_edge_mass(field: ComplexField) -> None:
             stacklevel=3)
 
 
-def _emit_ehrenfest(model, center, t, hbar, opts):
+def _closed_form_guard(model, center, t, hbar, opts) -> list[str]:
+    """The Ehrenfest crossings of the closed-form orbit from ``center``,
+    read at ``t/200`` steps."""
     if t <= 0:
-        return
-    opts = opts or FlowOptions()
-    step = t / 200 if _method(model, opts) == "exact" else max(t / 400, 1e-3)
+        return []
     bundle = integrate_characteristics(model, center, t,
-                                       replace(opts, step=step, hbar=hbar))
-    for msg in ehrenfest_guard(bundle):
-        warnings.warn(msg, EhrenfestWarning, stacklevel=3)
+                                       replace(opts, step=t / 200, hbar=hbar))
+    return ehrenfest_guard(bundle)
+
+
+def _guarded_flow(model, Q, P, center, t, hbar, opts):
+    """The endpoints at ``t >= 0`` of the orbits from the rows of ``Q``,
+    ``P``, as :func:`flow_batch` gives them, and the Ehrenfest crossings of
+    the orbit from ``center``, read on the step grid of the sources' pass
+    when it is integrated: under rk4 ``center`` is the batch's last row;
+    under adaptive, where every orbit is its own solve, the sources keep
+    ``(0, t)`` and only the guard's orbit is read on the grid."""
+    opts = opts or FlowOptions()
+    Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
+    P = np.asarray(P, dtype=float).reshape(-1, model.dim)
+    method = _method(model, opts)
+    if t <= 0 or method == "exact":
+        return flow_batch(model, Q, P, t, opts), _closed_form_guard(model, center, t, hbar, opts)
+    if method == "adaptive":
+        e = flow_batch(model, Q, P, t, opts)
+        Q, P = Q[:0], P[:0]  # the pass below carries the guard's orbit alone
+    times = _default_times(t, opts.step)
+    jacobians = []
+    for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
+                            times, opts):
+        jacobians.append(_real_jacobian(s.A[-1], s.B[-1]))
+    if method == "rk4":
+        e = FlowBatch(*(field[:-1] for field in s))
+    norms = np.linalg.norm(jacobians, 2, axis=(-2, -1))
+    return e, _ehrenfest_crossings(times, norms, hbar)
 
 
 # Largest real part of an exponent in the tables of the separable sum.  The
@@ -322,8 +349,12 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     carry closed forms) is affine and summed as matrix products over output
     tiles; an integrated flow pair by pair, over one orbit per source.
     Sources below 1e-13 of the peak modulus are dropped.
-    Emits an Ehrenfest warning when the linearized flow outgrows
-    ``hbar^{-1/2}``; never silently truncates a non-decayed input.
+    Emits an Ehrenfest warning when the linearized flow along the orbit
+    from the centre of the input's support box outgrows ``hbar^{-1/2}``:
+    a closed-form flow reads it at ``t/200`` steps, an integrated one at
+    the steps of the sources' own pass, where that orbit is one more row
+    of the batch (rk4) or its own solve (adaptive).  Never silently
+    truncates a non-decayed input.
     """
     if Psi0.rank != 2:
         raise ConfigurationError("apply_propagator expects a rank-2 field")
@@ -347,16 +378,20 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     if out_axes is None:
         qo, po = _derive_out_axes(model, box, t, hbar, opts)
 
-    if _method(model, opts or FlowOptions()) == "exact":
+    opts = opts or FlowOptions()
+    center = PhasePoint([(box[0] + box[1]) / 2], [(box[2] + box[3]) / 2])
+    if _method(model, opts) == "exact":
         out = _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po)
+        crossings = _closed_form_guard(model, center, t, hbar, opts)
     else:  # one integrated orbit per source; about a million pairs at a time
-        kernel = _Kernel.launched(model, qs[iq], ps[ip], t, opts)
+        e, crossings = _guarded_flow(model, qs[iq], ps[ip], center, t, hbar, opts)
+        kernel = _Kernel(qs[iq], ps[ip], e)
         X = np.stack(np.meshgrid(qo, po, indexing="ij"), axis=-1)
         rows = max(1, int(1e6 / (Wg.size * po.size)))
         out = np.concatenate([kernel.values(X[s:s + rows], hbar) @ Wg
                               for s in range(0, qo.size, rows)])
-    _emit_ehrenfest(model, PhasePoint([(box[0] + box[1]) / 2],
-                                      [(box[2] + box[3]) / 2]), t, hbar, opts)
+    for msg in crossings:
+        warnings.warn(msg, EhrenfestWarning, stacklevel=2)
     return ComplexField((qo, po), out, hbar)
 
 
@@ -415,6 +450,9 @@ def position_space_solution(psi0: ComplexField, t: float,
     where its modulus is at most ``e^-L |src_s|`` (``e^-40 = 4.2e-18``),
     so the dropped terms sum to at most ``e^-L sum_s |src_s|`` at any
     node; the kept ones are evaluated exactly as in the full sum.
+
+    Emits Ehrenfest warnings as :func:`apply_propagator` does, for the
+    orbit from the mean of the kept sources.
     """
     if psi0.rank != 1:
         raise ConfigurationError("position_space_solution expects a rank-1 field")
@@ -439,7 +477,8 @@ def position_space_solution(psi0: ComplexField, t: float,
     Pg = PP.ravel()[keep]
     Wg = Psi0.values.ravel()[keep] * w
 
-    e = flow_batch(model, Qg, Pg, t, opts)
+    center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
+    e, crossings = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)
     qt, pt = e.q[:, 0], e.p[:, 0]
     z = _anisotropy(e.A, e.B)[:, 0, 0]
     amp = np.exp(-0.5 * e.logdetA)
@@ -458,8 +497,8 @@ def position_space_solution(psi0: ComplexField, t: float,
         dxs = x[s:e, None] - qt[None, a:b]
         phase = pt[None, a:b] * dxs + 0.5 * z[None, a:b] * dxs ** 2
         out[s:e] = np.exp(1j / hbar * phase) @ src[a:b]
-    _emit_ehrenfest(model, PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))]),
-                    t, hbar, opts)
+    for msg in crossings:
+        warnings.warn(msg, EhrenfestWarning, stacklevel=2)
     return ComplexField((x,), out, hbar)
 
 

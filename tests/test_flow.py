@@ -86,6 +86,28 @@ def test_bundle_index_guards():
         b.point(0.123456)
 
 
+@pytest.mark.parametrize("t, k", [(0.25, 12), (0.55, 20), (0.123456, 15625)])
+def test_a_missed_sample_names_the_step_that_lands_on_it(t, k):
+    # the fewest steps T / k, never coarser than the bundle's ten, that put a
+    # sample on t; integrating with the named step does
+    b = integrate_characteristics(builtin_model("free"), PhasePoint(0.0, 0.0),
+                                  1.0, FlowOptions(step=0.1))
+    with pytest.raises(GridRangeError, match=rf"not a stored sample.*step T / {k} = ") as e:
+        b.point(t)
+    step = float(str(e.value).split(" = ")[-1].split()[0])
+    landed = integrate_characteristics(builtin_model("free"), PhasePoint(0.0, 0.0),
+                                       1.0, FlowOptions(step=step))
+    assert len(landed.times) == k + 1
+    assert landed.times[landed.index_of(t)] == pytest.approx(t, abs=1e-12)
+
+
+def test_a_time_no_step_lands_on_says_so():
+    b = integrate_characteristics(builtin_model("free"), PhasePoint(0.0, 0.0),
+                                  1.0, FlowOptions(step=0.1))
+    with pytest.raises(GridRangeError, match="no step T / k with k <= 1000000 lands on it"):
+        b.point(0.1234567891)
+
+
 def test_flow_options_validation():
     with pytest.raises(ConfigurationError):
         FlowOptions(method="euler")

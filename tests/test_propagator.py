@@ -19,9 +19,12 @@ from phaseprop import (
     bergmann_kernel,
     builtin_model,
     double_anisotropy_Q,
+    ehrenfest_guard,
     eval_packet,
     gaussian_packet,
+    integrate_characteristics,
     kernel_Ksc,
+    overlap,
     polynomial_model,
     position_space_solution,
     propagate_packet,
@@ -30,7 +33,7 @@ from phaseprop import (
     wave_packet_transform,
 )
 from phaseprop import flow
-from phaseprop.flow import flow_batch
+from phaseprop.flow import _default_times, flow_batch
 from phaseprop.propagator import _default_phase_axes
 from phaseprop.oracles import (
     exact_kernel,
@@ -425,19 +428,119 @@ def test_apply_propagator_integrates_when_asked_to(monkeypatch):
 
 
 def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
-    seen = []
+    # the guard's orbit is read from a pass over the caller's step grid with
+    # the caller's options: under rk4 the sources' pass, its centre the last
+    # row; under adaptive its own solve, as every adaptive orbit is
+    seen, passes = [], []
 
     def recording(model, X0, T, opts=None):
         seen.append(opts)
         return flow.integrate_characteristics(model, X0, T, opts)
 
+    def recording_pass(model, Q, P, times, opts=None):
+        passes.append((Q[-1, 0], P[-1, 0], times, opts))
+        return flow._sample_orbits(model, Q, P, times, opts)
+
     monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", recording)
+    monkeypatch.setattr("phaseprop.propagator._sample_orbits", recording_pass)
     axis = np.linspace(-1.0, 1.0, 5)
     Psi0 = ComplexField((axis, axis), np.ones((5, 5)), HBAR)
-    opts = FlowOptions(method="adaptive", step=0.1, rtol=1e-6)
+    for method in ("adaptive", "rk4"):
+        seen.clear()
+        passes.clear()
+        opts = FlowOptions(method=method, step=0.1, rtol=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            apply_propagator(Psi0, 0.3, builtin_model("harmonic"), out_axes=Psi0.axes,
+                             opts=opts)
+        [(q, p, times, guard)] = passes
+        assert q == p == 0.0  # the centre of the support box
+        assert np.array_equal(times, _default_times(0.3, 0.1))
+        assert (guard.method, guard.rtol, guard.step) == (method, 1e-6, 0.1)
+        assert seen == []
+        propagate_packet(builtin_model("harmonic"), PhasePoint(0.0, 0.0), 0.3, HBAR, opts)
+        assert [(o.method, o.rtol, o.hbar) for o in seen] == [(method, 1e-6, HBAR)]
+
+
+QUARTIC = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
+TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0})
+# the inverted oscillator p^2 - q^2: no closed form, its frame grows like e^(2t)
+INVERTED = polynomial_model({(0, 2): 1.0, (2, 0): -1.0})
+RK4 = FlowOptions(method="rk4", step=1e-2)
+
+
+def packet_field(axis, center, hbar):
+    """The transform of a unit packet at ``center`` on the tensor grid of ``axis``."""
+    vals = [[overlap(PhasePoint(q, p), center, hbar) for p in axis] for q in axis]
+    return ComplexField((axis, axis), (2 * np.pi * hbar) ** -0.5 * np.array(vals), hbar)
+
+
+def crossing_time(message: str) -> float:
+    return float(message.split("at t = ")[1].split(";")[0])
+
+
+def crossing_times(record):
+    """The crossing times of the Ehrenfest warnings among recorded warnings."""
+    return [crossing_time(str(w.message)) for w in record if w.category is EhrenfestWarning]
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+def test_an_integrated_propagation_steps_one_pass(monkeypatch, entry):
+    # the guard rides the sources' batch: one pass over the step grid, and
+    # no orbit of its own
+    grids, original = [], flow._sample_orbits
+
+    def counting(model, Q, P, times, opts=None):
+        grids.append(times)
+        return original(model, Q, P, times, opts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the guard integrated an orbit of its own")
+
+    monkeypatch.setattr("phaseprop.flow._sample_orbits", counting)
+    monkeypatch.setattr("phaseprop.propagator._sample_orbits", counting)
+    monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", forbidden)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apply_propagator(Psi0, 0.3, builtin_model("harmonic"), out_axes=Psi0.axes,
-                         opts=opts)
-    propagate_packet(builtin_model("harmonic"), PhasePoint(0.0, 0.0), 0.3, HBAR, opts)
-    assert [(o.method, o.rtol, o.hbar) for o in seen] == [("adaptive", 1e-6, HBAR)] * 2
+        if entry == "apply":
+            axis = np.linspace(-2.0, 2.0, 17)
+            apply_propagator(packet_field(axis, PhasePoint(0.05, -0.03), 0.05), 0.5,
+                             QUARTIC, out_axes=(axis, axis), opts=RK4)
+        else:
+            x = np.linspace(-8.0, 8.0, 321)
+            axes = (np.linspace(-3.0, 3.0, 15), np.linspace(-3.0, 3.0, 15))
+            position_space_solution(ComplexField((x,), initial_position_state(x, HBAR), HBAR),
+                                    0.5, TRAP, phase_axes=axes, opts=RK4)
+    assert len(grids) == 1
+    assert np.array_equal(grids[0], _default_times(0.5, 1e-2))
+
+
+def test_the_guard_crosses_once_within_a_step_on_the_inverted_oscillator():
+    hbar, t = 0.05, 1.0
+    # the frame of a quadratic Hamiltonian does not depend on the orbit, so
+    # the reference guard may start from any centre
+    want = [crossing_time(m) for m in ehrenfest_guard(integrate_characteristics(
+        INVERTED, PhasePoint(0.0, 0.0), t,
+        FlowOptions(method="rk4", step=1.25e-3, hbar=hbar)))]
+    assert len(want) == 1 and 0.7 < want[0] < 0.8
+    axis = np.linspace(-1.0, 1.0, 17)
+    x = np.linspace(-3.0, 3.0, 121)
+    with warnings.catch_warnings(record=True) as phase:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), hbar), t, INVERTED,
+                         out_axes=(axis, axis), opts=RK4)
+    with warnings.catch_warnings(record=True) as position:
+        warnings.simplefilter("always")
+        position_space_solution(
+            ComplexField((x,), gaussian_packet(PhasePoint(0.0, 0.0), hbar, x), hbar),
+            t, INVERTED, opts=RK4)
+    # and a quartic packet field that never spreads that far warns none
+    axis = np.linspace(-2.0, 2.0, 17)
+    with warnings.catch_warnings(record=True) as quartic:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.1, -0.1), hbar), 0.5, QUARTIC,
+                         out_axes=(axis, axis), opts=RK4)
+    for record in (phase, position):
+        got = crossing_times(record)
+        assert len(got) == 1 and abs(got[0] - want[0]) <= RK4.step
+    assert crossing_times(quartic) == []
