@@ -26,7 +26,7 @@ import configparser
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,6 @@ class RunConfig:
     convergence_values: tuple[float, ...]
     kernel_y: tuple[float, float]
     kernel_t: float
-    extras: dict = field(default_factory=dict)
 
     def model(self) -> HamiltonianModel:
         if self.model_kind == "polynomial":
@@ -440,10 +439,7 @@ def _verb_convergence(config: RunConfig, out_dir: Path, parameter: str | None) -
                 warnings.simplefilter("ignore")
                 want = wave_packet_transform(psi, axes)
                 got = lift_wkb(data, axes, hb)
-            ref = np.abs(want.values)
-            mask = ref > 1e-3 * float(ref.max())
-            err = float((np.abs(got.values - want.values)[mask] / ref[mask]).max())
-            rows.append((hb, err))
+            rows.append((hb, _field_errors(got, want)["max_rel"]))
     elif parameter == "grid-spacing":
         # Quadrature error proxy: Cauchy increments of the squared norm under
         # grid halving.  Differencing on a fixed box cancels the (constant)

@@ -96,9 +96,11 @@ class FlowOptions:
         ``rk4`` otherwise.
     step : float or None
         Target step for the fixed-step integrator and for the sample
-        grid; the actual step is ``T / ceil(T / step)``.  Default 1e-3.
+        grid; the actual step is ``T / ceil(T / step)``, up to a relative
+        1e-9 (:func:`_n_steps`).  Default 1e-3.
     rtol : float
-        Relative tolerance of the adaptive embedded pair.
+        Relative tolerance of the adaptive embedded pair (the absolute one
+        is ``rtol / 100``); every orbit of a batch is held to it on its own.
     hbar : float or None
         Enables the Ehrenfest guard when given.
     """
@@ -170,14 +172,13 @@ class TrajectoryBundle:
 def _landing_step(t: float, T: float, n: int) -> str:
     """Advice naming the step ``T / k`` of the fewest equal steps ``k``, from
     ``n`` (no coarser than an ``n``-step grid of ``[0, T]``) to a million,
-    that puts a sample on ``t`` within the tolerance of ``index_of``.  The
-    step is printed rounded up, so that ``ceil(T / step)`` is ``k``."""
+    that puts a sample on ``t`` within the tolerance of ``index_of``."""
     most = 10 ** 6
     k = np.arange(max(n, 1), most + 1)
     k = k[np.abs(np.round(t * k / T) * T / k - t) <= 1e-9 * max(1.0, abs(t))]
     if not k.size:
         return f"no step T / k with k <= {most} lands on it; integrate to T = {t} instead"
-    return f"integrate with step T / {k[0]} = {T / k[0] * (1 + 1e-11):.12g} to land on it"
+    return f"integrate with step T / {k[0]} = {T / k[0]:.12g} to land on it"
 
 
 class FlowBatch(NamedTuple):
@@ -197,11 +198,11 @@ class FlowBatch(NamedTuple):
 
 def _n_steps(d: float, step: float | None) -> int:
     """Equal steps that cover an interval of length ``|d|``: ``ceil(|d| / step)``
-    (step default 1e-3), but one for an interval at most one step long up to a
-    relative 1e-9, so that round-off never splits a step of the grid (on a
-    20 000-step grid an interval exceeds its step by up to 2e-12)."""
+    (step default 1e-3) up to a relative 1e-9, so that round-off never adds a
+    step: a step ``T / k`` gives ``k`` steps, and an interval of a grid one
+    step (on a 20 000-step grid it exceeds its step by up to 2e-12)."""
     h = step if step is not None else 1e-3
-    return 1 if 0 < abs(d) <= h * (1 + 1e-9) else math.ceil(abs(d) / h)
+    return math.ceil(abs(d) / h * (1 - 1e-9))
 
 
 def _default_times(T: float, step: float | None) -> np.ndarray:
@@ -282,34 +283,29 @@ def _rk4(model, q, p, times):
         yield _unpack(y, d)
 
 
-def _adaptive(model, q0, p0, times, rtol):
-    """States ``(q, p, [A; B], action)`` at each of ``times`` of one orbit
-    (a batch of one), from one lazily stepped DOP853 solve: each step's
-    samples are read from its dense output, as ``solve_ivp`` reads them,
-    then its end with no action, so that the log-dets track every step.
+def _adaptive(model, q, p, times, rtol):
+    """States ``(q, p, [A; B], action)`` at each of ``times``, every orbit
+    of the batch stepped together by one lazily stepped DOP853 solve on the
+    packed states: each step's samples are read from its dense output, as
+    ``solve_ivp`` reads them, then its end with no action, so that the
+    log-dets track every step.
 
-    DOP853 keeps its own state layout, the real parts of ``(q, p, A, B)``,
-    then their imaginary parts, then the action, and ``perm`` maps it to the
-    packed one: the solver's RMS error norm runs over its layout (the zero
-    imaginary parts of ``q`` and ``p`` included), so the packed layout would
-    move its step choices and its endpoints by up to about 1e-11."""
+    Each orbit (row) gets DOP853's own error norm over its own components,
+    and a step's norm is their largest: a step is accepted only when every
+    orbit passes the test of its one-orbit solve, so no orbit's tolerance
+    loosens (a joint RMS norm would loosen it by up to sqrt(N))."""
     from scipy.integrate import DOP853
 
-    d = q0.shape[1]
-    nc = 2 * d + 2 * d * d  # complex entries: q, p, A, B
-    frame = 2 * d + np.arange(2 * d * d)
-    perm = np.concatenate([np.arange(2 * d), (frame[:, None] + [0, nc]).ravel(), [2 * nc]])
-    rhs = _CharRHS(model, q0, p0)
+    class RowwiseDOP853(DOP853):
+        def _estimate_error_norm(self, K, h, scale):  # DOP853's, row by row
+            e5 = ((K.T @ self.E5 / scale).reshape(shape) ** 2).sum(axis=1)
+            e3 = ((K.T @ self.E3 / scale).reshape(shape) ** 2).sum(axis=1)
+            denom = np.where(e5 + e3 > 0, e5 + 0.01 * e3, 1.0) * (K.shape[1] // len(q))
+            return float(np.max(np.abs(h) * e5 / np.sqrt(denom)))
 
-    def f(t, y):
-        dy = np.zeros(2 * nc + 1)  # q and p stay real
-        dy[perm] = rhs(y[perm][None])[0]
-        return dy
-
-    y0 = np.zeros(2 * nc + 1)
-    y0[perm] = _pack(q0, p0)[0]
-    solver = DOP853(f, float(times[0]), y0, float(times[-1]),
-                    rtol=rtol, atol=rtol * 1e-2)
+    rhs, d, shape = _CharRHS(model, q, p), q.shape[1], (len(q), -1)
+    solver = RowwiseDOP853(lambda t, y: rhs(y.reshape(shape)).ravel(), float(times[0]),
+                           _pack(q, p).ravel(), float(times[-1]), rtol=rtol, atol=rtol * 1e-2)
     signed = solver.direction * times  # increasing
     k = 0
     while k < times.size:
@@ -320,11 +316,11 @@ def _adaptive(model, q0, p0, times, rtol):
                 last_valid_time=float(times[k - 1]) if k else None)
         stop = np.searchsorted(signed, solver.direction * solver.t, side="right")
         if stop > k:
-            for y in solver.dense_output()(times[k:stop]).T:  # y[perm] copies,
-                yield _unpack(y[perm][None], d)  # so no state holds a step
+            for y in np.ascontiguousarray(solver.dense_output()(times[k:stop]).T):
+                yield _unpack(y.reshape(shape), d)
             k = stop
         if k < times.size:
-            yield _unpack(solver.y[perm][None], d)[:3] + (None,)
+            yield _unpack(solver.y.reshape(shape), d)[:3] + (None,)
 
 
 def _tracked(states, on_steps: bool = False):
@@ -377,12 +373,10 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
     ``Q``, ``P``.
 
     ``exact`` (as :func:`_method` picks) evaluates the closed forms at each
-    time.  ``rk4`` gives each interval of ``times`` ``ceil(|interval| /
-    step)`` equal steps and carries all N orbits through all of them in one
-    pass, tracking the log-dets at every step.  ``adaptive`` makes one
-    DOP853 solve per orbit (an RMS error norm over a joint solve would
-    loosen each orbit's tolerance by up to sqrt(N)), reads its dense output
-    at ``times`` only, and tracks the log-dets through every accepted step.
+    time.  Integration carries all N orbits in one pass and tracks the
+    log-dets at every step: ``rk4`` gives each interval of ``times``
+    :func:`_n_steps` equal steps; ``adaptive`` (:func:`_adaptive`) holds
+    each orbit to ``rtol`` and reads its dense output at ``times`` only.
     The pass is lazy, so a caller that stops early integrates no further.
     """
     opts = opts or FlowOptions()
@@ -391,22 +385,17 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
         for t in times:
             yield _closed_form(model, Q, P, float(t))
         return
-    if method == "adaptive":  # one orbit after another: one orbit's solve is held at a time
-        runs = [_tracked(_adaptive(model, Q[j:j + 1], P[j:j + 1], times, opts.rtol),
-                         on_steps=True) for j in range(len(Q))]
-    else:
-        pieces, ends = [times[:1]], [0]
-        for a, b in zip(times[:-1], times[1:]):
-            n = _n_steps(b - a, opts.step)
-            pieces.append(np.linspace(a, b, n + 1)[1:])
-            ends.append(ends[-1] + n)
-        hits = Counter(ends)
-        runs = [(s for k, s in enumerate(_tracked(_rk4(model, Q, P, np.concatenate(pieces))))
-                 for _ in range(hits[k]))]
-    done = [list(run) for run in runs[:-1]]  # the last run stays lazy
-    for k, last in enumerate(runs[-1]):
-        yield (FlowBatch(*map(np.concatenate, zip(*(run[k] for run in done), last)))
-               if done else last)
+    if method == "adaptive":
+        yield from _tracked(_adaptive(model, Q, P, times, opts.rtol), on_steps=True)
+        return
+    pieces, ends = [times[:1]], [0]
+    for a, b in zip(times[:-1], times[1:]):
+        n = _n_steps(b - a, opts.step)
+        pieces.append(np.linspace(a, b, n + 1)[1:])
+        ends.append(ends[-1] + n)
+    hits = Counter(ends)
+    for k, s in enumerate(_tracked(_rk4(model, Q, P, np.concatenate(pieces)))):
+        yield from [s] * hits[k]
 
 
 def flow_batch(model: HamiltonianModel, Q, P, t: float,

@@ -173,6 +173,14 @@ def _require_nonzero(field: ComplexField, name: str) -> None:
         raise ConfigurationError(f"{name} is zero everywhere: nothing to propagate")
 
 
+def _kept_sources(field: ComplexField):
+    """The grid indices ``(iq, ip)``, in row-major order, of the sources above
+    1e-13 of the field's peak modulus, and their quadrature weights."""
+    mag = np.abs(field.values)
+    iq, ip = np.nonzero(mag > 1e-13 * mag.max())
+    return iq, ip, field.values[iq, ip] * (field.spacing(0) * field.spacing(1))
+
+
 def _support_box(field: ComplexField, rel: float = 1e-6):
     """Index-aligned bounding box where the field exceeds ``rel`` of
     its peak modulus."""
@@ -227,27 +235,19 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
     """The endpoints at ``t >= 0`` of the orbits from the rows of ``Q``,
     ``P``, as :func:`flow_batch` gives them, and the Ehrenfest crossings of
     the orbit from ``center``, read on the step grid of the sources' pass
-    when it is integrated: under rk4 ``center`` is the batch's last row;
-    under adaptive, where every orbit is its own solve, the sources keep
-    ``(0, t)`` and only the guard's orbit is read on the grid."""
+    when it is integrated, where ``center`` is the batch's last row."""
     opts = opts or FlowOptions()
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    method = _method(model, opts)
-    if t <= 0 or method == "exact":
+    if t <= 0 or _method(model, opts) == "exact":
         return flow_batch(model, Q, P, t, opts), _closed_form_guard(model, center, t, hbar, opts)
-    if method == "adaptive":
-        e = flow_batch(model, Q, P, t, opts)
-        Q, P = Q[:0], P[:0]  # the pass below carries the guard's orbit alone
     times = _default_times(t, opts.step)
     jacobians = []
     for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
                             times, opts):
         jacobians.append(_real_jacobian(s.A[-1], s.B[-1]))
-    if method == "rk4":
-        e = FlowBatch(*(field[:-1] for field in s))
     norms = np.linalg.norm(jacobians, 2, axis=(-2, -1))
-    return e, _ehrenfest_crossings(times, norms, hbar)
+    return FlowBatch(*(field[:-1] for field in s)), _ehrenfest_crossings(times, norms, hbar)
 
 
 # Largest real part of an exponent in the tables of the separable sum.  The
@@ -353,8 +353,7 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     from the centre of the input's support box outgrows ``hbar^{-1/2}``:
     a closed-form flow reads it at ``t/200`` steps, an integrated one at
     the steps of the sources' own pass, where that orbit is one more row
-    of the batch (rk4) or its own solve (adaptive).  Never silently
-    truncates a non-decayed input.
+    of the batch.  Never silently truncates a non-decayed input.
     """
     if Psi0.rank != 2:
         raise ConfigurationError("apply_propagator expects a rank-2 field")
@@ -369,10 +368,7 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
         po = _checked_axis(out_axes[1], "out_axes[1]")
     _warn_if_edge_mass(Psi0)
     qs, ps = Psi0.axes
-    w = Psi0.spacing(0) * Psi0.spacing(1)
-    mag = np.abs(Psi0.values)
-    iq, ip = np.nonzero(mag > 1e-13 * mag.max())
-    Wg = Psi0.values[iq, ip] * w
+    iq, ip, Wg = _kept_sources(Psi0)
 
     box = _support_box(Psi0)
     if out_axes is None:
@@ -468,14 +464,8 @@ def position_space_solution(psi0: ComplexField, t: float,
     Psi0 = wave_packet_transform(psi0, phase_axes)
     _require_nonzero(Psi0, "the state analysed on phase_axes")
 
-    qs, ps = Psi0.axes
-    w = Psi0.spacing(0) * Psi0.spacing(1)
-    QQ, PP = np.meshgrid(qs, ps, indexing="ij")
-    mag = np.abs(Psi0.values)
-    keep = (mag > 1e-13 * mag.max()).ravel()
-    Qg = QQ.ravel()[keep]
-    Pg = PP.ravel()[keep]
-    Wg = Psi0.values.ravel()[keep] * w
+    iq, ip, Wg = _kept_sources(Psi0)
+    Qg, Pg = Psi0.axes[0][iq], Psi0.axes[1][ip]
 
     center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
     e, crossings = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)

@@ -22,6 +22,7 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
+from phaseprop.flow import _n_steps
 
 QUARTIC = {(0, 2): 1.0, (4, 0): 1.0}
 
@@ -99,6 +100,13 @@ def test_a_missed_sample_names_the_step_that_lands_on_it(t, k):
                                        1.0, FlowOptions(step=step))
     assert len(landed.times) == k + 1
     assert landed.times[landed.index_of(t)] == pytest.approx(t, abs=1e-12)
+
+
+def test_a_step_that_divides_the_interval_gives_its_steps():
+    # round-off in T / (T / k) never adds a step that would miss every sample
+    for T in (0.3, 0.35, 0.5, 0.55, 0.7, 1.0, 1.5, 2.0, 3.0):
+        assert [_n_steps(T, T / k) for k in range(2, 200)] == list(range(2, 200)), T
+    assert _n_steps(0.5 * (1 + 1e-12), 0.5) == 1 and _n_steps(0.0, 0.5) == 0
 
 
 def test_a_time_no_step_lands_on_says_so():

@@ -71,10 +71,12 @@ def test_batch_endpoints_match_per_orbit_integration(kind, src, t):
         for name in FIELDS:
             got = getattr(e, name)
             assert got.shape == want[name].shape, (method, name)
-            if method == "adaptive":
-                assert np.array_equal(got, want[name]), (method, name)
-            else:
+            if method != "adaptive":
                 assert close(got, want[name], 1e-12), (method, name)
+            elif len(src) == 1:  # the one-orbit solve, step for step
+                assert np.array_equal(got, want[name]), (method, name)
+            else:  # the rows share the steps of the hardest one
+                assert close(got, want[name], 1e-9), (method, name)
 
 
 def test_record_and_endpoint_take_the_same_steps():
@@ -107,9 +109,25 @@ def test_sampled_states_match_endpoints_at_each_time(kind, src, ts, sign):
                 assert close(getattr(got, name), getattr(want, name), tol), (method, tau, name)
 
 
+def test_adaptive_batch_holds_each_orbit_to_its_own_tolerance():
+    # a hard orbit among easy ones keeps its one-orbit accuracy, since each
+    # row passes its own error test; under a joint RMS norm over the 64 rows
+    # it ends about 4.5 times its one-orbit error from the reference
+    src = np.vstack([[1.6, 1.2], np.random.default_rng(0).uniform(-0.05, 0.05, (63, 2))])
+
+    def hard_row(src, rtol):
+        e = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], 1.0,
+                       FlowOptions(method="adaptive", rtol=rtol))
+        return np.concatenate([np.ravel(getattr(e, name)[0]) for name in FIELDS])
+
+    want = hard_row(src[:1], 1e-13)
+    solo = np.abs(hard_row(src[:1], 1e-10) - want).max()
+    assert np.abs(hard_row(src, 1e-10) - want).max() <= 1.5 * solo
+
+
 def test_adaptive_batch_holds_one_orbit_at_a_time():
-    # each orbit's solve is stepped through and let go before the next, so
-    # the peak allocation does not grow by a sample record per orbit
+    # the batch's one solve reads its dense output at the requested times
+    # only, so the peak allocation does not grow by a sample record per orbit
     model, opts = MODELS["free"], FlowOptions(method="adaptive", step=1e-3)
     flow_batch(model, [0.0], [0.0], 1.0, opts)  # load scipy's solver first
     peaks = []

@@ -428,9 +428,8 @@ def test_apply_propagator_integrates_when_asked_to(monkeypatch):
 
 
 def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
-    # the guard's orbit is read from a pass over the caller's step grid with
-    # the caller's options: under rk4 the sources' pass, its centre the last
-    # row; under adaptive its own solve, as every adaptive orbit is
+    # the guard's orbit is read from the sources' pass over the caller's step
+    # grid with the caller's options, its centre the batch's last row
     seen, passes = [], []
 
     def recording(model, X0, T, opts=None):
