@@ -323,12 +323,14 @@ def _initial_phase_field(config: RunConfig) -> ComplexField:
     return ComplexField(axes=axes, values=vals, hbar=config.hbar)
 
 
-def _field_errors(got: ComplexField, want: ComplexField) -> dict:
-    """Pointwise-relative and L2-relative errors on the significant region."""
+def _field_errors(got: ComplexField, want: ComplexField, where=None) -> dict:
+    """Pointwise-relative (NaN if none) and L2-relative errors; the pointwise
+    one where ``|want|`` exceeds 1e-3 of its peak, within ``where`` if given."""
     diff = np.abs(got.values - want.values)
     ref = np.abs(want.values)
-    peak = float(ref.max())
-    mask = ref > 1e-3 * peak
+    mask = ref > 1e-3 * float(ref.max())
+    if where is not None:
+        mask &= where
     max_rel = float((diff[mask] / ref[mask]).max()) if mask.any() else float("nan")
     l2_rel = float(np.sqrt((diff ** 2).sum() / (ref ** 2).sum()))
     return {"max_rel": max_rel, "l2_rel": l2_rel}
@@ -336,16 +338,12 @@ def _field_errors(got: ComplexField, want: ComplexField) -> dict:
 
 def _on_manifold_error(got: ComplexField, want: ComplexField,
                        slope: float, offset: float) -> float | None:
+    """:func:`_field_errors`' pointwise error within half a spacing of the line."""
     qa, pa = got.axes
     Q, P = np.meshgrid(qa, pa, indexing="ij")
     half = 0.5 * max(got.spacing(0), got.spacing(1))
-    mask = np.abs(P - (slope * Q + offset)) <= half
-    ref = np.abs(want.values)
-    mask &= ref > 1e-3 * float(ref.max())
-    if not mask.any():
-        return None
-    diff = np.abs(got.values - want.values)
-    return float((diff[mask] / ref[mask]).max())
+    err = _field_errors(got, want, np.abs(P - (slope * Q + offset)) <= half)["max_rel"]
+    return None if np.isnan(err) else err
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +458,10 @@ def _verb_convergence(config: RunConfig, out_dir: Path, parameter: str | None) -
             rows.append((spacings[k], abs(norms[k] - norms[k + 1])))
     else:  # step
         model = config.model()
-        if model.kind is None:
+        if model.exact_flow is None:
             raise ConfigurationError(
-                "[convergence] parameter=step requires a built-in model "
-                "with a closed-form flow as reference")
+                "[convergence] parameter=step requires a model of degree <= 2 "
+                "(a closed-form reference)")
         X0 = PhasePoint(np.array([0.7]), np.array([-0.4]))
         exact = model.exact_flow(X0, 1.0)
         for h in values:

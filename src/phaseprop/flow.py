@@ -345,14 +345,13 @@ def _tracked(states, on_steps: bool = False):
             yield FlowBatch(q, p, A, B, act, ld[0], ld[1])
 
 
-def _closed_form(model, q0, p0, t: float) -> FlowBatch:
-    """Closed-form endpoints; the frame does not depend on the source."""
-    qt, pt = model.bulk_flow(q0, p0, t)
-    A, B, ldA, ldw = model.frame_at(t)
-    n = len(q0)
-    return FlowBatch(qt, pt, A[None].repeat(n, axis=0), B[None].repeat(n, axis=0),
-                     model.bulk_action(q0, p0, t).sum(axis=1),
-                     np.full(n, complex(ldA)), np.full(n, complex(ldw)))
+def _closed_form(model, q0, p0, times):
+    """Closed-form states at each of ``times``, from one stacked call per hook."""
+    t, shape = times[:, None, None], times.shape + q0.shape[:1]
+    A, B, ldA, ldw = (np.broadcast_to(F[:, None], shape + F.shape[1:])
+                      for F in model.frame_at(times))
+    yield from map(FlowBatch._make, zip(*model.bulk_flow(q0, p0, t), A, B,
+                                        model.bulk_action(q0, p0, t), ldA, ldw))
 
 
 def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
@@ -369,21 +368,21 @@ def _method(model: HamiltonianModel, opts: FlowOptions) -> str:
 def _sample_orbits(model: HamiltonianModel, Q, P, times,
                    opts: FlowOptions | None = None):
     """Yield the batched :class:`FlowBatch` states, at each of the signed
-    ``times`` (monotone, starting at 0), of the orbits from the rows of
-    ``Q``, ``P``.
+    ``times`` (monotone, starting at 0 when integrated), of the orbits from
+    the rows of ``Q``, ``P``.
 
-    ``exact`` (as :func:`_method` picks) evaluates the closed forms at each
-    time.  Integration carries all N orbits in one pass and tracks the
-    log-dets at every step: ``rk4`` gives each interval of ``times``
-    :func:`_n_steps` equal steps; ``adaptive`` (:func:`_adaptive`) holds
-    each orbit to ``rtol`` and reads its dense output at ``times`` only.
-    The pass is lazy, so a caller that stops early integrates no further.
+    ``exact`` (as :func:`_method` picks) evaluates the closed forms at all
+    times in one stacked call.  Integration carries all N orbits in one
+    pass and tracks the log-dets at every step: ``rk4`` gives each
+    interval of ``times`` :func:`_n_steps` equal steps; ``adaptive``
+    (:func:`_adaptive`) holds each orbit to ``rtol`` and reads its dense
+    output at ``times`` only.  That pass is lazy, so a caller that stops
+    early integrates no further.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)
     if method == "exact":
-        for t in times:
-            yield _closed_form(model, Q, P, float(t))
+        yield from _closed_form(model, Q, P, np.asarray(times, dtype=float))
         return
     if method == "adaptive":
         yield from _tracked(_adaptive(model, Q, P, times, opts.rtol), on_steps=True)
@@ -401,13 +400,15 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
 def flow_batch(model: HamiltonianModel, Q, P, t: float,
                opts: FlowOptions | None = None) -> FlowBatch:
     """Endpoints at the signed time ``t`` of the orbits from the rows of
-    ``Q`` and ``P`` (shape ``(N, d)``): the ``(0, t)`` view of
-    :func:`_sample_orbits`, so an integrated batch takes the steps of
-    :func:`integrate_characteristics` and keeps only the current state.
+    ``Q`` and ``P`` (shape ``(N, d)``): the last state of
+    :func:`_sample_orbits` over ``(0, t)``, so an integrated batch takes the
+    steps of :func:`integrate_characteristics` and keeps only the current
+    state, or over ``t`` alone on closed forms.
     """
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    _start, end = _sample_orbits(model, Q, P, np.array([0.0, float(t)]), opts)
+    times = [t] if _method(model, opts or FlowOptions()) == "exact" else [0.0, t]
+    *_, end = _sample_orbits(model, Q, P, np.array(times, dtype=float), opts)
     return end
 
 

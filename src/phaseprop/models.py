@@ -3,11 +3,8 @@
 Defines the phase-space point and Hamiltonian-evaluator types together
 with the built-in integrable models (free motion, constant field, and
 the harmonic trap) and a generic polynomial model for exercising the
-non-quadratic code paths.
-
-The mass convention throughout is ``H = |p|^2 + V(q)`` (no 1/2 factor);
-all closed-form flows, actions, and variational frames below depend on
-it.
+non-quadratic code paths.  Every model of degree at most 2 carries the
+closed forms of one quadratic model (:func:`_quadratic`).
 """
 from __future__ import annotations
 
@@ -20,8 +17,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = ["PhasePoint", "HamiltonianModel", "builtin_model", "polynomial_model"]
-
-BUILTIN_KINDS = ("free", "linear", "harmonic")
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class HamiltonianModel:
         ``H``, ``(dH/dq, dH/dp)`` as a 2d-vector, and the symmetric
         2d x 2d second-derivative matrix in ``(q, p)`` block order.
     exact_flow : callable ``(X, t) -> PhasePoint``, optional
-        Closed-form Hamiltonian flow, attached for the built-ins.
+        Closed-form Hamiltonian flow, attached to every quadratic model.
     kind : str, optional
         Built-in kind tag (``free``/``linear``/``harmonic``) or
         ``polynomial``.
@@ -90,11 +85,11 @@ class HamiltonianModel:
     with both at the same points.  The factories write each derivative
     once, stacked, and the point callables are its one-point views; a
     model given point callables only gets stacks that call them row by
-    row.  For the quadratic built-ins, ``bulk_flow``/``bulk_action``
-    (flow and action over coordinate arrays) and ``frame_at`` (the
-    base-point-independent frame) carry the closed forms of the
-    ``exact`` method; ``exact_flow`` and ``inverse_flow`` are point views
-    of ``bulk_flow`` at ``t`` and ``-t``.
+    row.  Quadratic models carry the closed forms of the ``exact`` method,
+    read by the flow module alone and broadcast over a stack of times:
+    ``bulk_flow``/``bulk_action`` (flow and action of coordinate arrays)
+    and ``frame_at`` (the base-point-independent frame and its log-dets);
+    ``exact_flow`` and ``inverse_flow`` are point views of ``bulk_flow``.
     """
 
     dim: int
@@ -126,7 +121,7 @@ class HamiltonianModel:
         if self.bulk_action is None:
             raise ConfigurationError(
                 f"model kind={self.kind!r} carries no closed-form action")
-        return float(self.bulk_action(X.q, X.p, t).sum())
+        return float(self.bulk_action(X.q, X.p, t))
 
 
 def _row_by_row(point_fn):
@@ -152,56 +147,97 @@ def _from_stacks(dim, bulk_value, bulk_derivatives, **hooks):
                             bulk_derivatives=bulk_derivatives, **hooks)
 
 
-# Each built-in is H = |p|^2 + sum_i V(q_i) with constant V''.  Its pieces:
-# V, V', V'', and the closed-form flow, action and frame.
+# The built-ins |p|^2, |p|^2 + sum(q) and |p|^2 + |q|^2 as (S, b) of _quadratic
+_BUILTINS = {"free": ([[0, 0], [0, 2]], [0, 0]), "linear": ([[0, 0], [0, 2]], [1, 0]),
+             "harmonic": ([[2, 0], [0, 2]], [0, 0])}
+# Tn = (t - Sn)/w^2 = t^3 sum_k (-w^2 t^2)^k / (2k + 3)!, summed where |w t| < 1
+_TN = [1.0 / math.factorial(2 * k + 3) for k in range(10)]
+_ONE_TWO = np.array([1.0, 2.0])  # C's weights in a and v
 
-def _free_pieces(d):
+
+def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
+    """The model ``H = sum_i (z_i.S z_i/2 + b.z_i) + h0`` over the pairs
+    ``z_i = (q_i, p_i)``, with its closed forms.
+
+    ``M = J S`` is traceless, so ``M^2 = -det(S) I`` and ``E = e^{tM} =
+    C I + Sn M`` with ``C = cos wt``, ``Sn = sin(wt)/w``, ``w^2 = det S``
+    (cosh and sinh when ``det S < 0``, 1 and t when it is 0).  The orbit is
+    ``z_t = E z + (Sn I + Cn M) J b``, where ``Cn = 2 Sn(t/2)^2`` integrates
+    ``Sn`` and ``Tn`` integrates ``Cn``.  By Euler's relation
+    ``p.H_p - H = d(q.p)/dt / 2 - b.z/2 - h0`` the action is
+    ``(q_t.p_t - q.p)/2``, taken from the moves ``z_t - z`` (their matrix
+    ``E - I = -det(S) Cn I + Sn M`` does not cancel at small t), less half
+    of ``b`` dotted with the integral of the orbit, less ``h0 t``.
+    ``A = a I`` and ``A - iB = v I`` with ``a = E_qq + i E_qp`` and
+    ``v = 2C + i tr(S) Sn``; only for ``det S > 0`` do they cross the
+    negative real axis, at odd multiples of the half-period ``pi / w``, so
+    their logs continue by ``i pi sign(S_pp)`` per half-period.
+    """
+    ((s00, s01), (s10, s11)), (b0, b1) = S, b
+    m00, m01, m10, m11 = s10, s11, -s00, -s01  # M = J S
+    det = s00 * s11 - s01 * s10
+    mjb0, mjb1 = m00 * b1 - m01 * b0, m10 * b1 - m11 * b0  # M J b, J b = (b1, -b0)
+    w = math.sqrt(abs(det))
+    cos, sin = (np.cos, np.sin) if det > 0 else (np.cosh, np.sinh)
+    eye = np.eye(d)
+    hess = np.kron(np.array(S, dtype=float), eye)
+    slopes = np.array([complex(m00, m01), 1j * (s00 + s11)])  # of a and v in Sn
+
+    def trig(t):
+        """``C`` and ``Sn`` at the times ``t``; ``Cn(t) = 2 Sn(t/2)^2``."""
+        if det == 0:
+            return np.ones_like(t), t
+        return cos(w * t), sin(w * t) / w
+
+    def affine(q, p, diag, x, y):
+        """``(diag I + x M) z + (x I + y M) J b``."""
+        qt, pt = (diag + x * m00) * q + x * m01 * p, x * m10 * q + (diag + x * m11) * p
+        if b0 or b1:
+            return qt + (x * b1 + y * mjb0), pt + (y * mjb1 - x * b0)
+        return qt, pt
+
+    def bulk_value(q, p):
+        return (0.5 * (s00 * q * q + 2.0 * s01 * q * p + s11 * p * p)
+                + b0 * q + b1 * p).sum(axis=-1) + h0
+
+    def bulk_derivatives(q, p):
+        g = np.concatenate([s00 * q + s01 * p + b0, s10 * q + s11 * p + b1], axis=-1)
+        return g, np.broadcast_to(hess, q.shape[:-1] + hess.shape)
+
     def bulk_flow(q, p, t):
-        return q + 2.0 * t * p, p + 0.0 * q
+        return affine(q, p, *trig(t), 2.0 * trig(0.5 * t)[1] ** 2 if b0 or b1 else 0.0)
 
     def bulk_action(q, p, t):
-        return p ** 2 * t
+        """Summed over the coordinates; ``t`` broadcasts against ``q``."""
+        ch, sh = trig(0.5 * t)  # C and Sn at t/2
+        Sn, Cn = 2.0 * ch * sh, 2.0 * sh * sh
+        dq, dp = affine(q, p, -det * Cn, Sn, Cn)  # z_t - z
+        terms = 0.5 * (dq * (p + dp) + q * dp)
+        if b0 or b1:
+            Tn = t ** 3 * np.polynomial.polynomial.polyval(-det * t * t, _TN)
+            if det:
+                Tn = np.where(abs(det) * t * t < 1.0, Tn, (t - Sn) / det)
+            iq, ip = affine(q, p, Sn, Cn, Tn)  # the integral of the orbit
+            terms = terms - 0.5 * (b0 * iq + b1 * ip)
+        return (terms.sum(axis=-1, keepdims=True) - h0 * t)[..., 0]
 
     def frame_at(t):
-        A = 1.0 + 2.0j * t
-        return (A * np.eye(d), 1.0j * np.eye(d),
-                d * np.log(A), d * np.log(A + 1.0))  # A - iB = 2 + 2it
+        """``(A, B, log det A, log det(A - iB))`` at the times ``t``."""
+        C, Sn = trig(t)
+        av = np.multiply.outer(_ONE_TWO, C) + np.multiply.outer(slopes, Sn)  # a, v
+        A = av[0, ..., None, None] * eye
+        B = (Sn * complex(m10, m11) + 1j * C)[..., None, None] * eye  # E_pq + i E_pp
+        if det > 0:  # the nearest half-turn n
+            n = np.rint(t * (w / np.pi))
+            av = np.log(av * (-1.0) ** n) + complex(0.0, math.copysign(np.pi, s11)) * n
+        else:
+            av = np.log(av)
+        return (A, B, *(d * av))
 
-    return np.zeros_like, np.zeros_like, 0.0, bulk_flow, bulk_action, frame_at
-
-
-def _linear_pieces(d):
-    def bulk_flow(q, p, t):
-        return q + 2.0 * t * p - t ** 2, p - t
-
-    def bulk_action(q, p, t):
-        return (p ** 2 - q) * t - 2.0 * p * t ** 2 + 2.0 * t ** 3 / 3.0
-
-    def frame_at(t):
-        A = 1.0 + 2.0j * t
-        return (A * np.eye(d), 1.0j * np.eye(d),
-                d * np.log(A), d * np.log(A + 1.0))
-
-    return (lambda q: q), np.ones_like, 0.0, bulk_flow, bulk_action, frame_at
-
-
-def _harmonic_pieces(d):
-    def bulk_flow(q, p, t):
-        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
-        return c * q + s * p, c * p - s * q
-
-    def bulk_action(q, p, t):
-        return (0.25 * (p ** 2 - q ** 2) * np.sin(4.0 * t)
-                + 0.5 * p * q * (np.cos(4.0 * t) - 1.0))
-
-    def frame_at(t):
-        # A = e^{2it} I, B = i e^{2it} I; both logs continued from 0
-        w = np.exp(2.0j * t)
-        return (w * np.eye(d), 1.0j * w * np.eye(d),
-                d * 2.0j * t, d * (np.log(2.0) + 2.0j * t))
-
-    return ((lambda q: q * q), (lambda q: 2.0 * q), 2.0,
-            bulk_flow, bulk_action, frame_at)
+    return _from_stacks(d, bulk_value, bulk_derivatives, kind=kind,
+                        exact_flow=lambda X, t: PhasePoint(*bulk_flow(X.q, X.p, t)),
+                        inverse_flow=lambda X, t: PhasePoint(*bulk_flow(X.q, X.p, -t)),
+                        bulk_flow=bulk_flow, bulk_action=bulk_action, frame_at=frame_at)
 
 
 def builtin_model(kind: str, d: int = 1) -> HamiltonianModel:
@@ -217,37 +253,14 @@ def builtin_model(kind: str, d: int = 1) -> HamiltonianModel:
     d : int
         Dimension; built-ins are coordinate-wise sums, so any d >= 1.
 
-    All three carry exact flows, actions, base-point-independent
-    variational frames (their Hessians are constant), and inverse
-    flows.
+    Each is a quadratic model (:func:`_quadratic`) with its closed forms.
     """
-    if kind not in BUILTIN_KINDS:
+    if kind not in _BUILTINS:
         raise ConfigurationError(
-            f"model.kind: unknown kind {kind!r}; expected one of {BUILTIN_KINDS}")
+            f"model.kind: unknown kind {kind!r}; expected one of {tuple(_BUILTINS)}")
     if d < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {d}")
-    pieces = {"free": _free_pieces, "linear": _linear_pieces,
-              "harmonic": _harmonic_pieces}[kind](d)
-    V, dV, ddV, bulk_flow, bulk_action, frame_at = pieces
-    hess = np.diag(np.concatenate([np.full(d, ddV), np.full(d, 2.0)]))
-
-    def bulk_value(q, p):
-        return (p * p).sum(axis=-1) + V(q).sum(axis=-1)
-
-    def bulk_derivatives(q, p):
-        return (np.concatenate([dV(q), 2.0 * p], axis=-1),
-                np.broadcast_to(hess, q.shape[:-1] + hess.shape))
-
-    def flow(X, t):
-        return PhasePoint(*bulk_flow(X.q, X.p, t))
-
-    def inverse_flow(X, t):
-        return PhasePoint(*bulk_flow(X.q, X.p, -t))
-
-    return _from_stacks(d, bulk_value, bulk_derivatives,
-                        exact_flow=flow, kind=kind, bulk_flow=bulk_flow,
-                        bulk_action=bulk_action, frame_at=frame_at,
-                        inverse_flow=inverse_flow)
+    return _quadratic(*_BUILTINS[kind], 0.0, d, kind)
 
 
 # Derivative orders (in q, in p) of the columns of a compiled polynomial:
@@ -273,8 +286,8 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
     from one product of its monomial table with that matrix.  The
     table's powers are built by multiplying (``x**3 = x**2 * x``,
     ``x**4 = x**2 * x**2``), which at a few hundred points costs a tenth
-    of a general ``pow``.  No exact flow is attached; the flow module
-    integrates these numerically.
+    of a general ``pow``.  The flow module integrates these numerically;
+    total degree at most 2 gives the quadratic model (:func:`_quadratic`).
     """
     if d != 1:
         raise ConfigurationError("polynomial_model is implemented for d=1")
@@ -315,4 +328,8 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
         out = jet(q, p)
         return out[:, 1:3], out[:, 3:].reshape(len(out), 2, 2)
 
+    if all(i + j <= 2 for i, j in rows):  # H'', grad H and H at 0 fix a quadratic
+        zero = np.zeros((1, 1))
+        (g,), (S,) = bulk_derivatives(zero, zero)
+        return _quadratic(S, g, float(bulk_value(zero, zero)[0]), 1, "polynomial")
     return _from_stacks(1, bulk_value, bulk_derivatives, kind="polynomial")

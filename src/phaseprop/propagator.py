@@ -264,11 +264,12 @@ def _tiles(axis: np.ndarray, reach: float, hbar: float) -> list:
     return np.array_split(np.arange(axis.size), min(max(n, 1), axis.size))
 
 
-def _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po):
-    """Kernel sum for an affine flow ``Y_t = M Y + c`` as matrix products.
+def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
+    """Kernel sum for an affine flow ``Y_t = M Y + c`` as matrix products,
+    from the sources' endpoints ``e`` (one :func:`flow_batch`).
 
-    All sources share the frame, hence ``Q``.  In coordinates centred on
-    an output tile, ``X = xbar + x'``, and on the kept-source box,
+    All sources share the frame, hence ``M`` and ``Q``.  In coordinates
+    centred on an output tile, ``X = xbar + x'``, and on the kept-source box,
     ``Y = ybar + y'``, the kernel exponent is a target-only part, a
     source-only part and the bilinear ``x'.K y'`` with
     ``K = (J/2 - Q) M``.  Over the tensor source grid the bilinear factor
@@ -280,9 +281,8 @@ def _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po):
     exceeds its prefactor, the two scales multiply to at most
     ``e^(4 _TABLE_EXPONENT)``.
     """
-    A, B, _ldA, ldw = model.frame_at(t)
+    A, B = e.A[0], e.B[0]
     M = _real_jacobian(A, B)
-    c = np.array(model.bulk_flow(0.0, 0.0, t), dtype=float)
     Q = _doubled(_anisotropy(A, B))
     J = symplectic_J(1)
     K = (0.5 * J - Q) @ M
@@ -293,15 +293,14 @@ def _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po):
     yq, yp = qs[q0:q1 + 1] - ybar[0], ps[p0:p1 + 1] - ybar[1]
     jq, jp = iq - q0, ip - p0
     Y = np.stack([qs[iq], ps[ip]])
-    Yt = M @ Y + c[:, None]
+    Yt = np.stack([e.q[:, 0], e.p[:, 0]])
     v = M @ np.stack([yq[jq], yp[jp]])  # Y_t - Ybar_t
-    Ybt = M @ ybar + c
+    Ybt = Yt[:, 0] - v[:, 0]
     # source-only exponent: (i/hbar)(Act + (xi.eta - xi_t.eta_t)/2 + v.Q v/2)
-    base = 1j / hbar * (model.bulk_action(Y[0], Y[1], t)
-                        + 0.5 * (Y[0] * Y[1] - Yt[0] * Yt[1])
+    base = 1j / hbar * (e.action + 0.5 * (Y[0] * Y[1] - Yt[0] * Yt[1])
                         + 0.5 * np.einsum("in,ij,jn->n", v, Q, v))
     iv = 1j / hbar * v
-    amp = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5 * np.exp(-0.5 * ldw)
+    amp = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5 * np.exp(-0.5 * e.logdet_w[0])
 
     reach = np.max(np.abs(K.imag) * half, axis=1)
     p_tiles = []
@@ -374,13 +373,11 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     if out_axes is None:
         qo, po = _derive_out_axes(model, box, t, hbar, opts)
 
-    opts = opts or FlowOptions()
     center = PhasePoint([(box[0] + box[1]) / 2], [(box[2] + box[3]) / 2])
-    if _method(model, opts) == "exact":
-        out = _affine_sum(model, t, hbar, qs, ps, iq, ip, Wg, qo, po)
-        crossings = _closed_form_guard(model, center, t, hbar, opts)
+    e, crossings = _guarded_flow(model, qs[iq], ps[ip], center, t, hbar, opts)
+    if _method(model, opts or FlowOptions()) == "exact":
+        out = _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po)
     else:  # one integrated orbit per source; about a million pairs at a time
-        e, crossings = _guarded_flow(model, qs[iq], ps[ip], center, t, hbar, opts)
         kernel = _Kernel(qs[iq], ps[ip], e)
         X = np.stack(np.meshgrid(qo, po, indexing="ij"), axis=-1)
         rows = max(1, int(1e6 / (Wg.size * po.size)))
@@ -528,9 +525,10 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
     y = float(y)
 
     if _method(model, FlowOptions()) == "exact":
-        # closed forms, an affine flow: q_t(y, p0) = q_t(y, 0) + Im A(t) p0
+        # closed forms, an affine flow: q_t(y, p0) = q_t(y, 0) + Im A(t) p0;
+        # Im A is the same on every orbit, so a focal one raises below
         e = flow_batch(model, [y], [0.0], t)
-        roots = [(x - e.q[0, 0]) / e.A[0, 0, 0].imag]
+        roots = [0.0 if _focal(e.A[0, 0, 0]) else (x - e.q[0, 0]) / e.A[0, 0, 0].imag]
     else:
         roots = _scan_roots(model, x, y, t)
         if not roots:
@@ -549,13 +547,18 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
     for r in range(len(roots)):
         imA_t = imA[-1, r]
         nu, first = _imA_zero_count_and_first(times, imA[:, r], t)
-        if abs(imA_t) < 1e-8 * max(1.0, abs(end.A[r, 0, 0])):
+        if _focal(end.A[r, 0, 0]):
             raise CausticError(
                 "trajectory endpoint is focal (Im A vanishes)",
                 t_star=first if first is not None else t)
         amp = (2 * np.pi * hbar) ** -0.5 * np.exp(-0.25j * np.pi) / np.sqrt(abs(imA_t))
         total += amp * np.exp(1j / hbar * end.action[r] - 0.5j * np.pi * nu)
     return complex(total)
+
+
+def _focal(A: complex) -> bool:
+    """Whether ``Im A`` (``dq_t/dp``) vanishes, relative to ``max(1, |A|)``."""
+    return abs(A.imag) < 1e-8 * max(1.0, abs(A))
 
 
 def _scan_roots(model, x, y, t):

@@ -187,6 +187,25 @@ def test_convergence_step_study_recovers_fourth_order_slope(tmp_path):
     assert len(table) == 4
 
 
+@pytest.mark.parametrize("coeffs, rc", [("(0;2):1, (4;0):1", 2), ("(0;2):1, (2;0):1", 0)],
+                         ids=["quartic", "quadratic"])
+def test_convergence_step_study_needs_a_closed_form_reference(tmp_path, capsys, coeffs, rc):
+    cfg = write_config(
+        tmp_path,
+        f"[meta]\nschema_version = 1\n\n[model]\nkind = polynomial\ncoeffs = {coeffs}\n\n"
+        "[run]\nhbar = 0.1\n\n"
+        "[convergence]\nparameter = step\nvalues = 0.04, 0.02, 0.01\n",
+        name="conv.ini",
+    )
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out-dir", str(out)]) == rc
+    if rc:
+        assert "parameter=step requires a model of degree <= 2" in capsys.readouterr().err
+    else:  # the polynomial trap is the harmonic built-in
+        (entry,) = entries_of(read_report(out), "convergence")
+        assert entry["slope"] == pytest.approx(4.0, abs=0.3)
+
+
 def test_convergence_requires_at_least_three_values(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from phaseprop import (
@@ -241,6 +241,43 @@ def test_two_dimensional_rk4_batch_matches_the_closed_forms(kind):
         for name in FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape, (t, name)
             assert close(getattr(got, name), getattr(want, name), 1e-9), (t, name)
+
+
+quadratic_coeffs = st.fixed_dictionaries(
+    {k: st.floats(-1.5, 1.5) for k in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))})
+
+
+@given(coeffs=quadratic_coeffs, src=sources, t=st.floats(-4.0, 4.0))
+@example(coeffs={(2, 0): 1.0, (1, 1): 0.0, (0, 2): 1e-105, (1, 0): 0.0, (0, 1): 1.0, (0, 0): 0.0},
+         src=np.array([[0.3, -0.2]]), t=1.0)
+def test_quadratic_closed_forms_match_rk4(coeffs, src, t):
+    # any H = z.S z/2 + b.z + h0 with cross and linear terms (elliptic,
+    # hyperbolic or parabolic S) has closed forms, which rk4 reproduces; in
+    # the example det S = 4e-105, where (t - Sn)/det S would cancel to 0
+    model = polynomial_model(coeffs)
+    assert model.exact_flow is not None
+    got = flow_batch(model, src[:, :1], src[:, 1:], t)
+    want = flow_batch(model, src[:, :1], src[:, 1:], t, FlowOptions(method="rk4", step=1e-3))
+    for name in FIELDS:
+        assert close(getattr(got, name), getattr(want, name), 1e-9), (name, coeffs, t)
+
+
+def test_a_quadratic_polynomial_is_the_builtin_with_its_hamiltonian():
+    trap = polynomial_model({(0, 2): 1.0, (2, 0): 1.0})
+    src = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+    for t in (0.3, -1.2, 7.5):
+        want = flow_batch(MODELS["harmonic"], src[:, :1], src[:, 1:], t)
+        got = flow_batch(trap, src[:, :1], src[:, 1:], t)
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+
+
+def test_harmonic_logs_continue_through_many_half_turns():
+    # det A = e^{2it} and det(A - iB) = 2 e^{2it} cross the negative real
+    # axis 19 times by t = 30; the closed forms continue their logs
+    e = flow_batch(MODELS["harmonic"], [[0.4]], [[-0.7]], 30.0)
+    assert abs(e.logdetA[0] - 60j) <= 1e-12
+    assert abs(e.logdet_w[0] - (math.log(2.0) + 60j)) <= 1e-12
 
 
 def textbook_rk4(q, p, t, n):

@@ -1,13 +1,16 @@
 """The integrating branch of each stage against its closed-form branch.
 
-``TRAP`` is the harmonic trap ``p^2 + q^2`` written as a polynomial, so it
-carries no closed forms and every stage integrates its orbits (rk4, step
-1e-2).  The built-in harmonic model gives the same quantities from closed
+``TRAP`` is the harmonic trap ``p^2 + q^2`` written as a polynomial.  Being
+quadratic, it carries the built-in's closed forms, so every stage here is
+passed ``RK4`` (rk4, step 1e-2) and integrates its orbits; ``van_vleck_kernel``
+takes no options and is given ``BARE_TRAP``, the same trap without its closed
+forms.  The built-in harmonic model gives the same quantities from the closed
 forms.  Grids are small: the point is that both branches compute the same
 thing, not the accuracy of either against the exact solution.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -33,6 +36,8 @@ from test_wkb import cubic_data, reference_data
 HBAR = 0.1
 T = 0.5
 TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0})
+BARE_TRAP = dataclasses.replace(TRAP, exact_flow=None, inverse_flow=None, bulk_flow=None,
+                                bulk_action=None, frame_at=None)
 HARMONIC = builtin_model("harmonic")
 RK4 = FlowOptions(method="rk4", step=1e-2)
 TOL = 1e-6
@@ -133,14 +138,14 @@ def test_solution_on_manifold_steps_do_not_depend_on_n_track():
 def test_van_vleck_focal_count_integrating_branch():
     # by t = 5 the orbit has passed the focal points pi/2, pi and 3 pi/2,
     # each counted from a sign change of Im A on the sampled orbit
-    got = van_vleck_kernel(0.6, -0.2, 5.0, TRAP, HBAR)
+    got = van_vleck_kernel(0.6, -0.2, 5.0, BARE_TRAP, HBAR)
     want = van_vleck_kernel(0.6, -0.2, 5.0, HARMONIC, HBAR)
     assert rel(got, want) <= TOL
 
 
 def test_van_vleck_root_scan_integrating_branch():
-    # the polynomial kind has no root formula, so the roots come from a
-    # bracketing scan over integrated orbits
-    got = van_vleck_kernel(0.6, -0.2, T / 4, TRAP, HBAR)
+    # integrated orbits take no root formula: the roots come from a
+    # bracketing scan over them
+    got = van_vleck_kernel(0.6, -0.2, T / 4, BARE_TRAP, HBAR)
     want = van_vleck_kernel(0.6, -0.2, T / 4, HARMONIC, HBAR)
     assert rel(got, want) <= TOL

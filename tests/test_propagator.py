@@ -329,8 +329,15 @@ def test_van_vleck_tracks_focal_index_past_caustic():
 
 
 def test_van_vleck_raises_at_focal_time():
-    with pytest.raises(CausticError):
-        van_vleck_kernel(0.5, 0.5, np.pi / 2, builtin_model("harmonic"), HBAR)
+    # the closed forms raise before taking a root through Im A = 0; under
+    # H = q^2, dq_t/dp is exactly 0 at every t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CausticError) as exc:
+            van_vleck_kernel(0.5, 0.5, np.pi / 2, builtin_model("harmonic"), HBAR)
+        with pytest.raises(CausticError):
+            van_vleck_kernel(0.5, 0.5, 0.3, polynomial_model({(2, 0): 1.0}), HBAR)
+    assert exc.value.t_star == pytest.approx(np.pi / 2, abs=1e-2)
 
 
 def per_pair_sum(Psi0, t, model, hbar, out_axes):
@@ -366,6 +373,49 @@ def test_affine_apply_matches_per_pair_kernel_sum():
             want = per_pair_sum(Psi0, t, model, hbar, out_axes)
             err = np.abs(got - want).max() / np.abs(want).max()
             assert err < 1e-12, (kind, t, err)
+
+
+def phase_rounding(Psi0, t, model, hbar, out_axes) -> np.ndarray:
+    """The error that rounding the kernel phase leaves in each target's
+    kernel sum: ``eps/hbar`` times the sum over the kept sources of
+    ``|K w| |Y_t|^2``.  The action, ``xi_t.eta_t/2`` and ``v.Q v/2`` each
+    grow like ``|Y_t|^2`` and cancel to a phase of order one, so each is
+    rounded at ``eps |Y_t|^2``."""
+    qs, ps = Psi0.axes
+    mag = np.abs(Psi0.values)
+    iq, ip = np.nonzero(mag > 1e-13 * mag.max())
+    e = flow_batch(model, qs[iq], ps[ip], t)
+    K = np.abs([[[kernel_Ksc(PhasePoint(q, p), PhasePoint(qs[i], ps[j]), t, model, hbar)
+                  for i, j in zip(iq, ip)] for p in out_axes[1]] for q in out_axes[0]])
+    size = mag[iq, ip] * (e.q ** 2 + e.p ** 2).sum(axis=1)
+    return np.finfo(float).eps / hbar * (K @ size) * Psi0.cell()
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param({(0, 2): 1.0, (2, 0): -1.0}, id="inverted"),
+    pytest.param({(1, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3}, id="cross"),
+])
+def test_affine_apply_matches_per_pair_sum_on_quadratic_polynomials(coeffs):
+    # the frame of p^2 - q^2 grows like e^(2t); a q.p term makes M = J S
+    # non-symmetric, and a linear term moves the images off M Y.  Both sums
+    # round the phase (phase_rounding); at t = pi the inverted images reach
+    # |Y_t|^2 ~ 1e6, and a 50-digit sum puts the affine sum 1.4e-11 and the
+    # per-pair sum 2.8e-11 of the peak off, within 4x of that estimate
+    hbar = 0.005
+    qs = np.linspace(-1.5, 1.5, 9)
+    rng = np.random.default_rng(12)
+    Psi0 = ComplexField((qs, qs), rng.standard_normal((9, 9))
+                        + 1j * rng.standard_normal((9, 9)), hbar)
+    out_axes = (np.linspace(-1.6, 1.4, 5), np.linspace(-1.4, 1.6, 5))
+    model = polynomial_model(coeffs)
+    for t in (0.4, 1.3, np.pi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # edge mass and Ehrenfest notes
+            got = apply_propagator(Psi0, t, model, out_axes=out_axes).values
+        want = per_pair_sum(Psi0, t, model, hbar, out_axes)
+        bound = 10 * phase_rounding(Psi0, t, model, hbar, out_axes).max()
+        err = np.abs(got - want).max()
+        assert err < bound, (t, err / np.abs(want).max(), bound / np.abs(want).max())
 
 
 def test_affine_apply_is_tiled_where_one_table_would_overflow():
@@ -463,7 +513,7 @@ def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
 
 QUARTIC = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
 TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0})
-# the inverted oscillator p^2 - q^2: no closed form, its frame grows like e^(2t)
+# the inverted oscillator p^2 - q^2, whose frame grows like e^(2t)
 INVERTED = polynomial_model({(0, 2): 1.0, (2, 0): -1.0})
 RK4 = FlowOptions(method="rk4", step=1e-2)
 
@@ -539,7 +589,14 @@ def test_the_guard_crosses_once_within_a_step_on_the_inverted_oscillator():
         warnings.simplefilter("always")
         apply_propagator(packet_field(axis, PhasePoint(0.1, -0.1), hbar), 0.5, QUARTIC,
                          out_axes=(axis, axis), opts=RK4)
+    # the closed forms' guard reads the same orbit at t/200 steps
+    with warnings.catch_warnings(record=True) as closed:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), hbar), t, INVERTED,
+                         out_axes=(axis, axis))
     for record in (phase, position):
         got = crossing_times(record)
         assert len(got) == 1 and abs(got[0] - want[0]) <= RK4.step
+    got = crossing_times(closed)
+    assert len(got) == 1 and abs(got[0] - want[0]) <= t / 200
     assert crossing_times(quartic) == []
