@@ -15,15 +15,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
-from .flow import (FlowOptions, _default_times, _method, _sample_orbits,
-                   flow_batch, symplectic_J)
+from .flow import (FlowOptions, _default_times, _log_increment, _method,
+                   _sample_orbits, flow_batch, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .propagator import _Kernel
 from .transform import ComplexField
@@ -265,27 +264,24 @@ def _tangent(data: WKBData, alpha, e) -> tuple[np.ndarray, np.ndarray]:
     return A.real + A.imag * s2, B.real + B.imag * s2
 
 
-def _flow_alpha(data: WKBData, model: HamiltonianModel, t: float,
-                alpha: np.ndarray, opts: FlowOptions | None):
-    """Flow the manifold samples (alpha, S0'(alpha)) to time t.
-
-    Returns (q_t, p_t, action, (dq_t/dalpha, dp_t/dalpha))."""
-    e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
-    return e.q[:, 0], e.p[:, 0], e.action, _tangent(data, alpha, e)
+def _folds(dqda: np.ndarray) -> np.ndarray:
+    """Where the projection ``alpha -> q_t`` has folded: ``dq_t/dalpha`` is
+    not finite, or below 1e-9 of the largest ``|dq_t/dalpha|`` (at least 1)."""
+    return ~np.isfinite(dqda) | (dqda < 1e-9 * np.fmax.reduce(np.abs(dqda), initial=1.0))
 
 
-def _earliest_fold(data, model, t, alpha, opts):
-    """Scan 80 samples of (0, t] for the first time the projection folds;
-    returns (t_star, alpha_star).  At tau = 0, dq/dalpha = 1."""
-    taus = np.linspace(0.0, t, 81)
-    states = _sample_orbits(model, alpha[:, None], data.s0_prime(alpha)[:, None],
-                            taus, opts)
-    for tau, e in zip(taus, states):
+def _first_fold(data: WKBData, model: HamiltonianModel, alpha: np.ndarray,
+                taus: np.ndarray, opts: FlowOptions | None):
+    """Index of the first of ``taus`` at which the projection of the
+    manifold samples ``alpha`` folds, and the sample of least
+    ``|dq_t/dalpha|`` there; None if it never folds.  The orbit pass is
+    lazy, so it stops at the fold."""
+    states = _sample_orbits(model, alpha[:, None], data.s0_prime(alpha)[:, None], taus, opts)
+    for k, e in enumerate(states):
         dqda = _tangent(data, alpha, e)[0]
-        scale = max(1.0, float(np.abs(dqda).max()))
-        if (dqda < 1e-9 * scale).any():
-            return float(tau), float(alpha[np.argmin(np.abs(dqda))])
-    return float(t), float(alpha[0])
+        if _folds(dqda).any():
+            return k, float(alpha[np.argmin(np.abs(dqda))])
+    return None
 
 
 def transport_manifold(data: WKBData, model: HamiltonianModel, t: float,
@@ -295,23 +291,23 @@ def transport_manifold(data: WKBData, model: HamiltonianModel, t: float,
     generating phase along each characteristic.
 
     ``S(q_t(alpha), t) = S0(alpha) + Act(alpha, t)``.  The projection
-    ``alpha -> q_t(alpha)`` must stay monotone; a fold (vanishing or
-    sign-changing ``dq_t/dalpha``) raises a caustic error naming the
-    earliest fold time and parameter.
+    ``alpha -> q_t(alpha)`` must stay monotone increasing; a fold
+    (:func:`_folds`) raises a caustic error naming the earliest fold time
+    and parameter, resolved to 80 samples of ``(0, t]``.
     """
     alpha = np.asarray(alpha_grid, dtype=float)
     if alpha.ndim != 1 or alpha.size < 2:
         raise ConfigurationError("alpha grid must be 1-D with >= 2 samples")
-    qt, pt, act, (dqda, _dpda) = _flow_alpha(data, model, t, alpha, opts)
-    scale = max(1.0, float(np.abs(dqda).max()))
-    if (dqda < 1e-9 * scale).any() or (np.sign(dqda) != np.sign(dqda[0])).any():
-        t_star, a_star = _earliest_fold(data, model, t, alpha, opts)
+    e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
+    if _folds(_tangent(data, alpha, e)[0]).any():
+        taus = np.linspace(0.0, t, 81)
+        k, a_star = _first_fold(data, model, alpha, taus, opts) or (80, float(alpha[0]))
         raise CausticError(
             "manifold projection folds (vertical tangent); the transported "
             "phase is multivalued here",
-            t_star=t_star, alpha_star=a_star)
-    S = data.S0(alpha) + act
-    return LagrangianManifold(alpha=alpha, q=qt, p=pt, phase=S, t=float(t))
+            t_star=float(taus[k]), alpha_star=a_star)
+    S = data.S0(alpha) + e.action
+    return LagrangianManifold(alpha=alpha, q=e.q[:, 0], p=e.p[:, 0], phase=S, t=float(t))
 
 
 def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
@@ -319,23 +315,24 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
                           opts: FlowOptions | None = None) -> float | None:
     """Earliest time in (0, t_max] at which the manifold projection
     becomes vertical at the given parameter: the first zero of
-    ``dq_t/dalpha``.  Returns None if the window holds no fold."""
+    ``dq_t/dalpha``, bracketed by the first of 2000 samples at which it
+    folds (:func:`_folds`).  Returns None if the window holds no fold."""
     from scipy.optimize import brentq
 
+    if not t_max > 0:
+        raise ConfigurationError(f"t_max must be positive, got {t_max}")
     a = np.asarray([alpha], dtype=float)
     taus = np.linspace(0.0, t_max, 2001)
-    dqda = (_tangent(data, a, e)[0][0]
-            for e in _sample_orbits(model, a[:, None], data.s0_prime(a)[:, None], taus, opts))
-    k = next((k for k, v in enumerate(dqda) if not v > 0), None)  # the pass stops here
-    if k is None:
+    fold = _first_fold(data, model, a, taus, opts)
+    if fold is None:
         return None
 
     def g(tau: float) -> float:
-        return float(_flow_alpha(data, model, tau, a, opts)[3][0][0])
+        return float(_tangent(data, a, flow_batch(model, a, data.s0_prime(a), tau, opts))[0][0])
 
     # flow_batch steps from 0 on its own grid, so its sign at a bracket end
     # may differ from the pass's; the zero is then that close to the end
-    ends = taus[k - 1:k + 1]
+    ends = taus[fold[0] - 1:fold[0] + 1]
     g_ends = [g(tau) for tau in ends]
     if np.sign(g_ends[0]) == np.sign(g_ends[1]):
         return float(ends[np.argmin(np.abs(g_ends))])
@@ -354,21 +351,20 @@ def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
 def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,
                          model: HamiltonianModel,
                          Y: PhasePoint | None = None,
-                         alpha_grid=None,
                          opts: FlowOptions | None = None) -> complex:
     """Double-phase-space asymptotic phase at X, sourced on the manifold.
 
     Unless a source ``Y`` on the initial manifold is supplied, the
     source parameter solves the orthogonality condition
-    ``(X - X_t(alpha)) . dX_t/dalpha = 0`` by damped Newton seeded from
-    the nearest sample of ``alpha_grid``; ties between competing local
-    projections are broken by distance and flagged.  The imaginary part
-    is nonnegative, vanishing exactly on the transported manifold.
+    ``(X - X_t(alpha)) . dX_t/dalpha = 0`` (:func:`_project_alpha`); ties
+    between competing local projections are broken by distance and
+    flagged.  The imaginary part is nonnegative, vanishing exactly on the
+    transported manifold.
     """
     if X.d != 1:
         raise ConfigurationError("asymptotic_phase_Fsc supports d = 1 only")
     if Y is None:
-        alpha = _project_alpha(X, t, data, model, alpha_grid, opts)
+        alpha = _project_alpha(X, t, data, model, opts)
         Y = PhasePoint([alpha], [float(data.s0_prime(alpha))])
     else:
         xi_expected = float(data.s0_prime(float(Y.q[0])))
@@ -380,13 +376,23 @@ def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,
     return complex(_F_values(data, float(X.q[0]), float(X.p[0]), Y.q, Y.p, e)[0])
 
 
-def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
-    if alpha_grid is None:
-        c = float(X.q[0])
-        alpha_grid = np.linspace(c - 8.0, c + 8.0, 321)
-    alpha = np.asarray(alpha_grid, dtype=float)
-    qt, pt, _act, _d = _flow_alpha(data, model, t, alpha, opts)
-    dist2 = (qt - X.q[0]) ** 2 + (pt - X.p[0]) ** 2
+def _project_alpha(X, t, data, model, opts) -> float:
+    """The source parameter of X: the root of ``g = (X - X_t) . T`` (``T``
+    the transported tangent), sampled once at 321 parameters on
+    ``[q - 8, q + 8]`` and refined by brentq in the sign change next to the
+    sample whose image is nearest X, where ``g = -(d|X - X_t|^2/dalpha)/2``
+    falls through 0."""
+    from scipy.optimize import brentq
+
+    q, p = float(X.q[0]), float(X.p[0])
+
+    def g(alpha):  # the residual, and the squared distance from X to the images
+        e = flow_batch(model, alpha, data.s0_prime(alpha), t, opts)
+        (dq, dp), dx, dy = _tangent(data, alpha, e), q - e.q[:, 0], p - e.p[:, 0]
+        return dx * dq + dy * dp, dx ** 2 + dy ** 2
+
+    alpha = np.linspace(q - 8.0, q + 8.0, 321)
+    gs, dist2 = g(alpha)
     j0 = int(np.argmin(dist2))
     interior = dist2[1:-1]
     mins = np.nonzero((interior < dist2[:-2]) & (interior <= dist2[2:]))[0] + 1
@@ -397,54 +403,18 @@ def _project_alpha(X, t, data, model, alpha_grid, opts) -> float:
                 "projection onto the transported manifold is ambiguous "
                 "(competing nearest points); keeping the closest",
                 UserWarning, stacklevel=3)
-
-    def g(a: float) -> float:
-        qa, pa, _act, (dq, dp) = _flow_alpha(data, model, t, np.asarray([a]), opts)
-        return float((X.q[0] - qa[0]) * dq[0] + (X.p[0] - pa[0]) * dp[0])
-
-    a = float(alpha[j0])
-    h = float(alpha[1] - alpha[0])
-    ga = g(a)
-    for _ in range(60):
-        if abs(ga) < 1e-12 * max(1.0, abs(a)):
-            break
-        d = 1e-6 * max(1.0, abs(a))
-        slope = (g(a + d) - g(a - d)) / (2 * d)
-        if slope == 0.0:
-            break
-        step = float(np.clip(-ga / slope, -2 * h, 2 * h))
-        # damping: halve until |g| decreases; a stall near a fold
-        # (where dg/dalpha ~ 0) is fine if the residual is already small
-        for _k in range(30):
-            gn = g(a + step)
-            if abs(gn) < abs(ga):
-                a, ga = a + step, gn
-                break
-            step /= 2
-        else:
-            break
-    if abs(ga) > 1e-8 * max(1.0, abs(a)):
+    lo = j0 - 1 if gs[j0] < 0 else j0
+    if not (0 <= lo < alpha.size - 1 and gs[lo] * gs[lo + 1] <= 0):
         raise ProjectionError(
-            f"orthogonality solve did not converge (residual {abs(ga):.3e})")
-    return a
-
-
-def _sqrt_tracked_ratio(vals: np.ndarray) -> complex:
-    """Continuous square root of ``vals[-1]/vals[0]`` along the path,
-    equal to +1 at the start."""
-    prev = 1.0 + 0.0j
-    for k in range(1, len(vals)):
-        r = np.sqrt(vals[k] / vals[0])
-        if abs(-r - prev) < abs(r - prev):
-            r = -r
-        prev = r
-    return prev
+            "the orthogonality residual does not change sign next to the "
+            f"nearest sample alpha = {alpha[j0]:.6g}")
+    return float(brentq(lambda a: float(g(np.array([a]))[0][0]), alpha[lo], alpha[lo + 1],
+                        xtol=1e-15))
 
 
 def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
                          model: HamiltonianModel, hbar: float,
-                         opts: FlowOptions | None = None,
-                         n_track: int = 41) -> complex:
+                         opts: FlowOptions | None = None) -> complex:
     """Asymptotic solution at a point of the transported manifold.
 
     Pulls X back to its source ``(eta, xi) = g^{-t} X`` on the initial
@@ -457,17 +427,15 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     doubled anisotropy, ``Phi''`` the lift phase's Hessian; every term with
     a second flow derivative carries ``X - Y_t``), and for symplectic ``M``
     ``det((A - iB)/2) (1 - i S0''(eta)) det F'' = -(T_q - i T_p)``.  The
-    root starts at the principal ``sqrt(1 - i S0''(eta))`` and is
-    continued through ``n_track >= 2`` equally spaced times of ``[0, t]``
-    (for an integrated flow, the steps nearest them), read from one pass
-    of the source's orbit.
+    root is ``exp(-log(T_q - i T_p)/2)``, the log starting principal at
+    ``1 - i S0''(eta)`` and continued by the flow's branch-safe increments
+    along one pass of the source's orbit: through 41 even times of
+    ``[0, t]`` on closed forms, through every step of an integrated flow.
     """
     if X.d != 1:
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
-    if n_track < 2:
-        raise ConfigurationError(f"n_track must be at least 2, got {n_track}")
     back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
     eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
     xi_expected = float(data.s0_prime(eta))
@@ -476,25 +444,22 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
             f"X does not lie on the transported manifold: its source "
             f"({eta:.6g}, {xi:.6g}) is off p = S0'(q) by "
             f"{abs(xi - xi_expected):.3e}")
-    w0 = 1 - 1j * float(data.s0_second(eta))
 
-    # the root is tracked over n_track even times of [0, t]; an integrating
-    # pass takes the steps of flow_batch to t and reads the nearest ones
     opts = opts or FlowOptions()
-    grid = (np.linspace(0.0, t, n_track) if _method(model, opts) == "exact"
+    grid = (np.linspace(0.0, t, 41) if _method(model, opts) == "exact"
             else _default_times(t, opts.step))
-    tracked = np.isin(np.arange(grid.size), np.rint(np.linspace(0, grid.size - 1, n_track)))
     us = []
-    for e in compress(_sample_orbits(model, back.q, back.p, grid, opts), tracked):
+    for e in _sample_orbits(model, back.q, back.p, grid, opts):
         dq, dp = _tangent(data, eta, e)
-        us.append(complex(dq[0] - 1j * dp[0]))
-    ratio = _sqrt_tracked_ratio(us)  # us[0] = w0
+        us.append(dq[0] - 1j * dp[0])
+    us = np.array(us)  # us[0] = 1 - i S0''(eta)
+    log_u = np.log(us[0]) + _log_increment(us[:-1], us[1:]).sum()
 
     act = e.action[0]  # the last sample is t
     q, p = float(X.q[0]), float(X.p[0])
     amp = (np.pi * hbar) ** (-0.25) * float(data.R0(eta))
     phase = -0.5 * p * q + float(data.S0(eta)) + act
-    return complex(amp * np.exp(1j * phase / hbar) / (np.sqrt(w0) * ratio))
+    return complex(amp * np.exp(1j * phase / hbar - 0.5 * log_u))
 
 
 def gaussian_integral(M, v, hbar: float) -> complex:

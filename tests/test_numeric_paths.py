@@ -115,24 +115,19 @@ def test_fold_location_integrating_branch():
 
 def test_solution_on_manifold_integrating_branch():
     X = HARMONIC.exact_flow(PhasePoint(0.3, 0.3), T)
-    got = solution_on_manifold(X, T, reference_data(), TRAP, HBAR, RK4,
-                               n_track=11)
-    want = solution_on_manifold(X, T, reference_data(), HARMONIC, HBAR,
-                                n_track=11)
+    got = solution_on_manifold(X, T, reference_data(), TRAP, HBAR, RK4)
+    want = solution_on_manifold(X, T, reference_data(), HARMONIC, HBAR)
     assert rel(got, want) <= TOL
 
 
-def test_solution_on_manifold_steps_do_not_depend_on_n_track():
-    # the pass takes the steps of flow_batch to T whatever n_track is, so
-    # n_track moves only the samples the root is tracked on, while halving
-    # the step moves the value
+def test_solution_on_manifold_moves_with_the_step():
+    # the root is continued through every step of the pass, so halving the
+    # step moves the value, within the integrator's error
     X = HARMONIC.exact_flow(PhasePoint(0.3, 0.3), T)
-    got = [solution_on_manifold(X, T, reference_data(), TRAP, HBAR, RK4, n_track=n)
-           for n in (11, 41, 101)]
-    assert got[0] == got[1] == got[2]
+    got = solution_on_manifold(X, T, reference_data(), TRAP, HBAR, RK4)
     half = solution_on_manifold(X, T, reference_data(), TRAP, HBAR,
                                 FlowOptions(method="rk4", step=RK4.step / 2))
-    assert 0 < rel(half, got[0]) <= TOL
+    assert 0 < rel(half, got) <= TOL
 
 
 def test_van_vleck_focal_count_integrating_branch():

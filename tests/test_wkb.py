@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import warnings
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -169,7 +168,11 @@ def test_vertical_tangent_time():
     t = vertical_tangent_time(data, builtin_model("harmonic"))
     assert t == pytest.approx(harmonic_vertical_time(1), abs=1e-9)
     assert vertical_tangent_time(data, builtin_model("free")) is None
-
+    # the window (0, t_max] is empty: t_max = -2 would find the fold of the
+    # backward flow at -0.393
+    for t_max in (0.0, -2.0, np.nan):
+        with pytest.raises(ConfigurationError, match="t_max"):
+            vertical_tangent_time(data, builtin_model("harmonic"), t_max=t_max)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -225,6 +228,25 @@ def test_asymptotic_phase_off_manifold_and_errors():
     assert abs(F1 - F2) < 1e-8
     with pytest.raises(ProjectionError):
         asymptotic_phase_Fsc(X, 0.4, data, model, Y=PhasePoint(0.5, 3.0))
+    # the foot of (0, 100), alpha = 23.6, lies past the sampled [-8, 8]
+    with pytest.raises(ProjectionError):
+        asymptotic_phase_Fsc(PhasePoint(0.0, 100.0), 0.4, data, model)
+
+
+def test_projection_onto_the_free_manifold_is_the_foot_of_the_perpendicular():
+    # the free flow carries p = q to the line (alpha (1 + 2t), alpha), whose
+    # nearest point to X is alpha* = (X_q k + X_p) / (k^2 + 1), k = 1 + 2t
+    data, model = reference_data(), builtin_model("free")
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        q, p = rng.uniform(-1.5, 1.5, size=2)
+        t = rng.uniform(0.1, 1.0)
+        k = 1 + 2 * t
+        a = (q * k + p) / (k * k + 1)
+        X = PhasePoint(q, p)
+        got = asymptotic_phase_Fsc(X, t, data, model)
+        want = asymptotic_phase_Fsc(X, t, data, model, Y=PhasePoint(a, a))
+        assert abs(got - want) <= 1e-14, (q, p, t)
 
 
 def test_asymptotic_phase_off_manifold_matches_free_closed_form():
@@ -248,8 +270,8 @@ def test_asymptotic_phase_off_manifold_matches_free_closed_form():
 def test_asymptotic_phase_near_fold():
     data3 = cubic_data()
     model = builtin_model("free")
-    # adjacent to the fold the orthogonality solve stalls with a tiny
-    # residual; that must be accepted, not raised
+    # adjacent to the fold, where the residual's slope nearly vanishes, its
+    # sign change is still bracketed and solved, not raised
     F = asymptotic_phase_Fsc(PhasePoint(-6.0, -0.95), 1.0, data3, model)
     assert np.isfinite(F.real) and np.isfinite(F.imag)
     # between the two sheets the projection is ambiguous and says so
@@ -270,17 +292,6 @@ def test_solution_on_manifold_tracks_display_to_first_order():
             assert rel < 5 * hbar, (kind, a0, rel)
 
 
-def test_solution_on_manifold_needs_two_tracking_times():
-    # one tracking time would read the tau = 0 action instead of the one at t
-    model = builtin_model("harmonic")
-    X = model.exact_flow(PhasePoint(0.3, 0.3), 0.4)
-    for n_track in (0, 1):
-        with pytest.raises(ConfigurationError, match="n_track"):
-            solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=n_track)
-    got = solution_on_manifold(X, 0.4, reference_data(), model, HBAR, n_track=2)
-    assert got == pytest.approx(exact_phase_solution("harmonic", X, 0.4, HBAR), rel=5 * HBAR)
-
-
 # The stationary-phase Hessian F'' that solution_on_manifold's amplitude
 # reduces to: a 9-point central-difference stencil of the double-phase-space
 # phase around the source (centre, eta and xi axis points, corners), with one
@@ -297,22 +308,21 @@ def stencil_hessian(f, h):
                      [cross, (xp - 2 * c + xm) / h ** 2]])
 
 
-def stationary_phase_products(X, t, data, model, opts, n_track=41):
-    """At each of the n_track times solution_on_manifold tracks, the product
-    ``det((A - iB)/2) (1 - i S0''(eta)) det F''`` from the stencil Hessian,
-    and ``-(T_q - i T_p)`` from the tangent the flow's frame gives."""
+def stationary_phase_products(X, t, data, model, opts):
+    """At each time solution_on_manifold continues its root through (41 even
+    times of [0, t] on closed forms, every step of an integrated flow), the
+    product ``det((A - iB)/2) (1 - i S0''(eta)) det F''`` from the stencil
+    Hessian, and ``-(T_q - i T_p)`` from the tangent the flow's frame gives."""
     back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
     eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
     w0 = 1 - 1j * float(data.s0_second(eta))
     src_eta = eta + (STENCIL_STEPS[:, None] * STENCIL[:, 0]).ravel()
     src_xi = xi + (STENCIL_STEPS[:, None] * STENCIL[:, 1]).ravel()
     opts = opts or FlowOptions()
-    grid = (np.linspace(0.0, t, n_track) if _method(model, opts) == "exact"
+    grid = (np.linspace(0.0, t, 41) if _method(model, opts) == "exact"
             else _default_times(t, opts.step))
-    keep = np.isin(np.arange(grid.size), np.rint(np.linspace(0, grid.size - 1, n_track)))
     hessian, tangent = [], []
-    for e in compress(_sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts),
-                      keep):
+    for e in _sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts):
         dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
         f = _F_values(data, e.q[0, 0], e.p[0, 0], src_eta, src_xi, e)
         H1, H2 = (stencil_hessian(fh, h) for fh, h in zip(f.reshape(2, -1), STENCIL_STEPS))
