@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,18 +251,57 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
     return FlowBatch(*(field[:-1] for field in s)), _ehrenfest_crossings(times, norms, hbar)
 
 
-# Largest real part of an exponent in the tables of the separable sum.  The
-# product of the four tables and the rescaling of a tile are each at most
-# e^(4 x 60) in modulus, so every term that matters to double precision stays
-# between about 1e-224 and 1e+105: far from underflow and overflow.
+# Largest real part of an exponent in the tables of the separable sums.  The
+# product of a tile's tables (four in the kernel sum, two in the position
+# synthesis) and its rescaling are each at most e^(4 x 60) in modulus, so
+# every term that matters to double precision stays between about 1e-224 and
+# 1e+105: far from underflow and overflow.
 _TABLE_EXPONENT = 60.0
+# Most output nodes in one tile: a table row per node over a grid line per
+# source, so a tile's tables over a 237-line box stay near 1 MB each.
+_TILE_NODES = 256
 
 
 def _tiles(axis: np.ndarray, reach: float, hbar: float) -> list:
     """Split an output axis into runs of half-width at most
-    ``_TABLE_EXPONENT hbar / reach``."""
+    ``_TABLE_EXPONENT hbar / reach`` and of at most ``_TILE_NODES`` nodes."""
     n = math.ceil((axis[-1] - axis[0]) * reach / (2 * _TABLE_EXPONENT * hbar))
+    n = max(n, math.ceil(axis.size / _TILE_NODES))
     return np.array_split(np.arange(axis.size), min(max(n, 1), axis.size))
+
+
+class _SourceBox(NamedTuple):
+    """Kept sources of a tensor grid under an affine flow, centred on their
+    bounding box.  ``M`` is the real flow Jacobian that every orbit shares
+    and ``half`` the box's half-widths.  ``yq``, ``yp`` are the box's grid
+    lines less its centre ``ybar``, and ``jq``, ``jp`` each source's lines,
+    so that a source sits at ``ybar + y'`` with ``y' = (yq[jq], yp[jp])``.
+    Its image is ``Ybt + v`` with ``v = M y'`` (shape ``(2, N)``), where
+    ``Ybt`` is the image of ``ybar``."""
+
+    M: np.ndarray
+    half: np.ndarray
+    yq: np.ndarray
+    yp: np.ndarray
+    jq: np.ndarray
+    jp: np.ndarray
+    v: np.ndarray
+    Ybt: np.ndarray
+
+
+def _source_box(e, qs, ps, iq, ip) -> _SourceBox:
+    """The box geometry of the sources ``(qs[iq], ps[ip])`` from their
+    endpoints ``e`` (one :func:`flow_batch` of an affine flow)."""
+    M = _real_jacobian(e.A[0], e.B[0])
+    q0, q1, p0, p1 = iq.min(), iq.max(), ip.min(), ip.max()
+    ybar = 0.5 * np.array([qs[q0] + qs[q1], ps[p0] + ps[p1]])
+    yq, yp = qs[q0:q1 + 1] - ybar[0], ps[p0:p1 + 1] - ybar[1]
+    jq, jp = iq - q0, ip - p0
+    v = M @ np.stack([yq[jq], yp[jp]])
+    # the common offset of the images, averaged over the sources' round-off
+    Ybt = np.mean(np.stack([e.q[:, 0], e.p[:, 0]]) - v, axis=1)
+    return _SourceBox(M, 0.5 * np.array([qs[q1] - qs[q0], ps[p1] - ps[p0]]),
+                      yq, yp, jq, jp, v, Ybt)
 
 
 def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
@@ -269,9 +309,9 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     from the sources' endpoints ``e`` (one :func:`flow_batch`).
 
     All sources share the frame, hence ``M`` and ``Q``.  In coordinates
-    centred on an output tile, ``X = xbar + x'``, and on the kept-source box,
-    ``Y = ybar + y'``, the kernel exponent is a target-only part, a
-    source-only part and the bilinear ``x'.K y'`` with
+    centred on an output tile, ``X = xbar + x'``, and on the kept-source box
+    (:func:`_source_box`), ``Y = ybar + y'``, the kernel exponent is a
+    target-only part, a source-only part and the bilinear ``x'.K y'`` with
     ``K = (J/2 - Q) M``.  Over the tensor source grid the bilinear factor
     is four exponential tables ``exp{(i/hbar) K_ab x'_a y'_b}``, and the
     sum over sources of one tile is the product ``W @ E^T`` of their
@@ -281,21 +321,13 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     exceeds its prefactor, the two scales multiply to at most
     ``e^(4 _TABLE_EXPONENT)``.
     """
-    A, B = e.A[0], e.B[0]
-    M = _real_jacobian(A, B)
-    Q = _doubled(_anisotropy(A, B))
+    M, half, yq, yp, jq, jp, v, Ybt = _source_box(e, qs, ps, iq, ip)
+    Q = _doubled(_anisotropy(e.A[0], e.B[0]))
     J = symplectic_J(1)
     K = (0.5 * J - Q) @ M
 
-    q0, q1, p0, p1 = iq.min(), iq.max(), ip.min(), ip.max()
-    ybar = 0.5 * np.array([qs[q0] + qs[q1], ps[p0] + ps[p1]])
-    half = 0.5 * np.array([qs[q1] - qs[q0], ps[p1] - ps[p0]])
-    yq, yp = qs[q0:q1 + 1] - ybar[0], ps[p0:p1 + 1] - ybar[1]
-    jq, jp = iq - q0, ip - p0
     Y = np.stack([qs[iq], ps[ip]])
     Yt = np.stack([e.q[:, 0], e.p[:, 0]])
-    v = M @ np.stack([yq[jq], yp[jp]])  # Y_t - Ybar_t
-    Ybt = Yt[:, 0] - v[:, 0]
     # source-only exponent: (i/hbar)(Act + (xi.eta - xi_t.eta_t)/2 + v.Q v/2)
     base = 1j / hbar * (e.action + 0.5 * (Y[0] * Y[1] - Yt[0] * Yt[1])
                         + 0.5 * np.einsum("in,ij,jn->n", v, Q, v))
@@ -397,6 +429,80 @@ _WINDOW_EXPONENT = 40.0
 _WINDOW_NODES = 16
 
 
+def _reach(hbar: float, im_z) -> float:
+    """Distance from its image ``q_t`` past which a packet's Gaussian factor
+    falls below ``e^-_WINDOW_EXPONENT``, for the narrowest ``Im z``."""
+    return math.sqrt(2 * hbar * _WINDOW_EXPONENT / np.min(im_z))
+
+
+def _windowed_synthesis(e, src, hbar, x):
+    """``sum_s src_s exp{(i/hbar)(p_t (x - q_t) + z_s (x - q_t)^2 / 2)}`` at
+    the nodes ``x``, from the sources' endpoints ``e``: each run of
+    ``_WINDOW_NODES`` nodes sums, pair by pair, the sources whose images
+    ``q_t`` lie within :func:`_reach` of the run."""
+    qt, pt = e.q[:, 0], e.p[:, 0]
+    z = _anisotropy(e.A, e.B)[:, 0, 0]
+    order = np.argsort(qt, kind="stable")
+    qt, pt, z, src = qt[order], pt[order], z[order], src[order]
+    reach = _reach(hbar, z.imag)
+    starts = np.arange(0, x.size, _WINDOW_NODES)
+    ends = np.minimum(starts + _WINDOW_NODES, x.size)
+    lo = np.searchsorted(qt, x[starts] - reach)
+    hi = np.searchsorted(qt, x[ends - 1] + reach)
+    out = np.empty(x.size, dtype=complex)
+    for s, end, a, b in zip(starts, ends, lo, hi):
+        dxs = x[s:end, None] - qt[None, a:b]
+        phase = pt[None, a:b] * dxs + 0.5 * z[None, a:b] * dxs ** 2
+        out[s:end] = np.exp(1j / hbar * phase) @ src[a:b]
+    return out
+
+
+def _separable_synthesis(e, src, hbar, qs, ps, iq, ip, x):
+    """The sum of :func:`_windowed_synthesis` for an affine flow, by tables
+    over the kept-source box (:func:`_source_box`).
+
+    Every packet shares ``z``, and a source's image is
+    ``(q_t, p_t) = (Qb + v_q, Pb + v_p)`` with ``v = M y'``.  At a node
+    ``x = xbar + x'`` of a tile centred on ``xbar``, with ``d = xbar - q_t``,
+    the exponent ``p_t (x - q_t) + z (x - q_t)^2 / 2`` is the sum of
+    - ``sigma``: the pair's exponent at the tile centre, ``p_t d + z d^2 / 2``;
+    - ``tau``, target-only: ``x' (Pb + z (xbar - Qb + x' / 2))``;
+    - the bilinear ``x' (kappa . y')``, ``kappa = M[1] - z M[0]``.
+    So a tile is ``e^tau rowsum(T_q * (T_p @ G^T))``: two tables
+    ``exp{(i/hbar) kappa_a x' y'_a}`` and the box's grid ``G`` of the
+    sources times ``e^sigma``, zero at dropped sources.  Each factor keeps
+    phases of the size of the pair's own near the tile.  Tiles and scales
+    are those of :func:`_affine_sum`.  Nodes farther than :func:`_reach`
+    from every image are exactly 0, as the windowed sum drops them.
+    """
+    box = _source_box(e, qs, ps, iq, ip)
+    z = complex(_anisotropy(e.A[0], e.B[0])[0, 0])
+    Qb, Pb = box.Ybt
+    kappa = box.M[1] - z * box.M[0]
+    qt, pt = box.Ybt[:, None] + box.v
+    reach = _reach(hbar, z.imag)
+    images = np.sort(qt)
+    near = (np.searchsorted(images, x + reach, "right")
+            > np.searchsorted(images, x - reach))
+    out = np.zeros(x.size, dtype=complex)
+    G = np.zeros((box.yq.size, box.yp.size), dtype=complex)
+    for r in _tiles(x, np.max(np.abs(kappa.imag) * box.half), hbar):
+        r = r[near[r]]
+        if not r.size:
+            continue
+        xbar = 0.5 * (x[r[0]] + x[r[-1]])
+        dx = x[r] - xbar
+        d = xbar - qt
+        sigma = 1j / hbar * (pt + 0.5 * z * d) * d
+        tau = 1j / hbar * (Pb + z * (xbar - Qb + 0.5 * dx)) * dx
+        st, ss = tau.real.max(), sigma.real.max()
+        G[box.jq, box.jp] = src * np.exp(sigma - ss)
+        Tq = np.exp(1j / hbar * kappa[0] * np.outer(dx, box.yq))
+        Tp = np.exp(1j / hbar * kappa[1] * np.outer(dx, box.yp))
+        out[r] = np.exp(st + ss) * np.exp(tau - st) * np.einsum("ij,ij->i", Tq, Tp @ G.T)
+    return out
+
+
 def _default_phase_axes(psi0: ComplexField, hbar: float):
     x = psi0.axes[0]
     i0, i1 = _position_support(psi0)
@@ -436,13 +542,20 @@ def position_space_solution(psi0: ComplexField, t: float,
 
     Source ``s`` contributes ``src_s exp{(i/hbar)(p_t (x - q_t)
     + z_s (x - q_t)^2 / 2)}``, of modulus ``|src_s| exp{-Im z_s
-    (x - q_t)^2 / (2 hbar)}`` with ``Im z_s > 0``.  With the sources
-    sorted by ``q_t`` and ``R = sqrt(2 hbar L / min_s Im z_s)``,
-    ``L = 40``, each run of 16 output nodes sums only the contiguous
-    sources with ``q_t`` within ``R`` of the run.  A term is dropped only
-    where its modulus is at most ``e^-L |src_s|`` (``e^-40 = 4.2e-18``),
-    so the dropped terms sum to at most ``e^-L sum_s |src_s|`` at any
-    node; the kept ones are evaluated exactly as in the full sum.
+    (x - q_t)^2 / (2 hbar)}`` with ``Im z_s > 0``.  Let
+    ``R = sqrt(2 hbar L / min_s Im z_s)``, ``L = 40``: past ``R`` a term's
+    modulus is at most ``e^-L |src_s|`` (``e^-40 = 4.2e-18``).
+
+    A flow in closed form (method ``"exact"``) is affine and every packet
+    shares ``z``, so the sum separates over the tensor grid of the kept
+    sources (:func:`_separable_synthesis`): per output tile, two exponential
+    tables and one matrix product, with every node farther than ``R`` from
+    each image ``q_t`` exactly 0.  An integrated flow gives each source its
+    own ``z`` and is summed pair by pair over windows
+    (:func:`_windowed_synthesis`): with the sources sorted by ``q_t``, each
+    run of 16 output nodes sums only the sources with ``q_t`` within ``R``
+    of the run, so the dropped terms sum to at most ``e^-L sum_s |src_s|``
+    at any node and the kept ones are evaluated exactly as in the full sum.
 
     Emits Ehrenfest warnings as :func:`apply_propagator` does, for the
     orbit from the mean of the kept sources.
@@ -466,24 +579,13 @@ def position_space_solution(psi0: ComplexField, t: float,
 
     center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
     e, crossings = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)
-    qt, pt = e.q[:, 0], e.p[:, 0]
-    z = _anisotropy(e.A, e.B)[:, 0, 0]
     amp = np.exp(-0.5 * e.logdetA)
-
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5)
     src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
-    order = np.argsort(qt, kind="stable")
-    qt, pt, z, src = qt[order], pt[order], z[order], src[order]
-    reach = np.sqrt(2 * hbar * _WINDOW_EXPONENT / z.imag.min())
-    starts = np.arange(0, x.size, _WINDOW_NODES)
-    ends = np.minimum(starts + _WINDOW_NODES, x.size)
-    lo = np.searchsorted(qt, x[starts] - reach)
-    hi = np.searchsorted(qt, x[ends - 1] + reach)
-    out = np.empty(x.size, dtype=complex)
-    for s, e, a, b in zip(starts, ends, lo, hi):
-        dxs = x[s:e, None] - qt[None, a:b]
-        phase = pt[None, a:b] * dxs + 0.5 * z[None, a:b] * dxs ** 2
-        out[s:e] = np.exp(1j / hbar * phase) @ src[a:b]
+    if _method(model, opts or FlowOptions()) == "exact":
+        out = _separable_synthesis(e, src, hbar, *Psi0.axes, iq, ip, x)
+    else:
+        out = _windowed_synthesis(e, src, hbar, x)
     for msg in crossings:
         warnings.warn(msg, EhrenfestWarning, stacklevel=2)
     return ComplexField((x,), out, hbar)

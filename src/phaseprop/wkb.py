@@ -436,7 +436,8 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
         raise ConfigurationError("solution_on_manifold supports d = 1 only")
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
-    back = flow_batch(model, X.q, X.p, -t, FlowOptions(step=1e-3))
+    opts = opts or FlowOptions()
+    back = flow_batch(model, X.q, X.p, -t, opts)
     eta, xi = float(back.q[0, 0]), float(back.p[0, 0])
     xi_expected = float(data.s0_prime(eta))
     if abs(xi - xi_expected) > 1e-6 * max(1.0, abs(xi_expected)):
@@ -445,7 +446,6 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
             f"({eta:.6g}, {xi:.6g}) is off p = S0'(q) by "
             f"{abs(xi - xi_expected):.3e}")
 
-    opts = opts or FlowOptions()
     grid = (np.linspace(0.0, t, 41) if _method(model, opts) == "exact"
             else _default_times(t, opts.step))
     us = []

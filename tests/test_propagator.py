@@ -204,16 +204,22 @@ QUARTIC_TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): 0.25})
 
 
 @pytest.mark.parametrize("model, t, out_axis, opts", [
+    # closed forms take the separable sum
     # free at t = 1: Im z = 1/5, the widest packets and the longest reach
     (builtin_model("free"), 1.0, SYNTH_X, None),
     (builtin_model("linear"), 0.6, SYNTH_X, None),
     (builtin_model("harmonic"), 0.8, SYNTH_X, None),
-    # integrated orbits of an anharmonic trap: z differs from source to source
+    # the inverted oscillator p^2 - q^2, and a cross and a linear term
+    (polynomial_model({(0, 2): 1.0, (2, 0): -1.0}), 0.4, SYNTH_X, None),
+    (polynomial_model({(1, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3}), 0.7, SYNTH_X, None),
+    # integrated orbits of an anharmonic trap take the windowed sum: z
+    # differs from source to source
     (QUARTIC_TRAP, 0.5, SYNTH_X, FlowOptions(method="rk4", step=1e-2)),
-    # nodes far right of every source: their windows hold no source
+    # nodes far right of every source image
     (builtin_model("harmonic"), 0.8, np.linspace(-8.0, 24.0, 641), None),
-], ids=["free", "linear", "harmonic", "quartic-rk4", "empty-windows"])
-def test_windowed_synthesis_matches_full_per_pair_sum(model, t, out_axis, opts):
+], ids=["free", "linear", "harmonic", "inverted", "cross-linear", "quartic-rk4",
+        "empty-windows"])
+def test_position_synthesis_matches_full_per_pair_sum(model, t, out_axis, opts):
     psi0 = ComplexField((SYNTH_X,), initial_position_state(SYNTH_X, HBAR), HBAR)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EhrenfestWarning)
@@ -223,8 +229,8 @@ def test_windowed_synthesis_matches_full_per_pair_sum(model, t, out_axis, opts):
     if model is QUARTIC_TRAP:
         assert np.ptp(z.imag) > 0.1
     # empty-windows case: the harmonic flow rotates the sources, so none
-    # reaches q_t > 6 sqrt(2) = 8.5 and each window past 8.5 + R = 11.3 is
-    # an empty slice summing to exactly 0 (other cases stop at x = 8)
+    # reaches q_t > 6 sqrt(2) = 8.5, and every node past 8.5 + R = 11.3 is
+    # farther than R from every image and exactly 0 (other cases stop at x = 8)
     assert not got[out_axis > 12.0].any()
     err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= 1e-14, err
@@ -479,6 +485,23 @@ def test_apply_propagator_integrates_when_asked_to(monkeypatch):
     assert np.abs(got.values - want.values).max() <= 1e-6 * np.abs(want.values).max()
 
 
+def test_position_solution_integrates_when_asked_to(monkeypatch):
+    # an explicit rk4 takes the windowed sum even where closed forms exist
+    psi0 = ComplexField((SYNTH_X,), initial_position_state(SYNTH_X, HBAR), HBAR)
+    model = builtin_model("harmonic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = position_space_solution(psi0, 0.5, model, phase_axes=SYNTH_AXES)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the separable sum ran under method='rk4'")
+
+        monkeypatch.setattr("phaseprop.propagator._separable_synthesis", forbidden)
+        got = position_space_solution(psi0, 0.5, model, phase_axes=SYNTH_AXES,
+                                      opts=FlowOptions(method="rk4", step=1e-2))
+    assert np.abs(got.values - want.values).max() <= 1e-6 * np.abs(want.values).max()
+
+
 def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
     # the guard's orbit is read from the sources' pass over the caller's step
     # grid with the caller's options, its centre the batch's last row
@@ -628,3 +651,25 @@ def test_two_propagations_compose_into_one(kind, q, p, t1, t2):
                                  model, out_axes=axes).values
     err = np.abs(twice - once).max() / np.abs(once).max()
     assert err <= 1e-13, err
+
+
+# H = c20 q^2 + c11 qp + c02 p^2 + c10 q + c01 p + c00 with every |c| <= 1:
+# up to t = 0.4 a packet launched from |q|, |p| <= 0.5 stays inside [-10, 10]
+unit_quadratics = st.fixed_dictionaries(
+    {k: st.floats(-1.0, 1.0) for k in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))})
+
+
+# each example is one analysis and one separable sum, about 0.02 CPU s
+@settings(max_examples=40)
+@given(coeffs=unit_quadratics, q=st.floats(-0.5, 0.5), p=st.floats(-0.5, 0.5),
+       t=st.floats(0.05, 0.4))
+def test_position_solution_keeps_the_norm_on_quadratic_models(coeffs, q, p, t):
+    # the analysis is an isometry and the closed-form flow is exact, so the
+    # norm moves by round-off only: 2.8e-15 worst over 300 scratch draws
+    # (2.4e-15 over the 256 corners of the ranges); the bound leaves 3.5x
+    x = np.linspace(-10.0, 10.0, 801)
+    psi0 = ComplexField((x,), gaussian_packet(PhasePoint(q, p), HBAR, x), HBAR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EhrenfestWarning)
+        out = position_space_solution(psi0, t, polynomial_model(coeffs))
+    assert abs(out.l2_norm() / psi0.l2_norm() - 1) <= 1e-14

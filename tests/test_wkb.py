@@ -372,6 +372,29 @@ def test_solution_on_manifold_amplitude_is_the_stationary_phase_hessian(
         assert abs(got - want) / abs(want) < tol_value, (a, got, want)
 
 
+def test_solution_on_manifold_pulls_back_with_the_callers_flow(monkeypatch):
+    # the source (eta, xi) comes from the caller's integrator, the one whose
+    # forward pass the tangent and the action are read from
+    model = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
+    data, t = reference_data(), 0.2
+    e = flow_batch(model, [0.3], [float(data.s0_prime(0.3))], t, FlowOptions(step=1e-3))
+    X = PhasePoint(e.q[0], e.p[0])
+    pulls = []
+
+    def recording(model, Q, P, t, opts=None):
+        if t < 0:
+            pulls.append(opts)
+        return flow_batch(model, Q, P, t, opts)
+
+    monkeypatch.setattr("phaseprop.wkb.flow_batch", recording)
+    rk4 = FlowOptions(method="rk4", step=1e-2)
+    got = solution_on_manifold(X, t, data, model, HBAR, rk4)
+    assert pulls == [rk4]
+    half = solution_on_manifold(X, t, data, model, HBAR,
+                                FlowOptions(method="rk4", step=rk4.step / 2))
+    assert abs(got - half) / abs(half) <= 1e-5
+
+
 def test_gaussian_integral_against_quadrature():
     assert gaussian_integral(np.eye(1), np.zeros(1), HBAR) == pytest.approx(1.0)
     M = np.array([[1.0 + 0.4j, 0.3j], [0.3j, 1.5 - 0.2j]])
