@@ -12,12 +12,15 @@ integrated through its own (caustic-singular) Riccati equation.
 ``_sample_orbits`` carries N orbits at once through a grid of times in
 one pass, by closed forms or integration as ``_method`` alone chooses;
 :func:`flow_batch` is its endpoint view and the bundle its per-step
-record of a batch of one.
+record of a batch of one.  The frame and action equations are linear
+along an orbit that does not depend on them, so the rk4 pass
+(:func:`_rk4`) steps the orbit points alone, then gives each run of up
+to 64 steps its frames, action and log-dets in one vectorized pass;
+adaptive DOP853 steps the joint system (:class:`_CharRHS`).
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,12 +118,10 @@ class FlowOptions:
             raise ConfigurationError(
                 f"flow.method: unknown method {self.method!r}; "
                 "expected 'rk4', 'adaptive' or 'exact'")
-        if self.step is not None and not self.step > 0:
-            raise ConfigurationError(f"flow.step must be positive, got {self.step}")
-        if not self.rtol > 0:
-            raise ConfigurationError(f"flow.rtol must be positive, got {self.rtol}")
-        if self.hbar is not None and not self.hbar > 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        for name, value in (("flow.step", self.step), ("flow.rtol", self.rtol),
+                            ("hbar", self.hbar)):
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -235,52 +236,183 @@ def _unpack(y, d: int):
 
 
 class _CharRHS:
-    """Right-hand side of the joint (X, frame, action) system of a batch
-    of orbits launched from the rows of ``q0``, ``p0``, on packed states
-    (:func:`_pack`).  A real matrix acts on the interleaved (re, im) frame
-    as on the complex one, so ``dF/dt = (J H'') F`` is one real product,
-    and ``dX/dt = g J^T``."""
+    """The characteristic equations of a batch of orbits launched from the
+    rows of ``q0``, ``p0``: ``dX/dt = g J^T``, ``dF/dt = (J H'') F`` for the
+    frame ``F = [A; B]`` and ``dAct/dt = p . H_p - H(X_0)``, with ``g``, ``H''``
+    the model's gradient and Hessian at ``X``.  ``_rk4`` reads the parts; a
+    call is the joint right-hand side on packed states (:func:`_pack`), where
+    a real matrix acts on the interleaved (re, im) frame as on the complex
+    one, so the frame's rate is one real product."""
 
     def __init__(self, model: HamiltonianModel, q0, p0):
-        self.model, self.q0, self.p0 = model, q0, p0
+        self.derivatives, self.q0, self.p0 = model.bulk_derivatives, q0, p0
         self.H0 = model.bulk_value(q0, p0)
         self.d = q0.shape[1]
-        self.J = symplectic_J(self.d)
+        self.JT = symplectic_J(self.d).T
+
+    def generator(self, H2, axis: int = -2):
+        """``J H''`` of a stack of Hessians whose rows run along ``axis``:
+        the p rows over the negated q rows."""
+        d, rows = self.d, (slice(None),) * (axis % H2.ndim)  # the axes before the rows
+        return np.concatenate([H2[rows + (slice(d, None),)], -H2[rows + (slice(d),)]], axis=axis)
+
+    def action_rate(self, p, gp, axis: int = -1):
+        """``p . H_p - H(X_0)`` along ``axis``."""
+        return np.vecdot(p, gp, axis=axis) - self.H0
+
+    def require_finite(self, q, p, g, H2):
+        """Raise :class:`ModelError` naming the point and the orbit of the
+        first row of a stage whose derivatives are not finite."""
+        ok = np.isfinite(g).all(axis=1) & np.isfinite(H2).all(axis=(1, 2))
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise ModelError(
+                f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
+                f"orbit from q={self.q0[j]}, p={self.p0[j]}")
 
     def __call__(self, y):
         n, d = len(y), self.d
         q, p = y[:, :d], y[:, d:2 * d]
-        g, H2 = self.model.bulk_derivatives(q, p)
+        g, H2 = self.derivatives(q, p)
         dy = np.empty_like(y)
-        dy[:, :2 * d] = g @ self.J.T
-        dy[:, 2 * d:-1] = (self.J @ H2 @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
+        dy[:, :2 * d] = g @ self.JT
+        dy[:, 2 * d:-1] = (self.generator(H2) @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
                            ).reshape(n, 4 * d * d)
-        dy[:, -1] = np.vecdot(p, g[:, d:]) - self.H0
+        dy[:, -1] = self.action_rate(p, g[:, d:])
         if not np.isfinite(dy).all():  # any non-finite derivative reaches dy
-            ok = np.isfinite(g).all(axis=1) & np.isfinite(H2).all(axis=(1, 2))
-            if not ok.all():
-                j = int(np.argmin(ok))
-                raise ModelError(
-                    f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
-                    f"orbit from q={self.q0[j]}, p={self.p0[j]}")
+            self.require_finite(q, p, g, H2)
         return dy
 
 
+# a run of rk4 steps holds at most _RUN_STEPS steps, and its stacked stage
+# Hessians about _RUN_BYTES
+_RUN_STEPS, _RUN_BYTES = 64, 1 << 20
+
+
 def _rk4(model, q, p, times):
-    """States ``(q, p, [A; B], action)`` at each of ``times``, every
-    orbit of the batch stepped together by classical RK4 on one packed
-    array, so each stage is one ``y + h k``."""
-    rhs, d = _CharRHS(model, q, p), q.shape[1]
+    """The states at ``times`` of the orbits from the rows of ``q``, ``p``,
+    stepped by classical RK4, in runs: :class:`FlowBatch` es whose fields
+    have a leading axis over consecutive states, state 0 alone first.
+
+    The frame system is linear along an orbit that does not depend on the
+    frame, and the action rate depends on the orbit alone.  So the stage
+    loop (:func:`_orbit_steps`) steps the orbit points ``X`` only, for a
+    run of up to :data:`_RUN_STEPS` steps (fewer on large batches, so its
+    stacked stage Hessians stay near :data:`_RUN_BYTES`).  The run then
+    gets its frames, action and log-dets in one pass over all its steps
+    and orbits: each step's RK4 update of the frame is a propagator,
+    ``F_{n+1} = P_n F_n``, so the run's frames are ``P_n ... P_0 F``
+    (:func:`_propagators`); the action adds the RK4 increments and the
+    log-dets the branch-safe increments of the run's determinants, each a
+    cumulative sum.  ``X`` and the action are the
+    joint system's RK4 (:class:`_CharRHS`) bit for bit; the frames and
+    log-dets differ by round-off.  A non-finite derivative in a run first
+    yields the states before its step, then raises :class:`ModelError`."""
+    rhs, (n, d) = _CharRHS(model, q, p), q.shape
     y = _pack(q, p)
-    yield _unpack(y, d)
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        k1 = rhs(y)
-        k2 = rhs(y + h / 2 * k1)
-        k3 = rhs(y + h / 2 * k2)
-        k4 = rhs(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield _unpack(y, d)
+    x, F, act = y[:, :2 * d], _unpack(y, d)[2].view(float), y[:, -1]
+    ld = np.log(_dets(F.view(complex)))
+    yield _run(x[None], F[None], act[None], ld[:, None])
+    steps = np.diff(times)
+    size = min(max(_RUN_BYTES // (32 * max(n, 1) * (2 * d) ** 2), 1), _RUN_STEPS)
+    for start in range(0, steps.size, size):
+        h = steps[start:start + size]
+        xs, stages = _orbit_steps(rhs, x, h)
+        X, G, H = map(_orbits_last, zip(*stages))
+        m, bad = h.size, None
+        if not (np.isfinite(G).all() and np.isfinite(H).all()):
+            ok = (np.isfinite(G).all(axis=0) & np.isfinite(H).all(axis=(0, 1))).all(axis=-1)
+            bad = int(np.argmin(ok.ravel()))  # the first failing stage, as step * 4 + stage
+            m = bad // 4
+        if m:
+            h, xs = h[:m, None], np.concatenate(xs[1:m + 1]).reshape(m, n, 2 * d)
+            P = _propagators(rhs.generator(H[:, :, :m], axis=0), h)
+            Fs = np.empty((m + 1,) + F.shape)
+            Fs[0] = F
+            F0 = np.ascontiguousarray(np.moveaxis(F, 0, -1))[:, :, None]
+            Fs[1:] = np.moveaxis(_mul(P, F0), (0, 1), (-2, -1))  # F_{n+1} = P_n ... P_0 F
+            r = rhs.action_rate(X[d:, :m], G[d:, :m], axis=0)
+            acts = np.cumsum(np.concatenate(
+                [act[None], h / 6 * (r[:, 0] + 2 * r[:, 1] + 2 * r[:, 2] + r[:, 3])]), axis=0)
+            dets = _dets(Fs.view(complex))
+            lds = np.cumsum(np.concatenate(
+                [ld[:, None], _log_increment(dets[:, :-1], dets[:, 1:])], axis=1), axis=1)
+            x, F, act, ld = xs[-1], Fs[-1], acts[-1], lds[:, -1]
+            yield _run(xs, Fs[1:], acts[1:], lds[:, 1:])
+        if bad is not None:
+            X, G, H = stages[bad]
+            rhs.require_finite(X[:, :d], X[:, d:], G, H)
+
+
+def _orbit_steps(rhs, x, h):
+    """RK4 steps ``h`` of the orbit points ``x`` alone, ``X' = g J^T``:
+    the points after each step (``x`` first), and each stage's point and
+    derivatives ``(X, g, H'')``."""
+    d, xs, stages, hJ = rhs.d, [x], [], h[:, None, None] * rhs.JT
+    for J2, J1, J6 in zip(hJ / 2, hJ, hJ / 6):  # J^T times h/2, h and h/6
+        stage = x
+        for cJ in (J2, J2, J1, None):
+            g, H2 = rhs.derivatives(stage[:, :d], stage[:, d:])
+            stages.append((stage, g, H2))
+            if cJ is not None:
+                stage = x + g @ cJ
+        (_, g1, _), (_, g2, _), (_, g3, _), (_, g4, _) = stages[-4:]
+        x = x + (g1 + 2 * g2 + 2 * g3 + g4) @ J6
+        xs.append(x)
+    return xs, stages
+
+
+def _orbits_last(arrays):
+    """A run's stage arrays, each of shape ``(N, ...)``, joined in one
+    C-ordered array of shape ``(..., steps, 4, N)``, where stacked 2d x 2d
+    products over the steps, stages and orbits are long vector operations."""
+    a, axes = arrays[0], (*range(1, arrays[0].ndim), 0)
+    out = np.empty(a.shape[1:] + (len(arrays) * len(a),))
+    np.concatenate([v.transpose(axes) for v in arrays], axis=-1, out=out)
+    return out.reshape(a.shape[1:] + (len(arrays) // 4, 4, len(a)))
+
+
+def _mul(a, b):
+    """Products of the matrices of two stacks whose matrix axes come first."""
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
+def _propagators(L, h):
+    """The frame propagators of RK4 steps ``h`` (shape ``(steps, 1)``) from
+    the generators ``Li = J H''`` of their stages (shape ``(2d, 2d, steps,
+    4, N)``): ``P = I + h/6 (L1 + 2 L2 S1 + 2 L3 S2 + L4 S3)`` with
+    ``S1 = I + h/2 L1``, ``S2 = I + h/2 L2 S1``, ``S3 = I + h L3 S2``, so
+    that RK4 takes ``F`` to ``P F``; then their running products
+    ``P_n ... P_0``, in ``log2(steps)`` passes."""
+    L1, L2, L3, L4 = np.moveaxis(L, 3, 0)
+    I = np.eye(len(L))[..., None, None]
+    M2 = _mul(L2, I + h / 2 * L1)
+    M3 = _mul(L3, I + h / 2 * M2)
+    M4 = _mul(L4, I + h * M3)
+    P = I + h / 6 * (L1 + 2 * M2 + 2 * M3 + M4)
+    k = 1
+    while k < len(h):
+        P[:, :, k:] = _mul(P[:, :, k:], P[:, :, :-k])
+        k *= 2
+    return P
+
+
+def _run(X, F, act, ld) -> FlowBatch:
+    """The :class:`FlowBatch` of a run from its stacked orbit points, real
+    frames, action and log-dets."""
+    d, F = X.shape[-1] // 2, F.view(complex)
+    return FlowBatch(X[..., :d], X[..., d:], F[..., :d, :], F[..., d:, :], act, ld[0], ld[1])
+
+
+def _dets(F):
+    """``det A`` and ``det(A - iB)`` of a stack of frames ``F = [A; B]``,
+    stacked along a new first axis."""
+    d = F.shape[-1]
+    A, B = F[..., :d, :], F[..., d:, :]
+    AW = np.empty((2,) + A.shape, dtype=complex)
+    AW[0] = A
+    np.subtract(A, 1.0j * B, out=AW[1])
+    return AW[..., 0, 0] if d == 1 else np.linalg.det(AW)
 
 
 def _adaptive(model, q, p, times, rtol):
@@ -323,26 +455,21 @@ def _adaptive(model, q, p, times, rtol):
             yield _unpack(solver.y.reshape(shape), d)[:3] + (None,)
 
 
-def _tracked(states, on_steps: bool = False):
-    """Batched states with ``log det A`` and ``log det(A - iB)`` attached,
-    each continued from the previous state by a branch-safe increment.  A
-    state without action only carries the tracking on and is not yielded.
-    With ``on_steps``, the states with action are samples between those
-    steps: each takes one increment from the last step and the tracking
-    does not pass through it, so the log-dets do not depend on which
-    times are sampled."""
+def _tracked(states):
+    """The states of :func:`_adaptive` with ``log det A`` and
+    ``log det(A - iB)`` attached.  A state without action is a step's end: it
+    continues the tracking from the last step by a branch-safe increment and
+    is not yielded.  A state with action is a sample between steps: it takes
+    one increment from the last step and the tracking does not pass through
+    it, so the log-dets do not depend on which times are sampled."""
     for k, (q, p, F, act) in enumerate(states):
         d = q.shape[1]
-        A, B = F[:, :d], F[:, d:]
-        AW = np.empty((2,) + A.shape, dtype=complex)
-        AW[0] = A
-        np.subtract(A, 1.0j * B, out=AW[1])
-        dets = AW[..., 0, 0] if d == 1 else np.linalg.det(AW)
+        dets = _dets(F)
         ld = np.log(dets) if k == 0 else last_ld + _log_increment(last_det, dets)
-        if k == 0 or act is None or not on_steps:
+        if k == 0 or act is None:
             last_ld, last_det = ld, dets
         if act is not None:
-            yield FlowBatch(q, p, A, B, act, ld[0], ld[1])
+            yield FlowBatch(q, p, F[:, :d], F[:, d:], act, ld[0], ld[1])
 
 
 def _closed_form(model, q0, p0, times):
@@ -373,11 +500,13 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
 
     ``exact`` (as :func:`_method` picks) evaluates the closed forms at all
     times in one stacked call.  Integration carries all N orbits in one
-    pass and tracks the log-dets at every step: ``rk4`` gives each
-    interval of ``times`` :func:`_n_steps` equal steps; ``adaptive``
-    (:func:`_adaptive`) holds each orbit to ``rtol`` and reads its dense
-    output at ``times`` only.  That pass is lazy, so a caller that stops
-    early integrates no further.
+    lazy pass, so a caller that stops early integrates no further, and
+    tracks the log-dets at every step.  ``rk4`` gives each interval of
+    ``times`` :func:`_n_steps` equal steps, taken in runs of up to
+    :data:`_RUN_STEPS` (:func:`_rk4`): a sample is yielded once its run is
+    done, so a caller that stops early has integrated at most to the end of
+    that run.  ``adaptive`` (:func:`_adaptive`) holds each orbit to ``rtol``
+    and reads its dense output at ``times`` only.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)
@@ -385,16 +514,19 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
         yield from _closed_form(model, Q, P, np.asarray(times, dtype=float))
         return
     if method == "adaptive":
-        yield from _tracked(_adaptive(model, Q, P, times, opts.rtol), on_steps=True)
+        yield from _tracked(_adaptive(model, Q, P, times, opts.rtol))
         return
     pieces, ends = [times[:1]], [0]
     for a, b in zip(times[:-1], times[1:]):
         n = _n_steps(b - a, opts.step)
         pieces.append(np.linspace(a, b, n + 1)[1:])
         ends.append(ends[-1] + n)
-    hits = Counter(ends)
-    for k, s in enumerate(_tracked(_rk4(model, Q, P, np.concatenate(pieces)))):
-        yield from [s] * hits[k]
+    i, stop = 0, 0
+    for run in _rk4(model, Q, P, np.concatenate(pieces)):
+        start, stop = stop, stop + len(run.action)  # the run's states
+        while i < len(ends) and ends[i] < stop:
+            yield FlowBatch._make(f[ends[i] - start] for f in run)
+            i += 1
 
 
 def flow_batch(model: HamiltonianModel, Q, P, t: float,

@@ -123,6 +123,15 @@ def test_flow_options_validation():
         FlowOptions(step=-0.1)
 
 
+@pytest.mark.parametrize("field", ["step", "rtol", "hbar"])
+def test_flow_options_reject_non_finite_values(field):
+    # an infinite step gave no steps at all, so an rk4 batch to t = 0.5
+    # returned its source with action 0 and a bundle held only t = 0
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite"):
+            FlowOptions(**{field: value})
+
+
 def test_quartic_frame_identities():
     # A^T B - B^T A = 0, A^* B - B^* A = 2iI, Im Z = (A A^*)^{-1},
     # M^T J M = J — checked on a nonlinear model with the rk4 integrator

@@ -5,6 +5,7 @@ Hypothesis draws batches of sources and times from the seeded profile of
 """
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -29,7 +30,8 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import _anisotropy, _sample_orbits, flow_batch
+from phaseprop.flow import (_anisotropy, _CharRHS, _pack, _real_jacobian, _sample_orbits,
+                            _unpack, flow_batch)
 
 MODELS = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}
 MODELS["quartic"] = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
@@ -305,15 +307,84 @@ def textbook_rk4(q, p, t, n):
 
 @pytest.mark.parametrize("n", [1, 17, 289])
 def test_rk4_batch_takes_the_textbook_steps(n):
-    # the packed stepper is the classical method, stage for stage
+    # the stepper is the classical method, stage for stage, forward and
+    # backward (the on-manifold solution pulls its point back)
     src = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
-    t, step = 0.5, 1e-2
-    got = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], t,
+    step = 1e-2
+    for t in (0.5, -0.5):
+        got = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], t,
+                         FlowOptions(method="rk4", step=step))
+        want = textbook_rk4(src[:, 0], src[:, 1], t, math.ceil(abs(t) / step))
+        for name in FIELDS:
+            g = getattr(got, name).reshape(n)
+            assert np.abs(g - want[name]).max() <= 1e-14 * np.abs(want[name]).max(), (t, name)
+
+
+def joint_rk4(model, Q, P, t, step):
+    """Classical RK4 on the joint packed rows ``(q, p, [A; B], action)``, one
+    joint right-hand side per stage, with both log-dets continued by the
+    principal log of each step's ratio."""
+    rhs, d = _CharRHS(model, Q, P), Q.shape[1]
+
+    def dets(y):
+        F = _unpack(y, d)[2]
+        A, B = F[:, :d], F[:, d:]
+        return np.array([np.linalg.det(A), np.linalg.det(A - 1j * B)])
+
+    y = _pack(Q, P)
+    det = dets(y)
+    ld = np.log(det)
+    for h in np.diff(np.linspace(0.0, t, round(abs(t) / step) + 1)):
+        k1 = rhs(y)
+        k2 = rhs(y + h / 2 * k1)
+        k3 = rhs(y + h / 2 * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        det, last = dets(y), det
+        ld = ld + np.log(det / last)
+    q, p, F, act = _unpack(y, d)
+    return dict(zip(FIELDS, (q, p, F[:, :d], F[:, d:], act, ld[0], ld[1])))
+
+
+@pytest.mark.parametrize("n", [1, 17, 289, 1595])
+@pytest.mark.parametrize("step", [1e-3, 1e-2])
+def test_rk4_batch_matches_the_joint_system(n, step):
+    # the orbit-first pass steps q, p and the action as the joint system
+    # does, bit for bit; its frames and log-dets differ by round-off only
+    src = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+    got = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], 0.5,
                      FlowOptions(method="rk4", step=step))
-    want = textbook_rk4(src[:, 0], src[:, 1], t, math.ceil(t / step))
+    want = joint_rk4(MODELS["quartic"], src[:, :1], src[:, 1:], 0.5, step)
     for name in FIELDS:
-        g = getattr(got, name).reshape(n)
-        assert np.abs(g - want[name]).max() <= 1e-14 * np.abs(want[name]).max(), name
+        if name in ("q", "p", "action"):
+            assert np.array_equal(getattr(got, name), want[name]), name
+        assert close(getattr(got, name), want[name], 1e-12), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_blow_up_inside_a_run_yields_the_states_before_it():
+    # over the barrier of p^2 + q^2 - q^4/4 the orbit from (0.9, -0.9) runs
+    # off to infinity: its derivatives overflow in the step from state 214
+    # to 215 (t = 2.14 to 2.15), inside a run of steps; the orbits beside it
+    # stay bounded
+    model = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): -0.25})
+    Q, P = np.array([[0.1], [0.9], [-0.2]]), np.array([[0.0], [-0.9], [0.1]])
+    opts = FlowOptions(method="rk4", step=1e-2)
+    for times, before in ((np.linspace(0.0, 3.0, 301), 215), (np.linspace(0.0, 3.0, 31), 22)):
+        # a caller that stops before the blow-up sees no error
+        states = list(itertools.islice(_sample_orbits(model, Q, P, times, opts), before))
+        assert np.isfinite(states[-1].q).all() and np.isfinite(states[-1].A).all()
+        assert abs(states[-1].q[1, 0]) > 50  # the escaping orbit
+        # one that goes on gets the states before the failing step, then the
+        # error naming the orbit, at the index a stepper that yields after
+        # every step reaches
+        got = []
+        with pytest.raises(ModelError, match=r"orbit from q=\[0\.9\], p=\[-0\.9\]"):
+            got.extend(_sample_orbits(model, Q, P, times, opts))
+        assert len(got) == before
+        for a, b in zip(got, states):
+            for name in FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_adaptive_endpoints_do_not_depend_on_the_sample_step():
@@ -326,3 +397,27 @@ def test_adaptive_endpoints_do_not_depend_on_the_sample_step():
                             FlowOptions(method="adaptive", step=1.0))
         for name in FIELDS:
             assert close(getattr(fine, name), getattr(coarse, name), 1e-12), (kind, name)
+
+
+@given(src=sources, t=st.floats(0.05, 0.6))
+def test_rk4_flow_back_from_the_endpoint_returns_the_sources(src, t):
+    # time reversal: the backward flow from the endpoints retraces the orbits,
+    # and its real Jacobian inverts the forward one
+    opts = FlowOptions(method="rk4", step=1e-3)
+    fwd = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], t, opts)
+    back = flow_batch(MODELS["quartic"], fwd.q, fwd.p, -t, opts)
+    assert close(back.q, src[:, :1], 1e-9) and close(back.p, src[:, 1:], 1e-9)
+    composed = _real_jacobian(back.A, back.B) @ _real_jacobian(fwd.A, fwd.B)
+    assert np.abs(composed - np.eye(2)).max() <= 1e-9
+
+
+@given(coeffs=quadratic_coeffs, src=sources, t=st.floats(0.05, 2.0),
+       sign=st.sampled_from([1, -1]))
+def test_adaptive_batch_matches_the_closed_forms_on_quadratics(coeffs, src, t, sign):
+    # DOP853 at its default tolerance against the exact flow, action, frame
+    # and continued log-dets of a random H = z.S z/2 + b.z + h0
+    model = polynomial_model(coeffs)
+    want = flow_batch(model, src[:, :1], src[:, 1:], sign * t)
+    got = flow_batch(model, src[:, :1], src[:, 1:], sign * t, FlowOptions(method="adaptive"))
+    for name in FIELDS:
+        assert close(getattr(got, name), getattr(want, name), 1e-9), (name, coeffs, sign * t)
