@@ -27,7 +27,7 @@ from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
                    integrate_characteristics, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (ComplexField, _checked_axis, _momentum_scale,
-                        _position_support, wave_packet_transform)
+                        _phase_table, _position_support, wave_packet_transform)
 
 __all__ = [
     "PropagatedPacket", "propagate_packet", "eval_packet",
@@ -255,7 +255,9 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
 # product of a tile's tables (four in the kernel sum, two in the position
 # synthesis) and its rescaling are each at most e^(4 x 60) in modulus, so
 # every term that matters to double precision stays between about 1e-224 and
-# 1e+105: far from underflow and overflow.
+# 1e+105: far from underflow and overflow.  The two factors that
+# transform._phase_table multiplies into each table are bounded by the same
+# exponent.
 _TABLE_EXPONENT = 60.0
 # Most output nodes in one tile: a table row per node over a grid line per
 # source, so a tile's tables over a 237-line box stay near 1 MB each.
@@ -315,11 +317,13 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     ``K = (J/2 - Q) M``.  Over the tensor source grid the bilinear factor
     is four exponential tables ``exp{(i/hbar) K_ab x'_a y'_b}``, and the
     sum over sources of one tile is the product ``W @ E^T`` of their
-    gathered products.  Tiles are narrow enough that no table exponent
-    has a real part above ``_TABLE_EXPONENT``.  The target and source
-    factors are scaled to peak modulus 1; because the kernel modulus never
-    exceeds its prefactor, the two scales multiply to at most
-    ``e^(4 _TABLE_EXPONENT)``.
+    gathered products.  Each table comes from two short factor tables
+    (:func:`_phase_table`), at about ``2 sqrt(n)`` exponentials per node
+    over ``n`` grid lines.  Tiles are narrow enough that no table exponent,
+    and so no factor's, has a real part above ``_TABLE_EXPONENT``.  The
+    target and source factors are scaled to peak modulus 1; because the
+    kernel modulus never exceeds its prefactor, the two scales multiply to
+    at most ``e^(4 _TABLE_EXPONENT)``.
     """
     M, half, yq, yp, jq, jp, v, Ybt = _source_box(e, qs, ps, iq, ip)
     Q = _doubled(_anisotropy(e.A[0], e.B[0]))
@@ -339,15 +343,15 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     for rp in _tiles(po, reach[1], hbar):
         xp = po[rp]
         dp = xp - 0.5 * (xp[0] + xp[-1])
-        E = (np.exp(1j / hbar * K[1, 0] * np.outer(dp, yq))[:, jq]
-             * np.exp(1j / hbar * K[1, 1] * np.outer(dp, yp))[:, jp])
+        E = (_phase_table(dp, yq, 1j / hbar * K[1, 0])[:, jq]
+             * _phase_table(dp, yp, 1j / hbar * K[1, 1])[:, jp])
         p_tiles.append((rp, xp, E))
     out = np.empty((qo.size, po.size), dtype=complex)
     for rq in _tiles(qo, reach[0], hbar):
         xq = qo[rq]
         dq = xq - 0.5 * (xq[0] + xq[-1])
-        Tq = (np.exp(1j / hbar * K[0, 0] * np.outer(dq, yq))[:, jq]
-              * np.exp(1j / hbar * K[0, 1] * np.outer(dq, yp))[:, jp])
+        Tq = (_phase_table(dq, yq, 1j / hbar * K[0, 0])[:, jq]
+              * _phase_table(dq, yp, 1j / hbar * K[0, 1])[:, jp])
         uq = xq[:, None] - Ybt[0]
         for rp, xp, E in p_tiles:
             xbar = np.array([xq[0] + xq[-1], xp[0] + xp[-1]]) / 2
@@ -469,36 +473,50 @@ def _separable_synthesis(e, src, hbar, qs, ps, iq, ip, x):
     - ``tau``, target-only: ``x' (Pb + z (xbar - Qb + x' / 2))``;
     - the bilinear ``x' (kappa . y')``, ``kappa = M[1] - z M[0]``.
     So a tile is ``e^tau rowsum(T_q * (T_p @ G^T))``: two tables
-    ``exp{(i/hbar) kappa_a x' y'_a}`` and the box's grid ``G`` of the
-    sources times ``e^sigma``, zero at dropped sources.  Each factor keeps
-    phases of the size of the pair's own near the tile.  Tiles and scales
-    are those of :func:`_affine_sum`.  Nodes farther than :func:`_reach`
-    from every image are exactly 0, as the windowed sum drops them.
+    ``exp{(i/hbar) kappa_a x' y'_a}``, each from two short factor tables
+    (:func:`_phase_table`, about ``2 sqrt(n)`` exponentials per node over
+    ``n`` lines), and the grid ``G`` of the sources times ``e^sigma``, zero
+    elsewhere.  A tile keeps the sources whose image lies within ``R``
+    (:func:`_reach`) of one of its nodes, that is within ``R`` plus
+    the tile's half-width of its centre: only they take a ``sigma`` and an
+    ``e^sigma``, and the tables and a fresh ``G`` span only the box lines
+    that hold them.  Each factor keeps phases of the size of the pair's own
+    near the tile.  Tiles and scales are those of :func:`_affine_sum`.
+    Nodes farther than ``R`` from every image are exactly 0, and a term
+    dropped at a kept node is at most ``e^-40 |src_s|`` there, as the
+    windowed sum drops them.
     """
     box = _source_box(e, qs, ps, iq, ip)
     z = complex(_anisotropy(e.A[0], e.B[0])[0, 0])
     Qb, Pb = box.Ybt
     kappa = box.M[1] - z * box.M[0]
     qt, pt = box.Ybt[:, None] + box.v
+    order = np.argsort(qt, kind="stable")
+    qt, pt, src, jq, jp = qt[order], pt[order], src[order], box.jq[order], box.jp[order]
     reach = _reach(hbar, z.imag)
-    images = np.sort(qt)
-    near = (np.searchsorted(images, x + reach, "right")
-            > np.searchsorted(images, x - reach))
+    near = (np.searchsorted(qt, x + reach, "right")
+            > np.searchsorted(qt, x - reach))
     out = np.zeros(x.size, dtype=complex)
-    G = np.zeros((box.yq.size, box.yp.size), dtype=complex)
     for r in _tiles(x, np.max(np.abs(kappa.imag) * box.half), hbar):
         r = r[near[r]]
         if not r.size:
             continue
+        # the sources within reach of some node of the tile, and the lines
+        # of the box that hold them
+        s = slice(np.searchsorted(qt, x[r[0]] - reach),
+                  np.searchsorted(qt, x[r[-1]] + reach, "right"))
+        q0, p0 = jq[s].min(), jp[s].min()
+        yq, yp = box.yq[q0:jq[s].max() + 1], box.yp[p0:jp[s].max() + 1]
         xbar = 0.5 * (x[r[0]] + x[r[-1]])
         dx = x[r] - xbar
-        d = xbar - qt
-        sigma = 1j / hbar * (pt + 0.5 * z * d) * d
+        d = xbar - qt[s]
+        sigma = 1j / hbar * (pt[s] + 0.5 * z * d) * d
         tau = 1j / hbar * (Pb + z * (xbar - Qb + 0.5 * dx)) * dx
         st, ss = tau.real.max(), sigma.real.max()
-        G[box.jq, box.jp] = src * np.exp(sigma - ss)
-        Tq = np.exp(1j / hbar * kappa[0] * np.outer(dx, box.yq))
-        Tp = np.exp(1j / hbar * kappa[1] * np.outer(dx, box.yp))
+        G = np.zeros((yq.size, yp.size), dtype=complex)
+        G[jq[s] - q0, jp[s] - p0] = src[s] * np.exp(sigma - ss)
+        Tq = _phase_table(dx, yq, 1j / hbar * kappa[0])
+        Tp = _phase_table(dx, yp, 1j / hbar * kappa[1])
         out[r] = np.exp(st + ss) * np.exp(tau - st) * np.einsum("ij,ij->i", Tq, Tp @ G.T)
     return out
 
@@ -549,13 +567,16 @@ def position_space_solution(psi0: ComplexField, t: float,
     A flow in closed form (method ``"exact"``) is affine and every packet
     shares ``z``, so the sum separates over the tensor grid of the kept
     sources (:func:`_separable_synthesis`): per output tile, two exponential
-    tables and one matrix product, with every node farther than ``R`` from
-    each image ``q_t`` exactly 0.  An integrated flow gives each source its
-    own ``z`` and is summed pair by pair over windows
-    (:func:`_windowed_synthesis`): with the sources sorted by ``q_t``, each
-    run of 16 output nodes sums only the sources with ``q_t`` within ``R``
-    of the run, so the dropped terms sum to at most ``e^-L sum_s |src_s|``
-    at any node and the kept ones are evaluated exactly as in the full sum.
+    tables, each the product of two short factor tables, and one matrix
+    product over the grid lines of the sources with ``q_t`` within ``R`` of
+    the tile; only those sources take an exponential of their own, and
+    every node farther than ``R`` from each image ``q_t`` is exactly 0.  An
+    integrated flow gives each source its own ``z`` and is summed pair by
+    pair over windows (:func:`_windowed_synthesis`): with the sources
+    sorted by ``q_t``, each run of 16 output nodes sums only the sources
+    with ``q_t`` within ``R`` of the run.  Either way the dropped terms sum
+    to at most ``e^-L sum_s |src_s|`` at any node, and the kept ones are
+    the terms of the full sum.
 
     Emits Ehrenfest warnings as :func:`apply_propagator` does, for the
     orbit from the mean of the kept sources.

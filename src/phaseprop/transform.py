@@ -178,6 +178,47 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phase_table(u, v, c) -> np.ndarray:
+    """``exp(c u_k v_l)`` for any ``u``, a uniform ``v`` of ``L`` nodes and a
+    scalar ``c``, from two short factor tables; a purely imaginary ``c``
+    goes through :func:`_expi`.
+
+    With ``B`` odd near ``sqrt(L)``, ``v_l = a_j + b_k`` for
+    ``l = k B + j - lead``: ``a`` is a block of ``B`` nodes centred on the
+    centre of ``v``, and ``b`` the shifts of that block onto ``ceil(L / B)``
+    blocks that overhang ``v`` by at most ``(B - 1) / 2`` nodes at either
+    end.  Each row then takes about ``2 sqrt(L)`` exponentials instead of
+    ``L``; each entry is the product of its two factors and of
+    ``1 + c u_k (v_l - a_j - b_k)``, which puts back the last-place
+    difference between ``v`` and its uniform split.  Because ``B`` is odd,
+    no ``|a_j|`` or ``|b_k|`` exceeds ``max |v|``, so no factor's exponent
+    exceeds the direct table's in modulus.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    L = v.size
+    B = math.isqrt(L) | 1
+    nb = -(-L // B)
+    lead = (nb * B - L) // 2
+    h = (v[-1] - v[0]) / max(L - 1, 1)
+    a = 0.5 * (v[0] + v[-1]) + (np.arange(B) - (B - 1) / 2) * h
+    b = (np.arange(nb) * B - lead - (L - B) / 2) * h
+    if c.real == 0:
+        ta, tb = _expi(np.outer(c.imag * u, a)), _expi(np.outer(c.imag * u, b))
+    else:
+        ta, tb = np.exp(np.outer(c * u, a)), np.exp(np.outer(c * u, b))
+    # v_l - a_j - b_k is a few units in the last place of v, so its factor
+    # exp(c u_k (v_l - a_j - b_k)) is 1 + c u_k (v_l - a_j - b_k) in double
+    k, j = divmod(np.arange(L) + lead, B)
+    rest = np.zeros(nb * B)
+    rest[lead:lead + L] = (v - b[k]) - a[j]
+    out = np.outer(c * u, rest).reshape(u.size, nb, B)
+    out += 1
+    out *= tb[:, :, None]
+    out *= ta[:, None, :]
+    return out.reshape(u.size, nb * B)[:, lead:lead + L]
+
+
 def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     """Analyze a position-space state into its phase-space field.
 
@@ -185,7 +226,9 @@ def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     evaluated on the tensor grid ``phase_grid = (q_axis, p_axis)`` of two
     uniform increasing axes, checked before any work.  The state must
     decay below 1e-12 of its peak at the position-grid boundary; spacings
-    beyond ``sqrt(hbar)/4`` trigger a warning.
+    beyond ``sqrt(hbar)/4`` trigger a warning.  The Fourier and phase
+    tables over the p axis come from :func:`_phase_table`, at about
+    ``2 sqrt(n_p)`` exponentials per row instead of ``n_p``.
     """
     if psi.rank != 1:
         raise ConfigurationError("wave_packet_transform expects a rank-1 field")
@@ -208,8 +251,8 @@ def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:
     for rows, cols, c in _packet_blocks(qs, x, hbar):
         G = np.exp(-np.subtract.outer(qs[rows], x[cols]) ** 2 / (2 * hbar)) \
             * psi.values[cols]
-        F = _expi(np.outer(x[cols] - c, ps) * (-1 / hbar))
-        out[rows] = pref * np.exp(-1j / hbar * np.outer(c - qs[rows] / 2, ps)) * (G @ F)
+        F = _phase_table(x[cols] - c, ps, -1j / hbar)
+        out[rows] = pref * _phase_table(c - qs[rows] / 2, ps, -1j / hbar) * (G @ F)
     return ComplexField((qs, ps), out, hbar)
 
 
@@ -218,7 +261,10 @@ def inverse_transform(Psi: ComplexField, position_grid) -> ComplexField:
 
     ``psi(x) = (2 pi hbar)^(-d/2) integral Psi(q, p) G_(q,p)(x) dq dp``.
     ``position_grid`` must be uniform and increasing, and the field must
-    decay below 1e-10 of its peak at the phase-grid boundary.
+    decay below 1e-10 of its peak at the phase-grid boundary.  The phase
+    table over p and the Fourier table over the x nodes of each block come
+    from :func:`_phase_table`, at about twice the square root of their
+    length in exponentials per row.
     """
     if Psi.rank != 2:
         raise ConfigurationError("inverse_transform expects a rank-2 field")
@@ -234,8 +280,8 @@ def inverse_transform(Psi: ComplexField, position_grid) -> ComplexField:
     # Fourier product over p, then a Gaussian-weighted sum over q.
     out = np.zeros(x.size, dtype=complex)
     for rows, cols, c in _packet_blocks(qs, x, hbar):
-        H = Psi.values[rows] * np.exp(1j / hbar * np.outer(c - qs[rows] / 2, ps))
-        R = H @ _expi(np.outer(ps, x[cols] - c) * (1 / hbar))
+        H = Psi.values[rows] * _phase_table(c - qs[rows] / 2, ps, 1j / hbar)
+        R = H @ _phase_table(ps, x[cols] - c, 1j / hbar)
         out[cols] += np.sum(
             np.exp(-np.subtract.outer(qs[rows], x[cols]) ** 2 / (2 * hbar)) * R, axis=0)
     return ComplexField((x,), pref * out, hbar)
@@ -372,14 +418,15 @@ def husimi_check(psi: ComplexField, phase_grid=None):
     # Padding psi with jmax zeros on each side zeroes every lag past a row's
     # range, so the lag products of row i are a window of the padded state
     # times the reversed window ending at i; the sum is one product with the
-    # Fourier table.
+    # Fourier table, which _phase_table builds over the uniform lags at about
+    # 2 sqrt(jmax + 1) exponentials per p node.
     jmax = int(np.minimum(iq, x.size - 1 - iq).max())
     js = np.arange(jmax + 1)
     win = np.lib.stride_tricks.sliding_window_view(np.pad(v, jmax), js.size)
     prod = win[iq + jmax]
     prod *= np.conj(win[iq][:, ::-1])
     prod[:, 1:] *= 2
-    E = np.exp(-1j * np.outer(ps, 2 * dx * js) / hbar)
+    E = _phase_table(ps, 2 * dx * js, -1j / hbar)
     W = (2 * dx) / (2 * np.pi * hbar) * np.real(prod @ E.T)
 
     dq = float(qs[1] - qs[0])

@@ -200,38 +200,59 @@ def dense_synthesis(psi0, t, model, phase_axes, out_axis, opts=None):
 
 SYNTH_X = np.linspace(-8.0, 8.0, 321)
 SYNTH_AXES = (np.linspace(-6.0, 6.0, 161), np.linspace(-6.0, 6.0, 161))
+SYNTH = (ComplexField((SYNTH_X,), initial_position_state(SYNTH_X, HBAR), HBAR), SYNTH_AXES)
+# two packets at rest at q = -8 and 8, analysed on a coarse grid (spacing
+# 0.2) that keeps the dense reference small
+CLUMPS_X = np.linspace(-14.0, 14.0, 561)
+CLUMPS = (ComplexField((CLUMPS_X,), gaussian_packet(PhasePoint(-8.0, 0.0), HBAR, CLUMPS_X)
+                       + np.exp(0.3j) * gaussian_packet(PhasePoint(8.0, 0.0), HBAR, CLUMPS_X),
+                       HBAR),
+          (np.linspace(-12.0, 12.0, 121), np.linspace(-4.0, 4.0, 41)))
 QUARTIC_TRAP = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): 0.25})
 
 
-@pytest.mark.parametrize("model, t, out_axis, opts", [
+PAST_12 = (12.0, np.inf)
+
+
+@pytest.mark.parametrize("model, t, state, out_axis, opts, zero", [
     # closed forms take the separable sum
     # free at t = 1: Im z = 1/5, the widest packets and the longest reach
-    (builtin_model("free"), 1.0, SYNTH_X, None),
-    (builtin_model("linear"), 0.6, SYNTH_X, None),
-    (builtin_model("harmonic"), 0.8, SYNTH_X, None),
+    (builtin_model("free"), 1.0, SYNTH, SYNTH_X, None, PAST_12),
+    (builtin_model("linear"), 0.6, SYNTH, SYNTH_X, None, PAST_12),
+    (builtin_model("harmonic"), 0.8, SYNTH, SYNTH_X, None, PAST_12),
     # the inverted oscillator p^2 - q^2, and a cross and a linear term
-    (polynomial_model({(0, 2): 1.0, (2, 0): -1.0}), 0.4, SYNTH_X, None),
-    (polynomial_model({(1, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3}), 0.7, SYNTH_X, None),
+    (polynomial_model({(0, 2): 1.0, (2, 0): -1.0}), 0.4, SYNTH, SYNTH_X, None, PAST_12),
+    (polynomial_model({(1, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3}), 0.7, SYNTH, SYNTH_X, None,
+     PAST_12),
     # integrated orbits of an anharmonic trap take the windowed sum: z
     # differs from source to source
-    (QUARTIC_TRAP, 0.5, SYNTH_X, FlowOptions(method="rk4", step=1e-2)),
-    # nodes far right of every source image
-    (builtin_model("harmonic"), 0.8, np.linspace(-8.0, 24.0, 641), None),
+    (QUARTIC_TRAP, 0.5, SYNTH, SYNTH_X, FlowOptions(method="rk4", step=1e-2), PAST_12),
+    # the harmonic flow rotates the sources, so none reaches q_t > 6 sqrt(2)
+    # = 8.5, and every node past 8.5 + R = 11.3 is farther than R from every
+    # image: whole tiles keep no source
+    (builtin_model("harmonic"), 0.8, SYNTH, np.linspace(-8.0, 24.0, 641), None, PAST_12),
+    # the free images q + 0.6 p of the kept sources stay at |q_t| >= 4.0 and
+    # R = 3.3, so every node with |x| <= 0.7 is farther than R from every
+    # image: the tiles on either side of the gap keep disjoint sources, and
+    # the tile over [-0.6, 0.7] keeps none
+    (builtin_model("free"), 0.3, CLUMPS, np.linspace(-16.0, 16.0, 321), None,
+     (-0.75, 0.75)),
 ], ids=["free", "linear", "harmonic", "inverted", "cross-linear", "quartic-rk4",
-        "empty-windows"])
-def test_position_synthesis_matches_full_per_pair_sum(model, t, out_axis, opts):
-    psi0 = ComplexField((SYNTH_X,), initial_position_state(SYNTH_X, HBAR), HBAR)
+        "empty-windows", "two-clumps"])
+def test_position_synthesis_matches_full_per_pair_sum(model, t, state, out_axis, opts, zero):
+    psi0, phase_axes = state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EhrenfestWarning)
-        got = position_space_solution(psi0, t, model, phase_axes=SYNTH_AXES,
+        warnings.simplefilter("ignore", SpacingWarning)
+        got = position_space_solution(psi0, t, model, phase_axes=phase_axes,
                                       out_axis=out_axis, opts=opts).values
-    want, z = dense_synthesis(psi0, t, model, SYNTH_AXES, out_axis, opts)
+        want, z = dense_synthesis(psi0, t, model, phase_axes, out_axis, opts)
     if model is QUARTIC_TRAP:
         assert np.ptp(z.imag) > 0.1
-    # empty-windows case: the harmonic flow rotates the sources, so none
-    # reaches q_t > 6 sqrt(2) = 8.5, and every node past 8.5 + R = 11.3 is
-    # farther than R from every image and exactly 0 (other cases stop at x = 8)
-    assert not got[out_axis > 12.0].any()
+    # nodes farther than R from every image are exactly 0 (the first six
+    # cases stop at x = 8)
+    lo, hi = zero
+    assert not got[(lo < out_axis) & (out_axis < hi)].any()
     err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= 1e-14, err
 
