@@ -197,6 +197,8 @@ def _phase_table(u, v, c) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     L = v.size
+    if L == 0:
+        return np.empty((u.size, 0), dtype=complex)
     B = math.isqrt(L) | 1
     nb = -(-L // B)
     lead = (nb * B - L) // 2

@@ -214,6 +214,26 @@ def test_synthesis_matches_per_node_quadrature():
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
 
+def test_synthesis_onto_a_narrow_position_grid():
+    # the q axis spans [-10, 10] and the position grid [-2, 2]: the q blocks
+    # at either end lie farther than a packet radius from every node, so
+    # they reach no node and add nothing
+    qs, ps = np.linspace(-10.0, 10.0, 101), np.linspace(-2.4, 2.4, 33)
+    Q, P = np.meshgrid(qs, ps, indexing="ij")
+    rng = np.random.default_rng(11)
+    vals = (rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape)) \
+        * np.exp(-Q ** 2 / 4 - P ** 2 / 0.2)
+    Psi = ComplexField((qs, ps), vals, HBAR)
+    x = np.linspace(-2.0, 2.0, 161)
+    got = inverse_transform(Psi, x).values
+    want = np.zeros(x.size, dtype=complex)
+    for i, q in enumerate(qs):
+        for j, p in enumerate(ps):
+            want += vals[i, j] * gaussian_packet(PhasePoint(q, p), HBAR, x)
+    want *= (2 * np.pi * HBAR) ** -0.5 * Psi.cell()
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+
 def test_husimi_wigner_sum_matches_per_row_sum():
     # W(q_i, p) = (2 dx / 2 pi hbar) Re sum_|j|<=min(i, nx-1-i)
     #   exp(-i p 2 dx j / hbar) psi[i+j] conj(psi[i-j]), row by row
@@ -305,8 +325,8 @@ def test_transform_axes_are_checked_before_any_work(monkeypatch):
         inverse_transform(Psi, bad)
 
 
-# a table axis of L nodes, from one node to several hundred
-table_lengths = st.one_of(st.sampled_from([1, 2, 3, 16, 17, 237]), st.integers(1, 400))
+# a table axis of L nodes, from none to several hundred
+table_lengths = st.one_of(st.sampled_from([0, 1, 2, 3, 16, 17, 237]), st.integers(0, 400))
 
 
 @settings(max_examples=200)
@@ -315,6 +335,7 @@ table_lengths = st.one_of(st.sampled_from([1, 2, 3, 16, 17, 237]), st.integers(1
        re=st.floats(-_TABLE_EXPONENT, _TABLE_EXPONENT), im=st.floats(-200.0, 200.0),
        imaginary=st.booleans())
 @example(u=[], L=17, v0=-1.0, h=0.1, re=_TABLE_EXPONENT, im=10.0, imaginary=False)
+@example(u=[1.0, -2.0], L=0, v0=-1.0, h=0.1, re=1.0, im=10.0, imaginary=False)
 # entries up to e^690, near the largest double e^709.8: finite only if no
 # factor's exponent exceeds the direct table's by more than a few nodes
 @example(u=[1.0, -1.0], L=237, v0=-1.0, h=2 / 236, re=690.0, im=0.0, imaginary=False)
@@ -323,12 +344,12 @@ def test_phase_table_matches_the_direct_table(u, L, v0, h, re, im, imaginary):
     # real part up to the tiled sums' bound, or none at all
     u = np.array(u)
     v = np.linspace(v0, v0 + (L - 1) * h, L)
-    size = (np.abs(u).max() if u.size else 1.0) * np.abs(v).max()
+    size = (np.abs(u).max() if u.size else 1.0) * (np.abs(v).max() if v.size else 1.0)
     c = complex(0.0 if imaginary else re, im) / max(size, 1e-6)
     got = _phase_table(u, v, c)
     want = np.exp(c * np.outer(u, v))
     assert got.shape == want.shape
     # both sides round exponents of modulus up to |c| max|u| max|v|: the
-    # worst over 40 000 scratch draws was 2.96 eps (1 + that modulus)
+    # worst over 40 000 random draws was 2.96 eps (1 + that modulus)
     bound = 6 * np.finfo(float).eps * (1 + abs(c) * size)
     assert (np.abs(got - want) <= bound * np.abs(want)).all()
