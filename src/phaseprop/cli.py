@@ -350,6 +350,20 @@ def _on_manifold_error(got: ComplexField, want: ComplexField,
 # verbs
 # ---------------------------------------------------------------------------
 
+def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path):
+    """Write ``phase_t0.csv`` for the initial phase field, then propagate it
+    to each nonzero time and write ``phase_t<t>.csv``; yields
+    ``(t, field, file name, write_field_csv metadata)`` after each write."""
+    Psi0 = _initial_phase_field(config)
+    yield 0.0, Psi0, "phase_t0.csv", write_field_csv(Psi0, out_dir / "phase_t0.csv")
+    for t in config.times:
+        if t == 0.0:
+            continue
+        Psi_t = apply_propagator(Psi0, t, model, out_axes=Psi0.axes)
+        name = f"phase_t{t:g}.csv"
+        yield t, Psi_t, name, write_field_csv(Psi_t, out_dir / name)
+
+
 def _verb_run(config: RunConfig, out_dir: Path) -> int:
     report = Report()
     report.add("config", schema_version=SCHEMA_VERSION, model=config.model_kind,
@@ -360,32 +374,20 @@ def _verb_run(config: RunConfig, out_dir: Path) -> int:
         and tuple(config.s0) == (0.0, 0.0, 0.5) \
         and (config.r0_mu, config.r0_sigma) == (0.0, 1.0)
 
+    ok = True
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        Psi0 = _initial_phase_field(config)
-
-        # t = 0 projection check: the transform restricted to t = 0 must
-        # reproduce the closed-form initial phase state (reference data) or
-        # at least be consistent under the inverse transform.
-        if reference:
-            qa, pa = Psi0.axes
-            want0 = initial_phase_state(qa[:, None], pa[None, :], config.hbar)
-            err0 = _field_errors(Psi0, ComplexField(axes=Psi0.axes, values=want0,
-                                                    hbar=config.hbar))
-            report.add("t0_projection", **err0)
-        meta = write_field_csv(Psi0, out_dir / "phase_t0.csv")
-        report.add("field_dump", t=0.0, path="phase_t0.csv",
-                   norm=meta["norm"])
-
-        ok = True
-        for t in config.times:
-            if t == 0.0:
-                continue
-            Psi_t = apply_propagator(Psi0, t, model, out_axes=Psi0.axes)
-            name = f"phase_t{t:g}.csv"
-            meta = write_field_csv(Psi_t, out_dir / name)
+        for t, Psi_t, name, meta in _phase_dumps(config, model, out_dir):
+            # t = 0 projection check: the transform restricted to t = 0 must
+            # reproduce the closed-form initial phase state (reference data)
+            if t == 0.0 and reference:
+                qa, pa = Psi_t.axes
+                want0 = initial_phase_state(qa[:, None], pa[None, :], config.hbar)
+                err0 = _field_errors(Psi_t, ComplexField(axes=Psi_t.axes, values=want0,
+                                                         hbar=config.hbar))
+                report.add("t0_projection", **err0)
             report.add("field_dump", t=t, path=name, norm=meta["norm"])
-            if reference:
+            if t != 0.0 and reference:
                 want = exact_phase_field(config.model_kind, Psi_t.axes, t, config.hbar)
                 errs = _field_errors(Psi_t, want)
                 entry = dict(errs)
@@ -489,17 +491,10 @@ def _verb_propagate_phase(config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        Psi0 = _initial_phase_field(config)
-        write_field_csv(Psi0, out_dir / "phase_t0.csv")
-        for t in config.times:
-            if t == 0.0:
-                continue
-            Psi_t = apply_propagator(Psi0, t, model, out_axes=Psi0.axes)
-            write_field_csv(Psi_t, out_dir / f"phase_t{t:g}.csv")
+        n = sum(1 for _ in _phase_dumps(config, model, out_dir))
     for w in caught:
         print(f"warning: {w.message}")
-    print(f"propagate-phase: wrote {1 + sum(1 for t in config.times if t != 0)} "
-          f"field dumps to {out_dir}")
+    print(f"propagate-phase: wrote {n} field dumps to {out_dir}")
     return 0
 
 

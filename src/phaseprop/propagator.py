@@ -612,23 +612,6 @@ def position_space_solution(psi0: ComplexField, t: float,
     return ComplexField((x,), out, hbar)
 
 
-def _imA_zero_count_and_first(times, imA, t):
-    """Zeros of Im A on (0, t]: count (Morse index) and earliest zero."""
-    nu = 0
-    first = None
-    prev = imA[1]
-    for k in range(2, len(times)):
-        cur = imA[k]
-        if prev != 0 and (np.sign(cur) != np.sign(prev)) and times[k] <= t + 1e-12:
-            nu += 1
-            if first is None:
-                cross = times[k - 1] + (times[k] - times[k - 1]) * (
-                    prev / (prev - cur))
-                first = float(cross)
-        prev = cur if cur != 0 else prev
-    return nu, first
-
-
 def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
                      hbar: float) -> complex:
     """Position-space semiclassical kernel by stationary phase.
@@ -639,6 +622,11 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
     gauge and ``nu_r`` counts its zeros (focal points) on (0, t].
     Raises a caustic error naming the earliest focal time when the
     endpoint itself is focal.
+
+    One grid of ``n = clip(ceil(t / 1e-3), 256, 400)`` equal intervals and
+    its step ``t / n`` serve every integration: the root scan and its
+    refinement (:func:`_scan_roots`), and one sampled pass over the roots
+    that gives the amplitude, the action and the focal count.
     """
     if model.dim != 1:
         raise ConfigurationError("van_vleck_kernel supports d = 1 only")
@@ -646,37 +634,43 @@ def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,
         raise ConfigurationError(f"t must be positive, got {t}")
     x = float(x)
     y = float(y)
+    # at least 256 intervals resolve the sign changes of Im A (the focal
+    # points); at most 400 bound the cost of a long time
+    n = min(max(math.ceil(t / 1e-3), 256), 400)
+    opts = FlowOptions(step=t / n)
 
-    if _method(model, FlowOptions()) == "exact":
+    if _method(model, opts) == "exact":
         # closed forms, an affine flow: q_t(y, p0) = q_t(y, 0) + Im A(t) p0;
         # Im A is the same on every orbit, so a focal one raises below
         e = flow_batch(model, [y], [0.0], t)
-        roots = [0.0 if _focal(e.A[0, 0, 0]) else (x - e.q[0, 0]) / e.A[0, 0, 0].imag]
+        A = e.A[0, 0, 0]
+        roots = np.array([0.0 if _focal(A) else (x - e.q[0, 0]) / A.imag])
     else:
-        roots = _scan_roots(model, x, y, t)
-        if not roots:
+        roots = _scan_roots(model, x, y, t, opts)
+        if not roots.size:
             raise ConfigurationError(
                 f"no trajectory from y={y} reaches x={x} at t={t} within "
                 "the scan window")
 
-    # the samples resolve the sign changes of Im A (the focal points): at
-    # least 256 intervals, none longer than the integration step 1e-3
-    times = np.linspace(0.0, t, max(257, math.ceil(t / 1e-3) + 1))
-    states = list(_sample_orbits(model, np.full((len(roots), 1), y),
-                                 np.array(roots)[:, None], times, FlowOptions(step=1e-3)))
-    imA = np.array([s.A[:, 0, 0].imag for s in states])
+    times = np.linspace(0.0, t, n + 1)
+    _, *states = _sample_orbits(model, np.full((roots.size, 1), y), roots[:, None],
+                                times, opts)
     end = states[-1]
-    total = 0.0j
-    for r in range(len(roots)):
-        imA_t = imA[-1, r]
-        nu, first = _imA_zero_count_and_first(times, imA[:, r], t)
+    # Im A from the first step on (it is exactly 0 at t = 0); a zero sample
+    # counts as positive, so a sign change through it is counted once
+    imA = np.array([s.A[:, 0, 0].imag for s in states])
+    flips = (imA[1:] < 0) != (imA[:-1] < 0)
+    for r in range(roots.size):
         if _focal(end.A[r, 0, 0]):
-            raise CausticError(
-                "trajectory endpoint is focal (Im A vanishes)",
-                t_star=first if first is not None else t)
-        amp = (2 * np.pi * hbar) ** -0.5 * np.exp(-0.25j * np.pi) / np.sqrt(abs(imA_t))
-        total += amp * np.exp(1j / hbar * end.action[r] - 0.5j * np.pi * nu)
-    return complex(total)
+            # the earliest focal time: a secant through the first sign change
+            t_star = t
+            if flips[:, r].any():
+                k = int(np.argmax(flips[:, r]))
+                a, b = imA[k, r], imA[k + 1, r]
+                t_star = float(times[k + 1] + (times[k + 2] - times[k + 1]) * a / (a - b))
+            raise CausticError("trajectory endpoint is focal (Im A vanishes)", t_star=t_star)
+    amp = (2 * np.pi * hbar) ** -0.5 * np.exp(-0.25j * np.pi) / np.sqrt(np.abs(imA[-1]))
+    return complex(np.sum(amp * np.exp(1j / hbar * end.action - 0.5j * np.pi * flips.sum(0))))
 
 
 def _focal(A: complex) -> bool:
@@ -684,23 +678,19 @@ def _focal(A: complex) -> bool:
     return abs(A.imag) < 1e-8 * max(1.0, abs(A))
 
 
-def _scan_roots(model, x, y, t):
-    """Bracket-and-solve on p0 -> q_t(y, p0) - x for general models."""
-    from scipy.optimize import brentq
-
-    opts = FlowOptions(step=max(t / 400, 1e-3))
+def _scan_roots(model, x, y, t, opts):
+    """The momenta p0 of the orbits from y that reach x at t: 41 samples
+    bracket the sign changes of ``p0 -> q_t(y, p0) - x``, and Chandrupatla's
+    method refines every bracket at once, one ``flow_batch`` over the live
+    brackets per iteration."""
+    from scipy.optimize.elementwise import find_root
 
     def g(p0):
-        p0 = np.atleast_1d(p0)
         return flow_batch(model, np.full(p0.shape, y), p0, t, opts).q[:, 0] - x
 
     center = (x - y) / (2 * t)
     width = max(4.0, 2 * abs(x - y) / max(t, 1e-2))
     grid = np.linspace(center - width, center + width, 41)
     vals = g(grid)
-    roots = []
-    for k in range(len(grid) - 1):
-        if np.sign(vals[k]) != np.sign(vals[k + 1]):
-            roots.append(float(brentq(lambda p0: g(p0)[0], grid[k], grid[k + 1],
-                                      xtol=1e-12)))
-    return roots
+    k = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+    return find_root(g, (grid[k], grid[k + 1]), tolerances=dict(xatol=1e-12)).x

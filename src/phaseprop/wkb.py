@@ -316,8 +316,9 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
     """Earliest time in (0, t_max] at which the manifold projection
     becomes vertical at the given parameter: the first zero of
     ``dq_t/dalpha``, bracketed by the first of 2000 samples at which it
-    folds (:func:`_folds`).  Returns None if the window holds no fold."""
-    from scipy.optimize import brentq
+    folds (:func:`_folds`), and refined by Chandrupatla's method on
+    ``flow_batch`` endpoints.  Returns None if the window holds no fold."""
+    from scipy.optimize.elementwise import find_root
 
     if not t_max > 0:
         raise ConfigurationError(f"t_max must be positive, got {t_max}")
@@ -327,16 +328,16 @@ def vertical_tangent_time(data: WKBData, model: HamiltonianModel,
     if fold is None:
         return None
 
-    def g(tau: float) -> float:
-        return float(_tangent(data, a, flow_batch(model, a, data.s0_prime(a), tau, opts))[0][0])
+    def g(tau):  # tau: the one live bracket's abscissa, shape (1,)
+        return _tangent(data, a, flow_batch(model, a, data.s0_prime(a), tau[0], opts))[0]
 
     # flow_batch steps from 0 on its own grid, so its sign at a bracket end
     # may differ from the pass's; the zero is then that close to the end
     ends = taus[fold[0] - 1:fold[0] + 1]
-    g_ends = [g(tau) for tau in ends]
+    g_ends = [g(ends[i:i + 1])[0] for i in (0, 1)]
     if np.sign(g_ends[0]) == np.sign(g_ends[1]):
         return float(ends[np.argmin(np.abs(g_ends))])
-    return float(brentq(g, *ends, xtol=1e-12))
+    return float(find_root(g, (ends[:1], ends[1:]), tolerances=dict(xatol=1e-12)).x[0])
 
 
 def _F_values(data: WKBData, q: float, p: float, eta: np.ndarray,
@@ -379,10 +380,10 @@ def asymptotic_phase_Fsc(X: PhasePoint, t: float, data: WKBData,
 def _project_alpha(X, t, data, model, opts) -> float:
     """The source parameter of X: the root of ``g = (X - X_t) . T`` (``T``
     the transported tangent), sampled once at 321 parameters on
-    ``[q - 8, q + 8]`` and refined by brentq in the sign change next to the
-    sample whose image is nearest X, where ``g = -(d|X - X_t|^2/dalpha)/2``
-    falls through 0."""
-    from scipy.optimize import brentq
+    ``[q - 8, q + 8]`` and refined by Chandrupatla's method in the sign
+    change next to the sample whose image is nearest X, where
+    ``g = -(d|X - X_t|^2/dalpha)/2`` falls through 0."""
+    from scipy.optimize.elementwise import find_root
 
     q, p = float(X.q[0]), float(X.p[0])
 
@@ -408,8 +409,8 @@ def _project_alpha(X, t, data, model, opts) -> float:
         raise ProjectionError(
             "the orthogonality residual does not change sign next to the "
             f"nearest sample alpha = {alpha[j0]:.6g}")
-    return float(brentq(lambda a: float(g(np.array([a]))[0][0]), alpha[lo], alpha[lo + 1],
-                        xtol=1e-15))
+    return float(find_root(lambda a: g(a)[0], (alpha[lo:lo + 1], alpha[lo + 1:lo + 2]),
+                           tolerances=dict(xatol=1e-15)).x[0])
 
 
 def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,

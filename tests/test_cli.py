@@ -229,6 +229,19 @@ def test_propagate_verbs_write_state_and_field_dumps(tmp_path):
     assert (phase_out / "phase_t0.4.csv").read_text().splitlines()[0] == "q,p,re,im"
 
 
+def test_run_and_propagate_phase_write_identical_field_dumps(tmp_path, capsys):
+    # both verbs share one loop: the same dumps, and no report from propagate-phase
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("times = 0.4", "times = 0, 0.2, 0.4"))
+    run_out, phase_out = tmp_path / "run", tmp_path / "phase"
+    assert main(["run", "--config", cfg, "--out-dir", str(run_out)]) == 0
+    assert main(["propagate-phase", "--config", cfg, "--out-dir", str(phase_out)]) == 0
+    assert f"propagate-phase: wrote 3 field dumps to {phase_out}" in capsys.readouterr().out
+    names = sorted(p.name for p in phase_out.iterdir())
+    assert names == ["phase_t0.2.csv", "phase_t0.4.csv", "phase_t0.csv"]
+    for name in names:
+        assert (phase_out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
 def test_kernel_dump_honors_kernel_section(tmp_path):
     """kernel-dump samples K(., Y, t) on the configured phase grid."""
     cfg = write_config(

@@ -5,7 +5,8 @@ quadratic, it carries the built-in's closed forms, so every stage here is
 passed ``RK4`` (rk4, step 1e-2) and integrates its orbits; ``van_vleck_kernel``
 takes no options and is given ``BARE_TRAP``, the same trap without its closed
 forms.  The built-in harmonic model gives the same quantities from the closed
-forms.  Grids are small: the point is that both branches compute the same
+forms.  The van Vleck sum over several orbits, which no quadratic model has,
+is checked under ``p^2 + q^4`` against a reference built in its test.  Grids are small: the point is that both branches compute the same
 thing, not the accuracy of either against the exact solution.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from phaseprop import (
     CausticError,
@@ -30,6 +32,7 @@ from phaseprop import (
     van_vleck_kernel,
     vertical_tangent_time,
 )
+from phaseprop.flow import _sample_orbits, flow_batch
 from phaseprop.oracles import initial_phase_state, initial_position_state
 from test_wkb import cubic_data, reference_data
 
@@ -82,7 +85,8 @@ def test_transport_manifold_integrating_branch():
 
 def test_vertical_tangent_time_integrating_branch():
     # the default window t_max = 2 holds the fold at 3 pi / 8: one sampled
-    # pass finds the bracket, brentq refines it on integrated endpoints
+    # pass finds the bracket, Chandrupatla's method refines it on integrated
+    # endpoints
     got = vertical_tangent_time(reference_data(), TRAP, opts=RK4)
     want = vertical_tangent_time(reference_data(), HARMONIC)
     assert abs(got - want) <= TOL
@@ -144,3 +148,31 @@ def test_van_vleck_root_scan_integrating_branch():
     got = van_vleck_kernel(0.6, -0.2, T / 4, BARE_TRAP, HBAR)
     want = van_vleck_kernel(0.6, -0.2, T / 4, HARMONIC, HBAR)
     assert rel(got, want) <= TOL
+
+
+def test_van_vleck_sums_several_trajectories():
+    # under p^2 + q^4 three orbits from y = -0.2 reach x = 0.4 at t = 1, the
+    # outer two past one focal point.  The reference refines each sign change
+    # of a 61-sample scan by scalar brentq on adaptive endpoints, and counts
+    # the focal points from the sign changes of Im A at 1000 adaptive samples
+    model = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
+    x, y, t = 0.4, -0.2, 1.0
+    fine = FlowOptions(method="adaptive", rtol=1e-12)
+
+    def miss(p0):
+        return flow_batch(model, [y], [p0], t, fine).q[0, 0] - x
+
+    grid = np.linspace(-3.0, 3.0, 61)
+    vals = flow_batch(model, np.full(grid.shape, y), grid, t, fine).q[:, 0] - x
+    roots = np.array([brentq(miss, grid[k], grid[k + 1], xtol=1e-14)
+                      for k in np.nonzero(vals[:-1] * vals[1:] < 0)[0]])
+    assert roots == pytest.approx([-1.9134, 0.3037, 1.5112], abs=1e-4)
+    _, *states = _sample_orbits(model, np.full((3, 1), y), roots[:, None],
+                                np.linspace(0.0, t, 1001), fine)
+    imA = np.array([s.A[:, 0, 0].imag for s in states])
+    nu = ((imA[1:] < 0) != (imA[:-1] < 0)).sum(axis=0)
+    assert list(nu) == [1, 0, 1]
+    want = np.sum((2j * np.pi * HBAR) ** -0.5 / np.sqrt(np.abs(imA[-1]))
+                  * np.exp(1j / HBAR * states[-1].action - 0.5j * np.pi * nu))
+    got = van_vleck_kernel(x, y, t, model, HBAR)
+    assert abs(got - want) <= 1e-6 * abs(want)
