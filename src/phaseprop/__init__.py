@@ -79,7 +79,6 @@ from .wkb import (
     LagrangianManifold,
     WKBData,
     asymptotic_phase_Fsc,
-    double_phase_characteristics,
     gaussian_integral,
     lift_wkb,
     r_analytic_extension,
@@ -116,7 +115,7 @@ __all__ = [
     "GaussianPoly", "WKBData", "LagrangianManifold", "r_analytic_extension",
     "stationary_point_z", "lift_wkb", "transport_manifold",
     "vertical_tangent_time", "asymptotic_phase_Fsc", "solution_on_manifold",
-    "gaussian_integral", "double_phase_characteristics",
+    "gaussian_integral",
     # oracles
     "OracleCase", "initial_position_state", "initial_phase_state",
     "exact_position_solution", "exact_phase_solution", "exact_phase_field",

@@ -26,6 +26,7 @@ import configparser
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -299,6 +300,24 @@ def _record_warnings(report: Report, caught) -> None:
                    message=str(w.message))
 
 
+@contextmanager
+def _printed_warnings():
+    """Record every warning the block emits, then print each one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        print(f"warning: {w.message}")
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write a CSV table: the ``header`` line, then rows of ``.17g`` cells."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def _initial_phase_field(config: RunConfig) -> ComplexField:
     """Exact initial phase-space field for the run pipeline.
 
@@ -364,7 +383,7 @@ def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path):
         yield t, Psi_t, name, write_field_csv(Psi_t, out_dir / name)
 
 
-def _verb_run(config: RunConfig, out_dir: Path) -> int:
+def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
     report = Report()
     report.add("config", schema_version=SCHEMA_VERSION, model=config.model_kind,
                hbar=config.hbar, times=list(config.times),
@@ -421,8 +440,8 @@ def _fit_slope(values, errors) -> float:
     return float(fit[0])
 
 
-def _verb_convergence(config: RunConfig, out_dir: Path, parameter: str | None) -> int:
-    parameter = parameter or config.convergence_parameter
+def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
+    parameter = args.parameter or config.convergence_parameter
     values = config.convergence_values
     if len(values) < 3:
         raise ConfigurationError("[convergence] values: need at least 3 parameter values")
@@ -474,10 +493,7 @@ def _verb_convergence(config: RunConfig, out_dir: Path, parameter: str | None) -
             rows.append((h, err))
 
     slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])
-    with open(out_dir / "convergence.csv", "w", newline="\n") as fh:
-        fh.write("parameter,error\n")
-        for v, e in rows:
-            fh.write(f"{v:.17g},{e:.17g}\n")
+    _write_table(out_dir / "convergence.csv", "parameter,error", rows)
     report.add("convergence", parameter=parameter,
                values=[r[0] for r in rows], errors=[r[1] for r in rows],
                slope=slope)
@@ -487,22 +503,18 @@ def _verb_convergence(config: RunConfig, out_dir: Path, parameter: str | None) -
     return 0
 
 
-def _verb_propagate_phase(config: RunConfig, out_dir: Path) -> int:
+def _verb_propagate_phase(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _printed_warnings():
         n = sum(1 for _ in _phase_dumps(config, model, out_dir))
-    for w in caught:
-        print(f"warning: {w.message}")
     print(f"propagate-phase: wrote {n} field dumps to {out_dir}")
     return 0
 
 
-def _verb_propagate_position(config: RunConfig, out_dir: Path) -> int:
+def _verb_propagate_position(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     psi0 = config.position_state()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _printed_warnings():
         write_field_csv(psi0, out_dir / "position_t0.csv")
         for t in config.times:
             if t == 0.0:
@@ -510,14 +522,12 @@ def _verb_propagate_position(config: RunConfig, out_dir: Path) -> int:
             psi_t = position_space_solution(psi0, t, model,
                                             out_axis=psi0.axes[0])
             write_field_csv(psi_t, out_dir / f"position_t{t:g}.csv")
-    for w in caught:
-        print(f"warning: {w.message}")
     print(f"propagate-position: wrote {1 + sum(1 for t in config.times if t != 0)} "
           f"state dumps to {out_dir}")
     return 0
 
 
-def _verb_kernel_dump(config: RunConfig, out_dir: Path) -> int:
+def _verb_kernel_dump(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     Y = PhasePoint(np.array([config.kernel_y[0]]), np.array([config.kernel_y[1]]))
     t = config.kernel_t
@@ -568,13 +578,10 @@ def _verb_lift_wkb(args, config: RunConfig | None, out_dir: Path) -> int:
     else:
         qa = np.linspace(-5.5, 5.5, 81)
         axes = (qa, qa.copy())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _printed_warnings():
         fld = lift_wkb(data, axes, hbar)
     out = Path(args.out) if args.out else out_dir / "lift.csv"
     meta = write_field_csv(fld, out)
-    for w in caught:
-        print(f"warning: {w.message}")
     print(f"lift-wkb: field written to {out} (norm {meta['norm']:.6g})")
     return 0
 
@@ -583,17 +590,14 @@ def _verb_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
     data = _wkb_from_flags(args, config)
     model = config.model() if config is not None and args.model is None \
         else builtin_model(args.model or "free")
-    t = args.t if args.t is not None else 0.5
+    t = args.t
     alpha = config.alpha_axis.build() if config is not None \
         else np.linspace(-2.0, 2.0, 41)
     manifold = transport_manifold(data, model, t, alpha)
     slope, offset, resid = manifold.line_fit()
     out = Path(args.out) if args.out else out_dir / "manifold.csv"
-    with open(out, "w", newline="\n") as fh:
-        fh.write("alpha,q,p,S\n")
-        for k in range(alpha.size):
-            fh.write(f"{manifold.alpha[k]:.17g},{manifold.q[k]:.17g},"
-                     f"{manifold.p[k]:.17g},{manifold.phase[k]:.17g}\n")
+    _write_table(out, "alpha,q,p,S",
+                 zip(manifold.alpha, manifold.q, manifold.p, manifold.phase))
     print(f"manifold: t={t:g}, line fit p = {slope:.8g} q + {offset:.8g} "
           f"(max residual {resid:.3g}); samples written to {out}")
     return 0
@@ -604,20 +608,21 @@ def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) ->
     data = _wkb_from_flags(args, config)
     model = config.model() if config is not None and args.model is None \
         else builtin_model(args.model or "free")
-    t = args.t if args.t is not None else 0.5
+    t = args.t
     if args.alpha:
         alphas = np.asarray([float(s) for s in args.alpha.split(",")], dtype=float)
     else:
         alphas = np.linspace(-1.0, 1.0, 9)
     out = Path(args.out) if args.out else out_dir / "solution_on_manifold.csv"
     manifold = transport_manifold(data, model, t, alphas)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("alpha,q,p,re,im\n")
-        for k, a in enumerate(alphas):
-            X = PhasePoint(np.array([manifold.q[k]]), np.array([manifold.p[k]]))
-            val = solution_on_manifold(X, t, data, model, hbar)
-            fh.write(f"{a:.17g},{X.q[0]:.17g},{X.p[0]:.17g},"
-                     f"{val.real:.17g},{val.imag:.17g}\n")
+
+    def rows():
+        for a, q, p in zip(alphas, manifold.q, manifold.p):
+            val = solution_on_manifold(PhasePoint(np.array([q]), np.array([p])),
+                                       t, data, model, hbar)
+            yield a, q, p, val.real, val.imag
+
+    _write_table(out, "alpha,q,p,re,im", rows())
     print(f"solution-on-manifold: {alphas.size} values at t={t:g} written to {out}")
     return 0
 
@@ -628,7 +633,7 @@ def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
         raise ConfigurationError(
             f"--kind: unknown reference model kind {kind!r}; expected one of {KINDS}")
     hbar = args.hbar if args.hbar is not None else (config.hbar if config else 0.1)
-    t = args.t if args.t is not None else 0.5
+    t = args.t
     what = args.what
     out = Path(args.out) if args.out else out_dir / f"oracle_{what}.csv"
     if config is not None:
@@ -640,11 +645,8 @@ def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
         axes = (qa, qa.copy())
 
     if what == "phase":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _printed_warnings():
             fld = exact_phase_field(kind, axes, t, hbar)
-        for w in caught:
-            print(f"warning: {w.message}")
         write_field_csv(fld, out)
     elif what == "position":
         vals = exact_position_solution(kind, x_axis, t, hbar)
@@ -659,16 +661,9 @@ def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
                                                            np.array([p])), Y, t, hbar)
         write_field_csv(ComplexField(axes=(qa, pa), values=vals, hbar=hbar), out)
     elif what == "manifold":
-        slope, offset = exact_manifold(kind, t)
-        with open(out, "w", newline="\n") as fh:
-            fh.write("t,slope,offset\n")
-            fh.write(f"{t:.17g},{slope:.17g},{offset:.17g}\n")
+        _write_table(out, "t,slope,offset", [(t, *exact_manifold(kind, t))])
     elif what == "action":
-        vals = exact_action_S(kind, x_axis, t)
-        with open(out, "w", newline="\n") as fh:
-            fh.write("x,S\n")
-            for x, s in zip(x_axis, vals):
-                fh.write(f"{x:.17g},{s:.17g}\n")
+        _write_table(out, "x,S", zip(x_axis, exact_action_S(kind, x_axis, t)))
     else:
         raise ConfigurationError(f"--what: unknown display {what!r}")
     print(f"oracle-dump: {kind} {what} at t={t:g} written to {out}")
@@ -686,46 +681,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_config: bool = False) -> None:
+    def verb(name: str, func, help_text: str, needs_config: bool = True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=needs_config,
                        help="INI run description (schema_version 1)")
         p.add_argument("--out-dir", default=".", help="output directory")
+        return p
 
-    common(sub.add_parser("run", help="full pipeline with error report"),
-           needs_config=True)
-    p = sub.add_parser("convergence", help="error-versus-parameter study")
-    common(p, needs_config=True)
+    verb("run", _verb_run, "full pipeline with error report")
+    p = verb("convergence", _verb_convergence, "error-versus-parameter study")
     p.add_argument("--parameter", choices=("hbar", "grid-spacing", "step"))
-    common(sub.add_parser("propagate-phase", help="dump propagated phase fields"),
-           needs_config=True)
-    common(sub.add_parser("propagate-position", help="dump propagated states"),
-           needs_config=True)
-    common(sub.add_parser("kernel-dump", help="sample the propagator kernel"),
-           needs_config=True)
+    verb("propagate-phase", _verb_propagate_phase, "dump propagated phase fields")
+    verb("propagate-position", _verb_propagate_position, "dump propagated states")
+    verb("kernel-dump", _verb_kernel_dump, "sample the propagator kernel")
 
-    for name, help_text in (
-        ("lift-wkb", "dump the leading-order phase-space lift"),
-        ("manifold", "dump the transported manifold"),
-        ("solution-on-manifold", "evaluate the on-manifold solution"),
+    for name, func, help_text in (
+        ("lift-wkb", _verb_lift_wkb, "dump the leading-order phase-space lift"),
+        ("manifold", _verb_manifold, "dump the transported manifold"),
+        ("solution-on-manifold", _verb_solution_on_manifold,
+         "evaluate the on-manifold solution"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+        p = verb(name, func, help_text, needs_config=False)
         p.add_argument("--s0", help="phase polynomial coefficients c0,c1,...")
         p.add_argument("--r0", help="amplitude spec mu,sigma[,c0,c1,...]")
         p.add_argument("--hbar", type=float)
-        p.add_argument("--t", type=float)
+        p.add_argument("--t", type=float, default=0.5)
         p.add_argument("--out")
         p.add_argument("--model", choices=KINDS)
         if name == "solution-on-manifold":
             p.add_argument("--alpha", help="comma-separated manifold parameters")
 
-    p = sub.add_parser("oracle-dump", help="dump a closed-form display")
-    common(p)
+    p = verb("oracle-dump", _verb_oracle_dump, "dump a closed-form display",
+             needs_config=False)
     p.add_argument("--kind", required=True)
     p.add_argument("--what", default="phase",
                    choices=("phase", "position", "kernel", "manifold", "action"))
     p.add_argument("--hbar", type=float)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--y-q", type=float, default=0.5)
     p.add_argument("--y-p", type=float, default=0.1)
     p.add_argument("--out")
@@ -733,32 +726,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         config = load_config(args.config) if args.config else None
-
-        if args.verb == "run":
-            return _verb_run(config, out_dir)
-        if args.verb == "convergence":
-            return _verb_convergence(config, out_dir, args.parameter)
-        if args.verb == "propagate-phase":
-            return _verb_propagate_phase(config, out_dir)
-        if args.verb == "propagate-position":
-            return _verb_propagate_position(config, out_dir)
-        if args.verb == "kernel-dump":
-            return _verb_kernel_dump(config, out_dir)
-        if args.verb == "lift-wkb":
-            return _verb_lift_wkb(args, config, out_dir)
-        if args.verb == "manifold":
-            return _verb_manifold(args, config, out_dir)
-        if args.verb == "solution-on-manifold":
-            return _verb_solution_on_manifold(args, config, out_dir)
-        if args.verb == "oracle-dump":
-            return _verb_oracle_dump(args, config, out_dir)
-        raise ConfigurationError(f"unknown verb {args.verb!r}")
+        return args.func(args, config, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

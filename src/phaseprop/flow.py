@@ -75,10 +75,6 @@ class SiegelMatrix:
         _check_siegel(M)
         object.__setattr__(self, "M", M)
 
-    @property
-    def dim(self) -> int:
-        return self.M.shape[0]
-
 
 def _check_siegel(M: np.ndarray) -> None:
     """Raise unless every matrix of ``M`` (one, or a stack) is symmetric
@@ -142,10 +138,6 @@ class TrajectoryBundle:
     logdetA: np.ndarray
     logdet_w: np.ndarray
     hbar: float | None = None
-
-    @property
-    def d(self) -> int:
-        return self.points[0].d
 
     @property
     def T(self) -> float:

@@ -49,10 +49,6 @@ class PropagatedPacket:
     bundle: TrajectoryBundle
     hbar: float
 
-    @property
-    def base(self) -> PhasePoint:
-        return self.bundle.points[0]
-
 
 def propagate_packet(model: HamiltonianModel, X0: PhasePoint, T: float,
                      hbar: float, opts: FlowOptions | None = None
@@ -370,10 +366,9 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
 
 
 def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
-                     hbar: float | None = None, out_axes=None,
-                     opts: FlowOptions | None = None) -> ComplexField:
+                     out_axes=None, opts: FlowOptions | None = None) -> ComplexField:
     """Propagate a phase-space field: ``Psi(X, t) = integral
-    K(X, Y, t) Psi0(Y) dY`` by grid quadrature.
+    K(X, Y, t) Psi0(Y) dY`` by grid quadrature, at the field's own ``hbar``.
 
     The output grid is derived automatically — the input support box is
     flowed forward (corners and center) and padded by six packet decay
@@ -392,7 +387,7 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     """
     if Psi0.rank != 2:
         raise ConfigurationError("apply_propagator expects a rank-2 field")
-    hbar = float(hbar) if hbar is not None else Psi0.hbar
+    hbar = Psi0.hbar
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
     _require_nonzero(Psi0, "the input field")
@@ -545,10 +540,10 @@ def _default_phase_axes(psi0: ComplexField, hbar: float):
 
 def position_space_solution(psi0: ComplexField, t: float,
                             model: HamiltonianModel,
-                            hbar: float | None = None,
                             phase_axes=None, out_axis=None,
                             opts: FlowOptions | None = None) -> ComplexField:
-    """Evolve a position-space state by packet superposition.
+    """Evolve a position-space state by packet superposition, at the
+    state's own ``hbar``.
 
     Analyzes the state into its phase-space field, carries every source
     packet along its orbit (center, width, amplitude, action), and
@@ -583,15 +578,13 @@ def position_space_solution(psi0: ComplexField, t: float,
     """
     if psi0.rank != 1:
         raise ConfigurationError("position_space_solution expects a rank-1 field")
-    hbar = float(hbar) if hbar is not None else psi0.hbar
+    hbar = psi0.hbar
     if t < 0:
         raise ConfigurationError(f"t must be nonnegative, got {t}")
     _require_nonzero(psi0, "the input state")
     x = _checked_axis(out_axis, "out_axis") if out_axis is not None else psi0.axes[0]
     if phase_axes is None:
         phase_axes = _default_phase_axes(psi0, hbar)
-    if psi0.hbar != hbar:
-        psi0 = ComplexField(psi0.axes, psi0.values, hbar)
     Psi0 = wave_packet_transform(psi0, phase_axes)
     _require_nonzero(Psi0, "the state analysed on phase_axes")
 
@@ -682,15 +675,28 @@ def _scan_roots(model, x, y, t, opts):
     """The momenta p0 of the orbits from y that reach x at t: 41 samples
     bracket the sign changes of ``p0 -> q_t(y, p0) - x``, and Chandrupatla's
     method refines every bracket at once, one ``flow_batch`` over the live
-    brackets per iteration."""
+    brackets per iteration.  Two roots in one interval leave its ends one
+    sign, but its slope ``Im A = dq_t/dp0`` turns there from pointing toward
+    0 to pointing away; those turning points (zeros of ``Im A``, one more
+    solve) join the samples."""
     from scipy.optimize.elementwise import find_root
 
+    def flow(p0):
+        return flow_batch(model, np.full(p0.shape, y), p0, t, opts)
+
     def g(p0):
-        return flow_batch(model, np.full(p0.shape, y), p0, t, opts).q[:, 0] - x
+        return flow(p0).q[:, 0] - x
 
     center = (x - y) / (2 * t)
     width = max(4.0, 2 * abs(x - y) / max(t, 1e-2))
     grid = np.linspace(center - width, center + width, 41)
-    vals = g(grid)
+    e = flow(grid)
+    vals, slope = e.q[:, 0] - x, e.A[:, 0, 0].imag
+    turn = np.nonzero((vals[:-1] * vals[1:] > 0) & (slope[:-1] * vals[:-1] < 0)
+                      & (slope[1:] * vals[1:] > 0))[0]
+    if turn.size:
+        tp = find_root(lambda p0: flow(p0).A[:, 0, 0].imag,
+                       (grid[turn], grid[turn + 1])).x
+        grid, vals = np.insert(grid, turn + 1, tp), np.insert(vals, turn + 1, g(tp))
     k = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
     return find_root(g, (grid[k], grid[k + 1]), tolerances=dict(xatol=1e-12)).x

@@ -22,7 +22,7 @@ from numpy.polynomial import Polynomial
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError)
 from .flow import (FlowOptions, _default_times, _log_increment, _method,
-                   _sample_orbits, flow_batch, symplectic_J)
+                   _sample_orbits, flow_batch)
 from .models import HamiltonianModel, PhasePoint
 from .propagator import _Kernel
 from .transform import ComplexField
@@ -32,7 +32,6 @@ __all__ = [
     "r_analytic_extension", "stationary_point_z", "lift_wkb",
     "transport_manifold", "vertical_tangent_time", "asymptotic_phase_Fsc",
     "solution_on_manifold", "gaussian_integral",
-    "double_phase_characteristics",
 ]
 
 
@@ -484,18 +483,3 @@ def gaussian_integral(M, v, hbar: float) -> complex:
     quad = v @ np.linalg.solve(M, v)
     return complex(inv_sqrt_det * np.exp(-quad / (2 * hbar)))
 
-
-def double_phase_characteristics(model: HamiltonianModel, X0: PhasePoint,
-                                 t: float, opts: FlowOptions | None = None):
-    """Doubled characteristics by reduction: the momentum-like variable
-    stays locked to the orbit, ``P_t = J X_t / 2``, so the doubled
-    integral of motion ``c(t) = X_t/2 + J P_t`` vanishes identically.
-    Returns ``(X_t, P_t, c)``."""
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
-    e = flow_batch(model, X0.q, X0.p, t, opts)
-    Xt = PhasePoint(e.q[0], e.p[0])
-    J = symplectic_J(model.dim)
-    Pt = 0.5 * (J @ Xt.as_vector())
-    c = 0.5 * Xt.as_vector() + J @ Pt
-    return Xt, Pt, c

@@ -109,6 +109,24 @@ def test_run_records_grid_spacing_warnings_in_the_report(tmp_path):
     assert all("message" in w for w in warning_entries)
 
 
+@pytest.mark.filterwarnings("ignore::phaseprop.SpacingWarning")
+def test_run_on_packet_initial_data_writes_the_packet_transform(tmp_path):
+    # [initial] kind = packet takes the closed-form transform of the packet;
+    # the 61-node axes are coarser than sqrt(hbar)/4, as in BASE_CONFIG
+    text = BASE_CONFIG.replace("kind = free", "kind = harmonic") + (
+        "\n[initial]\nkind = packet\ncenter_q = 0.5\ncenter_p = -0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out-dir", str(out)]) == 0
+    x = np.linspace(-8.0, 8.0, 1601)
+    center = PhasePoint(0.5, -0.3)
+    psi = phaseprop.ComplexField((x,), phaseprop.gaussian_packet(center, 0.1, x), 0.1)
+    axis = np.linspace(-5.0, 5.0, 61)
+    want = phaseprop.wave_packet_transform(psi, (axis, axis)).values.ravel()
+    table = np.loadtxt(out / "phase_t0.csv", delimiter=",", skiprows=1)
+    got = table[:, 2] + 1j * table[:, 3]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_run_without_positive_times_only_projects_initial_data(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("times = 0.4", "times = 0"))
     out = tmp_path / "out"

@@ -24,7 +24,6 @@ from phaseprop import (
     VariationalFrame,
     anisotropy_Z,
     builtin_model,
-    double_phase_characteristics,
     integrate_characteristics,
     kernel_Ksc,
     polynomial_model,
@@ -214,8 +213,6 @@ def test_endpoint_callers_reject_negative_times():
     for model in (MODELS["harmonic"], MODELS["quartic"]):
         with pytest.raises(ConfigurationError, match="nonnegative"):
             kernel_Ksc(X, X, -0.1, model, 0.1)
-        with pytest.raises(ConfigurationError, match="nonnegative"):
-            double_phase_characteristics(model, X, -0.1)
 
 
 def test_adaptive_log_dets_stay_on_their_branch_over_a_coarse_grid():

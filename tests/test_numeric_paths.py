@@ -150,29 +150,38 @@ def test_van_vleck_root_scan_integrating_branch():
     assert rel(got, want) <= TOL
 
 
-def test_van_vleck_sums_several_trajectories():
-    # under p^2 + q^4 three orbits from y = -0.2 reach x = 0.4 at t = 1, the
-    # outer two past one focal point.  The reference refines each sign change
-    # of a 61-sample scan by scalar brentq on adaptive endpoints, and counts
-    # the focal points from the sign changes of Im A at 1000 adaptive samples
+@pytest.mark.parametrize("t, scan, roots_want, nu_want, tol", [
+    pytest.param(1.0, (-3.0, 3.0, 61), [-1.9134, 0.3037, 1.5112], [1, 0, 1], 1e-6,
+                 id="t1"),
+    # two roots, 0.1636 and 0.3127, share one interval of the kernel's own
+    # 41-sample scan of [-3.85, 4.15]; a seventh root at -3.9665 lies outside
+    pytest.param(2.0, (-3.85, 4.15, 401),
+                 [-1.4019, -0.5251, 0.1636, 0.3127, 2.0073, 3.7664], [2, 1, 0, 1, 2, 3],
+                 1e-4, id="t2"),
+])
+def test_van_vleck_sums_several_trajectories(t, scan, roots_want, nu_want, tol):
+    # under p^2 + q^4 several orbits from y = -0.2 reach x = 0.4 at t, some
+    # past focal points.  The reference refines each sign change of a scan
+    # by scalar brentq on adaptive endpoints, and counts the focal points
+    # from the sign changes of Im A at 1000 adaptive samples
     model = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
-    x, y, t = 0.4, -0.2, 1.0
+    x, y = 0.4, -0.2
     fine = FlowOptions(method="adaptive", rtol=1e-12)
 
     def miss(p0):
         return flow_batch(model, [y], [p0], t, fine).q[0, 0] - x
 
-    grid = np.linspace(-3.0, 3.0, 61)
+    grid = np.linspace(*scan)
     vals = flow_batch(model, np.full(grid.shape, y), grid, t, fine).q[:, 0] - x
     roots = np.array([brentq(miss, grid[k], grid[k + 1], xtol=1e-14)
                       for k in np.nonzero(vals[:-1] * vals[1:] < 0)[0]])
-    assert roots == pytest.approx([-1.9134, 0.3037, 1.5112], abs=1e-4)
-    _, *states = _sample_orbits(model, np.full((3, 1), y), roots[:, None],
+    assert roots == pytest.approx(roots_want, abs=1e-4)
+    _, *states = _sample_orbits(model, np.full((roots.size, 1), y), roots[:, None],
                                 np.linspace(0.0, t, 1001), fine)
     imA = np.array([s.A[:, 0, 0].imag for s in states])
     nu = ((imA[1:] < 0) != (imA[:-1] < 0)).sum(axis=0)
-    assert list(nu) == [1, 0, 1]
+    assert list(nu) == nu_want
     want = np.sum((2j * np.pi * HBAR) ** -0.5 / np.sqrt(np.abs(imA[-1]))
                   * np.exp(1j / HBAR * states[-1].action - 0.5j * np.pi * nu))
     got = van_vleck_kernel(x, y, t, model, HBAR)
-    assert abs(got - want) <= 1e-6 * abs(want)
+    assert abs(got - want) <= tol * abs(want)

@@ -380,7 +380,12 @@ def test_van_vleck_raises_at_focal_time():
             van_vleck_kernel(0.5, 0.5, np.pi / 2, builtin_model("harmonic"), HBAR)
         with pytest.raises(CausticError):
             van_vleck_kernel(0.5, 0.5, 0.3, polynomial_model({(2, 0): 1.0}), HBAR)
+        # focal again at 3 pi / 2: t_star is the secant through the first
+        # sign change of Im A, at pi / 2
+        with pytest.raises(CausticError) as late:
+            van_vleck_kernel(0.5, 0.5, 3 * np.pi / 2, builtin_model("harmonic"), HBAR)
     assert exc.value.t_star == pytest.approx(np.pi / 2, abs=1e-2)
+    assert late.value.t_star == pytest.approx(np.pi / 2, abs=1e-6)
 
 
 def per_pair_sum(Psi0, t, model, hbar, out_axes):
@@ -499,6 +504,17 @@ def test_kernel_in_two_dimensions_is_the_product_of_one_dimensional_kernels(kind
     want = np.prod([kernel_Ksc(PhasePoint(X.q[k], X.p[k]), PhasePoint(Y.q[k], Y.p[k]),
                                0.7, builtin_model(kind), HBAR, opts) for k in range(2)])
     assert abs(got - want) / abs(want) < tol
+    # so are the packet at Y and the packet carried from it, at four points
+    x = np.array([[0.1, -0.2], [0.5, 0.3], [-0.4, 0.8], [0.0, 0.0]])
+
+    def packets(model, Yk, xk):
+        return (gaussian_packet(Yk, HBAR, xk),
+                eval_packet(propagate_packet(model, Yk, 0.7, HBAR, opts), 0.7, xk))
+
+    got = np.array(packets(builtin_model(kind, d=2), Y, x))
+    want = np.prod([packets(builtin_model(kind), PhasePoint(Y.q[k], Y.p[k]), x[:, k])
+                    for k in range(2)], axis=0)
+    assert (np.abs(got - want).max(axis=1) <= tol * np.abs(want).max(axis=1)).all()
 
 
 def test_apply_propagator_integrates_when_asked_to(monkeypatch):

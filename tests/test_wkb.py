@@ -19,7 +19,6 @@ from phaseprop import (
     WKBData,
     asymptotic_phase_Fsc,
     builtin_model,
-    double_phase_characteristics,
     gaussian_integral,
     lift_wkb,
     polynomial_model,
@@ -184,7 +183,7 @@ def test_vertical_tangent_time_returns_a_fold_before_a_blow_up():
     model = polynomial_model({(0, 2): 1.0, (2, 0): 1.0, (4, 0): -0.25})
     opts = FlowOptions(method="rk4", step=1e-2)
     with pytest.raises(ModelError):
-        double_phase_characteristics(model, PhasePoint(0.9, -0.9), 3.0, opts)
+        flow_batch(model, [0.9], [-0.9], 3.0, opts)
     got = vertical_tangent_time(data, model, 0.9, t_max=3.0, opts=opts)
     want = vertical_tangent_time(data, model, 0.9, t_max=0.5, opts=opts)
     assert got == pytest.approx(want, abs=1e-10)
@@ -412,14 +411,3 @@ def test_gaussian_integral_against_quadrature():
         gaussian_integral(np.array([[1.0, 0.2], [0.0, 1.0]]), v, HBAR)
     with pytest.raises(DomainError):
         gaussian_integral(np.array([[-1.0, 0.0], [0.0, 1.0]]), v, HBAR)
-
-
-def test_doubled_characteristics_integral_of_motion():
-    X0 = PhasePoint(0.7, -0.4)
-    models = [builtin_model(k) for k in ("free", "linear", "harmonic")]
-    models.append(polynomial_model({(0, 2): 1.0, (4, 0): 1.0}))
-    for m in models:
-        Xt, Pt, c = double_phase_characteristics(m, X0, 0.8)
-        assert np.abs(c).max() < 1e-12
-        # P stays locked to J X/2 along the orbit
-        assert np.abs(Pt - 0.5 * np.array([Xt.p[0], -Xt.q[0]])).max() < 1e-12
