@@ -570,8 +570,22 @@ def _wkb_from_flags(args, config: RunConfig | None) -> WKBData:
                    r=config.r if config is not None else 2)
 
 
+def _hbar_from_flags(args, config: RunConfig | None) -> float:
+    """``--hbar``, else the config's, else 0.1."""
+    if args.hbar is not None:
+        return args.hbar
+    return config.hbar if config is not None else 0.1
+
+
+def _model_from_flags(args, config: RunConfig | None) -> HamiltonianModel:
+    """The config's model unless ``--model`` names one; ``free`` without either."""
+    if config is not None and args.model is None:
+        return config.model()
+    return builtin_model(args.model or "free")
+
+
 def _verb_lift_wkb(args, config: RunConfig | None, out_dir: Path) -> int:
-    hbar = args.hbar if args.hbar is not None else (config.hbar if config else 0.1)
+    hbar = _hbar_from_flags(args, config)
     data = _wkb_from_flags(args, config)
     if config is not None:
         axes = config.phase_axes()
@@ -588,8 +602,7 @@ def _verb_lift_wkb(args, config: RunConfig | None, out_dir: Path) -> int:
 
 def _verb_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
     data = _wkb_from_flags(args, config)
-    model = config.model() if config is not None and args.model is None \
-        else builtin_model(args.model or "free")
+    model = _model_from_flags(args, config)
     t = args.t
     alpha = config.alpha_axis.build() if config is not None \
         else np.linspace(-2.0, 2.0, 41)
@@ -604,10 +617,9 @@ def _verb_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
 
 
 def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
-    hbar = args.hbar if args.hbar is not None else (config.hbar if config else 0.1)
+    hbar = _hbar_from_flags(args, config)
     data = _wkb_from_flags(args, config)
-    model = config.model() if config is not None and args.model is None \
-        else builtin_model(args.model or "free")
+    model = _model_from_flags(args, config)
     t = args.t
     if args.alpha:
         alphas = np.asarray([float(s) for s in args.alpha.split(",")], dtype=float)
@@ -632,7 +644,7 @@ def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
     if kind not in KINDS:
         raise ConfigurationError(
             f"--kind: unknown reference model kind {kind!r}; expected one of {KINDS}")
-    hbar = args.hbar if args.hbar is not None else (config.hbar if config else 0.1)
+    hbar = _hbar_from_flags(args, config)
     t = args.t
     what = args.what
     out = Path(args.out) if args.out else out_dir / f"oracle_{what}.csv"
@@ -662,10 +674,8 @@ def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
         write_field_csv(ComplexField(axes=(qa, pa), values=vals, hbar=hbar), out)
     elif what == "manifold":
         _write_table(out, "t,slope,offset", [(t, *exact_manifold(kind, t))])
-    elif what == "action":
+    else:  # action; argparse's choices admit no other display
         _write_table(out, "x,S", zip(x_axis, exact_action_S(kind, x_axis, t)))
-    else:
-        raise ConfigurationError(f"--what: unknown display {what!r}")
     print(f"oracle-dump: {kind} {what} at t={t:g} written to {out}")
     return 0
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +125,10 @@ class FlowOptions:
 class TrajectoryBundle:
     """Time-sampled record of one characteristic orbit.
 
+    ``q``, ``p`` (shape ``(n, d)``) and the frames ``A``, ``B`` (shape
+    ``(n, d, d)``) are stacked over the ``n`` samples; ``points`` and
+    ``frames`` are their per-sample :class:`PhasePoint` and
+    :class:`VariationalFrame` views, built when first read.
     ``logdetA`` is the continuously tracked complex logarithm of
     ``det A(t)`` (each increment's imaginary part below pi in
     magnitude), which fixes the branch of every derived square root.
@@ -132,12 +137,22 @@ class TrajectoryBundle:
     """
 
     times: np.ndarray
-    points: tuple
-    frames: tuple
+    q: np.ndarray
+    p: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
     action: np.ndarray
     logdetA: np.ndarray
     logdet_w: np.ndarray
     hbar: float | None = None
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(map(PhasePoint, self.q, self.p))
+
+    @cached_property
+    def frames(self) -> tuple:
+        return tuple(map(VariationalFrame, self.A, self.B))
 
     @property
     def T(self) -> float:
@@ -561,15 +576,12 @@ def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
         raise ConfigurationError(
             f"model dimension {model.dim} != point dimension {X0.d}")
     times = _default_times(float(T), opts.step)
-    states = list(_sample_orbits(model, X0.q[None], X0.p[None], times, opts))
-    return TrajectoryBundle(
-        times=times,
-        points=tuple(PhasePoint(s.q[0], s.p[0]) for s in states),
-        frames=tuple(VariationalFrame(s.A[0], s.B[0]) for s in states),
-        action=np.array([s.action[0] for s in states], dtype=float),
-        logdetA=np.array([s.logdetA[0] for s in states], dtype=complex),
-        logdet_w=np.array([s.logdet_w[0] for s in states], dtype=complex),
-        hbar=opts.hbar)
+    # each field of the batch of one, stacked over the samples
+    q, p, A, B, action, logdetA, logdet_w = (
+        np.concatenate(field, dtype=dtype) for field, dtype in zip(
+            zip(*_sample_orbits(model, X0.q[None], X0.p[None], times, opts)),
+            (float, float, complex, complex, float, complex, complex)))
+    return TrajectoryBundle(times, q, p, A, B, action, logdetA, logdet_w, hbar=opts.hbar)
 
 
 def _anisotropy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -628,9 +640,7 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     """
     if bundle.hbar is None:
         return []
-    A = np.array([f.A for f in bundle.frames])
-    B = np.array([f.B for f in bundle.frames])
-    norms = np.linalg.norm(_real_jacobian(A, B), 2, axis=(-2, -1))
+    norms = np.linalg.norm(_real_jacobian(bundle.A, bundle.B), 2, axis=(-2, -1))
     return _ehrenfest_crossings(bundle.times, norms, bundle.hbar)
 
 

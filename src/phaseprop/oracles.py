@@ -219,6 +219,18 @@ def _phase_solution_values(kind: str, q, p, t: float, hbar: float):
     return pref * np.exp(1j * num / (2 * hbar * (c + 1j * s) * (1 - 1j + hbar)))
 
 
+def _warn_if_display_singular(kind: str, t: float) -> None:
+    """Warn, for the caller's caller, when the harmonic display's
+    trigonometric ratios are singular at ``t`` (``sin 2t = 0``, ``t != 0``)."""
+    if kind == "harmonic" and abs(np.sin(2 * t)) < 1e-12 and t != 0.0:
+        warnings.warn(
+            "harmonic display parameterization is singular at this time; "
+            "returning the algebraically continued value",
+            UserWarning,
+            stacklevel=3,
+        )
+
+
 def exact_phase_solution(kind: str, X: PhasePoint, t: float, hbar: float) -> complex:
     """Exact phase-space solution Psi(q, p, t) for the reference initial state.
 
@@ -230,13 +242,7 @@ def exact_phase_solution(kind: str, X: PhasePoint, t: float, hbar: float) -> com
     _require_kind(kind)
     if X.d != 1:
         raise ConfigurationError("reference solutions are one-dimensional")
-    if kind == "harmonic" and abs(np.sin(2 * t)) < 1e-12 and t != 0.0:
-        warnings.warn(
-            "harmonic display parameterization is singular at this time; "
-            "returning the algebraically continued value",
-            UserWarning,
-            stacklevel=2,
-        )
+    _warn_if_display_singular(kind, t)
     val = _phase_solution_values(kind, X.q[0], X.p[0], t, hbar)
     return complex(val)
 
@@ -247,8 +253,10 @@ def exact_phase_field(
     t: float,
     hbar: float,
 ) -> ComplexField:
-    """Exact phase-space solution sampled on a (q, p) tensor grid."""
+    """Exact phase-space solution sampled on a (q, p) tensor grid; warns at
+    the singular display times as :func:`exact_phase_solution` does."""
     _require_kind(kind)
+    _warn_if_display_singular(kind, t)
     q_axis = np.asarray(axes[0], dtype=float)
     p_axis = np.asarray(axes[1], dtype=float)
     Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")

@@ -302,6 +302,25 @@ def _source_box(e, qs, ps, iq, ip) -> _SourceBox:
                       yq, yp, jq, jp, v, Ybt)
 
 
+# The windowed sums drop a term only past the reach where its Gaussian
+# factor falls below e^-_WINDOW_EXPONENT = 4.2e-18, well under the double
+# epsilon.
+_WINDOW_EXPONENT = 40.0
+
+
+def _reach(hbar: float, im_z) -> float:
+    """Distance from its image past which a packet's (or the kernel's)
+    Gaussian factor falls below ``e^-_WINDOW_EXPONENT``, for the least of
+    ``im_z``: the narrowest ``Im z``, or the eigenvalues of ``Im Q``."""
+    return math.sqrt(2 * hbar * _WINDOW_EXPONENT / np.min(im_z))
+
+
+def _in_reach(images, lo: float, hi: float, reach: float) -> slice:
+    """The run of the sorted ``images`` within ``reach`` of ``[lo, hi]``."""
+    return slice(np.searchsorted(images, lo - reach),
+                 np.searchsorted(images, hi + reach, "right"))
+
+
 def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     """Kernel sum for an affine flow ``Y_t = M Y + c`` as matrix products,
     from the sources' endpoints ``e`` (one :func:`flow_batch`).
@@ -320,6 +339,17 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     target and source factors are scaled to peak modulus 1; because the
     kernel modulus never exceeds its prefactor, the two scales multiply to
     at most ``e^(4 _TABLE_EXPONENT)``.
+
+    ``|K| <= pref exp{-lambda |X - Y_t|^2 / (2 hbar)}``, with ``pref`` the
+    kernel's prefactor and ``lambda`` the least eigenvalue of ``Im Q``.  So a
+    tile pair keeps the sources whose image ``Y_t`` lies within ``R``
+    (:func:`_reach` of ``lambda``) of the pair's range in ``q`` and in
+    ``p``: with the sources sorted by ``q_t``, a contiguous run for each
+    ``q`` tile (:func:`_in_reach`), masked in ``p_t`` for each pair.  Only
+    the kept sources take a ``sigma``, an ``e^sigma``, gathered table
+    columns and a share of ``W @ E^T``; a pair that keeps none is exactly 0.
+    A term dropped at a kept node is at most ``e^-40 |W_s|`` times ``pref``,
+    as :func:`_separable_synthesis` drops them.
     """
     M, half, yq, yp, jq, jp, v, Ybt = _source_box(e, qs, ps, iq, ip)
     Q = _doubled(_anisotropy(e.A[0], e.B[0]))
@@ -334,22 +364,34 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     iv = 1j / hbar * v
     amp = (2 * np.pi * hbar) ** (-1) * 2 ** 0.5 * np.exp(-0.5 * e.logdet_w[0])
 
-    reach = np.max(np.abs(K.imag) * half, axis=1)
+    qt, pt = Ybt[:, None] + v
+    order = np.argsort(qt, kind="stable")
+    qt, pt, base, iv, jq, jp, Wg = (qt[order], pt[order], base[order], iv[:, order],
+                                    jq[order], jp[order], Wg[order])
+    R = _reach(hbar, np.linalg.eigvalsh(Q.imag))
+    spread = np.max(np.abs(K.imag) * half, axis=1)
     p_tiles = []
-    for rp in _tiles(po, reach[1], hbar):
+    for rp in _tiles(po, spread[1], hbar):
         xp = po[rp]
         dp = xp - 0.5 * (xp[0] + xp[-1])
         E = (_phase_table(dp, yq, 1j / hbar * K[1, 0])[:, jq]
              * _phase_table(dp, yp, 1j / hbar * K[1, 1])[:, jp])
-        p_tiles.append((rp, xp, E))
-    out = np.empty((qo.size, po.size), dtype=complex)
-    for rq in _tiles(qo, reach[0], hbar):
+        p_tiles.append((rp, xp, E, (pt >= xp[0] - R) & (pt <= xp[-1] + R)))
+    out = np.zeros((qo.size, po.size), dtype=complex)
+    for rq in _tiles(qo, spread[0], hbar):
         xq = qo[rq]
+        s = _in_reach(qt, xq[0], xq[-1], R)
+        if s.start == s.stop:
+            continue
         dq = xq - 0.5 * (xq[0] + xq[-1])
-        Tq = (_phase_table(dq, yq, 1j / hbar * K[0, 0])[:, jq]
-              * _phase_table(dq, yp, 1j / hbar * K[0, 1])[:, jp])
+        Tq = (_phase_table(dq, yq, 1j / hbar * K[0, 0])[:, jq[s]]
+              * _phase_table(dq, yp, 1j / hbar * K[0, 1])[:, jp[s]])
         uq = xq[:, None] - Ybt[0]
-        for rp, xp, E in p_tiles:
+        for rp, xp, E, near in p_tiles:
+            m = np.flatnonzero(near[s])
+            if not m.size:
+                continue
+            k = s.start + m
             xbar = np.array([xq[0] + xq[-1], xp[0] + xp[-1]]) / 2
             up = xp[None, :] - Ybt[1]
             # target-only: X.J Ybar_t/2 + (X - Ybar_t).Q (X - Ybar_t)/2
@@ -357,11 +399,11 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
                                + 0.5 * (Q[0, 0] * uq ** 2 + 2 * Q[0, 1] * uq * up
                                         + Q[1, 1] * up ** 2))
             # source-only, plus the tile centre's share of the bilinear part
-            sigma = base + (0.5 * J.T @ xbar - Q @ (xbar - Ybt)) @ iv
+            sigma = base[k] + (0.5 * J.T @ xbar - Q @ (xbar - Ybt)) @ iv[:, k]
             st, ss = tau.real.max(), sigma.real.max()
-            W = Tq * (Wg * np.exp(sigma - ss))
+            W = Tq[:, m] * (Wg[k] * np.exp(sigma - ss))
             out[rq[0]:rq[-1] + 1, rp[0]:rp[-1] + 1] = (
-                amp * np.exp(st + ss) * (np.exp(tau - st) * (W @ E.T)))
+                amp * np.exp(st + ss) * (np.exp(tau - st) * (W @ E[:, k].T)))
     return out
 
 
@@ -377,8 +419,11 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     the output norm matches the input norm to quadrature accuracy.
     A flow in closed form (method ``"exact"``, the default for models that
     carry closed forms) is affine and summed as matrix products over output
-    tiles; an integrated flow pair by pair, over one orbit per source.
-    Sources below 1e-13 of the peak modulus are dropped.
+    tiles, each pair of tiles over the sources whose image ``Y_t`` lies
+    within the reach ``R`` of it, past which ``|K|`` falls below ``e^-40`` of
+    its prefactor (:func:`_affine_sum`); an integrated flow pair by pair,
+    over one orbit per source.  Sources below 1e-13 of the peak modulus are
+    dropped.
     Emits an Ehrenfest warning when the linearized flow along the orbit
     from the centre of the input's support box outgrows ``hbar^{-1/2}``:
     a closed-form flow reads it at ``t/200`` steps, an integrated one at
@@ -419,19 +464,9 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     return ComplexField((qo, po), out, hbar)
 
 
-# The position synthesis drops a term only past the reach where its Gaussian
-# factor falls below e^-_WINDOW_EXPONENT = 4.2e-18, well under the double
-# epsilon.
-_WINDOW_EXPONENT = 40.0
 # Output nodes per synthesis window: few, so that a window's source slice is
 # little wider than twice the reach, yet enough to amortise each slice.
 _WINDOW_NODES = 16
-
-
-def _reach(hbar: float, im_z) -> float:
-    """Distance from its image ``q_t`` past which a packet's Gaussian factor
-    falls below ``e^-_WINDOW_EXPONENT``, for the narrowest ``Im z``."""
-    return math.sqrt(2 * hbar * _WINDOW_EXPONENT / np.min(im_z))
 
 
 def _windowed_synthesis(e, src, hbar, x):
@@ -498,8 +533,7 @@ def _separable_synthesis(e, src, hbar, qs, ps, iq, ip, x):
             continue
         # the sources within reach of some node of the tile, and the lines
         # of the box that hold them
-        s = slice(np.searchsorted(qt, x[r[0]] - reach),
-                  np.searchsorted(qt, x[r[-1]] + reach, "right"))
+        s = _in_reach(qt, x[r[0]], x[r[-1]], reach)
         q0, p0 = jq[s].min(), jp[s].min()
         yq, yp = box.yq[q0:jq[s].max() + 1], box.yp[p0:jp[s].max() + 1]
         xbar = 0.5 * (x[r[0]] + x[r[-1]])

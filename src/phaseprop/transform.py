@@ -470,13 +470,14 @@ def write_field_csv(field: ComplexField, path) -> dict:
     repr-exact precision so identical runs produce identical bytes.
     """
     names = _AXIS_NAMES.get(field.rank, tuple(f"axis{k}" for k in range(field.rank)))
-    # C order over the nodes is the order of itertools.product over the axes
-    nodes = itertools.product(*([format(a, ".17g") for a in axis.tolist()]
-                                for axis in field.axes))
+    # C order over the nodes is the order of itertools.product over the axes;
+    # each axis value is formatted once, and the file is one %-format over the
+    # nodes' coordinate strings and the values' re and im
+    nodes = [",".join(node) for node in itertools.product(
+        *(["%.17g" % a for a in axis.tolist()] for axis in field.axes))]
     vals = field.values.ravel()
-    re = [format(v, ".17g") for v in vals.real.tolist()]
-    im = [format(v, ".17g") for v in vals.imag.tolist()]
-    rows = "\n".join([",".join((*node, r, i)) for node, r, i in zip(nodes, re, im)])
+    cells = [None] * (3 * len(nodes))
+    cells[0::3], cells[1::3], cells[2::3] = nodes, vals.real.tolist(), vals.imag.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + ",re,im\n" + rows + "\n")
+        fh.write(",".join(names) + ",re,im\n" + "%s,%.17g,%.17g\n" * len(nodes) % tuple(cells))
     return field_metadata(field, path=str(path))

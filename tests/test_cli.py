@@ -366,6 +366,20 @@ def test_oracle_dump_writes_closed_form_tables(tmp_path):
     assert act_csv.read_text().splitlines()[0] == "x,S"
 
 
+def test_oracle_dump_prints_the_singular_display_warning(tmp_path, capsys):
+    # at t = pi/2 the harmonic display is singular: the verb says so, and
+    # writes the continued field
+    out = tmp_path / "phase.csv"
+    assert main(["oracle-dump", "--kind", "harmonic", "--what", "phase",
+                 "--t", "1.5707963267948966", "--out", str(out),
+                 "--out-dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == ("warning: harmonic display parameterization is singular at "
+                          "this time; returning the algebraically continued value")
+    assert printed[1].startswith("oracle-dump: harmonic phase at t=1.5708 written to")
+    assert len(out.read_text().splitlines()) == 1 + 81 * 81
+
+
 def test_oracle_dump_rejects_unknown_kind(tmp_path, capsys):
     rc = main(["oracle-dump", "--kind", "seagull",
                "--out-dir", str(tmp_path)])

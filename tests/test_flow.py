@@ -13,6 +13,7 @@ from phaseprop import (
     GridRangeError,
     PhasePoint,
     SiegelMatrix,
+    VariationalFrame,
     amplitude_a,
     anisotropy_Z,
     builtin_model,
@@ -22,7 +23,7 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import _n_steps
+from phaseprop.flow import _n_steps, _sample_orbits
 
 QUARTIC = {(0, 2): 1.0, (4, 0): 1.0}
 
@@ -236,3 +237,26 @@ def test_methods_return_identical_one_sample_bundles_at_t0():
     quartic = polynomial_model(QUARTIC)
     b = integrate_characteristics(quartic, X0, 0.0, FlowOptions(method="adaptive"))
     assert b.times.tolist() == [0.0] and b.action.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("model, opts", [
+    (builtin_model("harmonic"), FlowOptions(step=1e-2)),
+    (polynomial_model(QUARTIC), FlowOptions(method="rk4", step=1e-2)),
+    (polynomial_model(QUARTIC), FlowOptions(method="adaptive", step=1e-2)),
+], ids=["exact", "rk4", "adaptive"])
+def test_bundle_points_and_frames_are_the_pass_samples_bit_for_bit(model, opts):
+    # the bundle keeps the pass's stacked arrays and builds its per-sample
+    # points and frames when they are read; they are the objects an eager
+    # build from the same pass gives, to the last bit
+    X0 = PhasePoint(0.3, -0.2)
+    b = integrate_characteristics(model, X0, 0.5, opts)
+    eager = list(_sample_orbits(model, X0.q[None], X0.p[None], b.times, opts))
+    assert len(b.points) == len(b.frames) == len(eager) == 51
+    for point, frame, s in zip(b.points, b.frames, eager):
+        want_point, want_frame = PhasePoint(s.q[0], s.p[0]), VariationalFrame(s.A[0], s.B[0])
+        for got, want in ((point.q, want_point.q), (point.p, want_point.p),
+                          (frame.A, want_frame.A), (frame.B, want_frame.B)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert b.points is b.points and b.frames is b.frames  # built once
+    assert b.point(0.5) is b.points[-1] and b.frame(0.5) is b.frames[-1]

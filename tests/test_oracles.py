@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ def test_phase_field_matches_pointwise_solution():
         for j, p in enumerate(ps):
             want = exact_phase_solution("linear", PhasePoint(q, p), 0.4, HBAR)
             assert abs(f.values[i, j] - want) < 1e-14
+
+
+def test_phase_field_and_solution_warn_at_singular_display_times():
+    # sin 2t = 0 under the harmonic model: both the pointwise solution and
+    # the field warn, then return the continued values, which agree
+    qs = ps = np.linspace(-1.0, 1.0, 3)
+    for t in (np.pi / 2, np.pi):
+        with pytest.warns(UserWarning, match="singular at this time") as field_record:
+            f = exact_phase_field("harmonic", (qs, ps), t, HBAR)
+        with pytest.warns(UserWarning, match="singular at this time"):
+            want = exact_phase_solution("harmonic", PhasePoint(1.0, -1.0), t, HBAR)
+        assert field_record[0].filename == __file__  # blamed on the caller
+        assert abs(f.values[2, 0] - want) < 1e-14
+    # not at t = 0, nor at other times or under other models
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact_phase_field("harmonic", (qs, ps), 0.0, HBAR)
+        exact_phase_field("harmonic", (qs, ps), 0.7, HBAR)
+        exact_phase_field("free", (qs, ps), np.pi / 2, HBAR)
 
 
 def test_frozen_van_vleck_and_free_literal():

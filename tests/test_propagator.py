@@ -421,6 +421,24 @@ def test_affine_apply_matches_per_pair_kernel_sum():
             want = per_pair_sum(Psi0, t, model, hbar, out_axes)
             err = np.abs(got - want).max() / np.abs(want).max()
             assert err < 1e-12, (kind, t, err)
+    # two clumps of sources, at |q| >= 2 and |p| <= 0.25: their free images
+    # q + 0.8 p stay at |q_t| >= 1.6, and R = 1.13, so the q tiles on either
+    # side of the gap keep disjoint sources and the tile over [-0.25, 0]
+    # keeps none: its nodes are exactly 0 (the per-pair sum reads 4e-43 of
+    # the peak there)
+    qs, ps = np.linspace(-2.5, 2.5, 11), np.linspace(-0.5, 0.5, 5)
+    values = np.zeros((11, 5), dtype=complex)
+    values[[0, 1, 9, 10]] = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    Psi0 = ComplexField((qs, ps), values, hbar)
+    out_axes = (np.linspace(-3.0, 3.0, 25), np.linspace(-1.0, 1.0, 5))
+    model = builtin_model("free")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = apply_propagator(Psi0, 0.4, model, out_axes=out_axes).values
+    want = per_pair_sum(Psi0, 0.4, model, hbar, out_axes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    gap = (-0.3 < out_axes[0]) & (out_axes[0] < 0.1)
+    assert gap.sum() == 2 and not got[gap].any()
 
 
 def phase_rounding(Psi0, t, model, hbar, out_axes) -> np.ndarray:
@@ -676,6 +694,30 @@ def test_the_guard_crosses_once_within_a_step_on_the_inverted_oscillator():
     got = crossing_times(closed)
     assert len(got) == 1 and abs(got[0] - want[0]) <= t / 200
     assert crossing_times(quartic) == []
+
+
+def crossing(norm: str, t: str) -> str:
+    return (f"linearized flow norm {norm} exceeds hbar^-1/2 = 4.472 at t = {t}; "
+            "single-packet propagation is no longer controlled")
+
+
+@pytest.mark.parametrize("model, t, want", [
+    # the inverted oscillator crosses once; the stiff trap p^2 + 400 q^2
+    # swings its flow norm between 1 and 20 and crosses on every swing
+    (INVERTED, 1.0, [crossing("4.482", "0.75")]),
+    (polynomial_model({(0, 2): 1.0, (2, 0): 400.0}), 0.3,
+     [crossing("4.944", "0.006"), crossing("4.543", "0.084"),
+      crossing("5.258", "0.1635"), crossing("4.855", "0.2415")]),
+], ids=["inverted", "stiff-trap"])
+def test_the_closed_form_guard_warns_the_same_text(model, t, want):
+    # the closed forms' guard reads the norms at t/200 steps from one stacked
+    # pass; the text of its warnings is pinned to the last character
+    axis = np.linspace(-1.0, 1.0, 9)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), 0.05), t, model,
+                         out_axes=(axis, axis))
+    assert [str(w.message) for w in record if w.category is EhrenfestWarning] == want
 
 
 COMPOSED = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}

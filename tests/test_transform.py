@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -305,6 +307,33 @@ def test_csv_dump_golden_bytes(tmp_path):
         b"0.5,-0.29999999999999999,3.1415926535897931,2.7182818284590451\n"
         b"0.5,0,-123456789.125,0\n"
         b"0.5,0.29999999999999999,1.0000000000000001e-05,-7.0000000000000004e+22\n")
+
+
+def test_csv_dump_prints_each_cell_by_the_per_cell_rule(tmp_path):
+    # every cell reads format(v, ".17g"), joined by "," per node in C order;
+    # -0.0, inf and nan included.  A field refuses non-finite values, so they
+    # are put in past its check: the writer prints whatever the field holds
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 0.0, 2.0 ** -1074, -1e-300])
+    x = np.arange(8) * 0.25
+    x[0] = -0.0
+    for axes in ((x,), (x[:3], np.linspace(-1.0, 1.0, 5))):
+        shape = tuple(a.size for a in axes)
+        f = ComplexField(axes, rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+                         + 1j * rng.standard_normal(shape), HBAR)
+        values = f.values.copy()
+        flat = values.reshape(-1)
+        flat.real[:special.size], flat.imag[:special.size] = special, special[::-1]
+        object.__setattr__(f, "values", values)
+        with np.errstate(invalid="ignore"):  # the metadata's norm of the inf cells
+            write_field_csv(f, tmp_path / "f.csv")
+        names = "x" if len(axes) == 1 else "q,p"
+        rows = [",".join(format(c, ".17g") for c in (*node, v.real, v.imag))
+                for node, v in zip(itertools.product(*axes), flat)]
+        text = (tmp_path / "f.csv").read_bytes()
+        assert text == (f"{names},re,im\n" + "\n".join(rows) + "\n").encode()
+        assert text.startswith(f"{names},re,im\n-0,".encode())
+        assert all(cell in text for cell in (b"inf", b"-inf", b"nan", b",-0,", b"-0\n"))
 
 
 def test_transform_axes_are_checked_before_any_work(monkeypatch):
