@@ -280,7 +280,8 @@ class _CharRHS:
     def __call__(self, y):
         n, d = len(y), self.d
         q, p = y[:, :d], y[:, d:2 * d]
-        g, H2 = self.derivatives(q, p)
+        with np.errstate(invalid="ignore"):  # a non-finite derivative raises below
+            g, H2 = self.derivatives(q, p)
         dy = np.empty_like(y)
         dy[:, :2 * d] = g @ self.JT
         dy[:, 2 * d:-1] = (self.generator(H2) @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
@@ -324,7 +325,8 @@ def _rk4(model, q, p, times):
     size = min(max(_RUN_BYTES // (32 * max(n, 1) * (2 * d) ** 2), 1), _RUN_STEPS)
     for start in range(0, steps.size, size):
         h = steps[start:start + size]
-        xs, stages = _orbit_steps(rhs, x, h)
+        with np.errstate(invalid="ignore"):  # a non-finite stage raises below
+            xs, stages = _orbit_steps(rhs, x, h)
         X, G, H = map(_orbits_last, zip(*stages))
         m, bad = h.size, None
         if not (np.isfinite(G).all() and np.isfinite(H).all()):

@@ -9,7 +9,7 @@ closed forms of one quadratic model (:func:`_quadratic`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -311,8 +311,9 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
     coef = np.array(list(rows.values())).reshape(len(rows), len(_JET_ORDERS))
 
     # an overflowed power times a zero coefficient gives NaN, not a warning:
-    # the flow reports non-finite derivatives as a ModelError
-    @np.errstate(invalid="ignore")
+    # the flow reports non-finite derivatives as a ModelError.  The flow's
+    # stage loops enter that error state once for all their calls, so the
+    # jet itself does not; the value and the point callables enter it here.
     def jet(q, p):  # columns of _JET_ORDERS
         x = np.empty((5, 2, len(q)))  # x[k] = (q**k, p**k)
         x[0] = 1.0
@@ -321,6 +322,7 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
         np.multiply(x[1:3], x[2], out=x[3:])  # x**3 = x * x**2, x**4 = x**2 * x**2
         return (x[qexp, 0] * x[pexp, 1]).T @ coef
 
+    @np.errstate(invalid="ignore")
     def bulk_value(q, p):
         return jet(q, p)[:, 0]
 
@@ -332,4 +334,6 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
         zero = np.zeros((1, 1))
         (g,), (S,) = bulk_derivatives(zero, zero)
         return _quadratic(S, g, float(bulk_value(zero, zero)[0]), 1, "polynomial")
-    return _from_stacks(1, bulk_value, bulk_derivatives, kind="polynomial")
+    model = _from_stacks(1, bulk_value, bulk_derivatives, kind="polynomial")
+    return replace(model, gradient=np.errstate(invalid="ignore")(model.gradient),
+                   hessian=np.errstate(invalid="ignore")(model.hessian))

@@ -114,7 +114,9 @@ class _Kernel:
     ``Y_s = (eta_s, xi_s)``, the rows of ``eta`` and ``xi``, from the
     endpoints ``e`` of their orbits (one :func:`flow_batch`), at targets
     ``X = (q, p)`` along the last axis of an array: one exponential per
-    (target, source) pair."""
+    (target, source) pair.  It serves :func:`kernel_Ksc`, ``kernel-dump``
+    and the WKB phase; :func:`_integrated_sum` sums the same kernel over a
+    grid."""
 
     def __init__(self, eta, xi, e):
         self.Yt = np.concatenate([e.q, e.p], axis=1)
@@ -239,11 +241,12 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
     if t <= 0 or _method(model, opts) == "exact":
         return flow_batch(model, Q, P, t, opts), _closed_form_guard(model, center, t, hbar, opts)
     times = _default_times(t, opts.step)
-    jacobians = []
+    A, B = [], []
     for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
                             times, opts):
-        jacobians.append(_real_jacobian(s.A[-1], s.B[-1]))
-    norms = np.linalg.norm(jacobians, 2, axis=(-2, -1))
+        A.append(s.A[-1])
+        B.append(s.B[-1])
+    norms = np.linalg.norm(_real_jacobian(np.stack(A), np.stack(B)), 2, axis=(-2, -1))
     return FlowBatch(*(field[:-1] for field in s)), _ehrenfest_crossings(times, norms, hbar)
 
 
@@ -407,6 +410,94 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     return out
 
 
+# Most entries in one batch of a tile's cross tables: a batch of sources
+# over a tile of nq x np nodes holds nq np entries per source, so each of
+# its few arrays stays near 4 MB.
+_BATCH_ENTRIES = 1 << 18
+
+
+def _integrated_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
+    """Kernel sum over integrated orbits, from the sources' endpoints ``e``
+    (one :func:`flow_batch`), each with its own ``Y_t``, ``Q`` and action.
+
+    At a target ``X = Y_t + u`` the exponent of source ``s`` is
+    ``base + u.J Y_t/2 + u.Q u/2``, since ``Y_t.J Y_t = 0``.  On an output
+    tile centred on ``(qbar, pbar)``, with ``X = (qbar + q', pbar + p')``
+    and ``(dq, dp) = (qbar, pbar) - Y_t``, the product
+    ``u_q u_p = q' p' + dp u_q + dq u_p - dq dp`` splits the exponent into
+    - ``sigma``, source-only: ``base - Q_qp dq dp``;
+    - ``f``, q-only: ``u_q (p_t/2 + Q_qp dp + Q_qq u_q/2)``;
+    - ``g``, p-only: ``u_p (-q_t/2 + Q_qp dq + Q_pp u_p/2)``;
+    - the cross term ``Q_qp q' p'``.
+    Each part stays of the size of the exponent near the image for the
+    sources that matter there, so the sum rounds as the per-pair kernel
+    does.  The cross factor ``exp{(i/hbar) Q_qp q' p'}`` is a table over
+    the tile's q nodes and sources by its uniform p nodes, from two short
+    factor tables (:func:`_phase_table` with a coefficient per row), and
+    the tile is one product over its sources of ``W_s e^(sigma + f)`` with
+    the cross table times ``e^g``.  Tiles (:func:`_tiles`) are narrow
+    enough that no cross exponent has a real part above
+    ``_TABLE_EXPONENT``.  ``e^f`` and ``e^g`` are each scaled to peak
+    modulus 1 over the tile, and their scales move into ``sigma``; because
+    ``|K|`` never exceeds its prefactor, which rides in the weights, the
+    real part of ``sigma`` then stays below ``_TABLE_EXPONENT``.
+
+    The tile pairs keep sources as :func:`_affine_sum`'s do, with ``R``
+    (:func:`_reach`) of the least eigenvalue of ``Im Q`` over the sources:
+    with the sources sorted by ``q_t``, a run for each ``q`` tile
+    (:func:`_in_reach`), masked in ``p_t`` for each pair.  A pair that
+    keeps none is exactly 0, and a term dropped at a kept node is at most
+    ``e^-40 |W_s|`` times its prefactor.  The sources of a pair go through
+    in batches of at most ``_BATCH_ENTRIES`` table entries.
+    """
+    qt, pt = e.q[:, 0], e.p[:, 0]
+    Q = _doubled(_anisotropy(e.A, e.B))
+    base = e.action + 0.5 * (qs[iq] * ps[ip] - qt * pt)
+    # the prefactor (2 pi hbar)^-1 2^(1/2) det(A - iB)^(-1/2), in the weights
+    W = Wg * np.exp(math.log(2 ** 0.5 / (2 * np.pi * hbar)) - 0.5 * e.logdet_w)
+    order = np.argsort(qt, kind="stable")
+    qt, pt, base, W, Q = qt[order], pt[order], base[order], W[order], Q[order]
+    Qqq, Qqp, Qpp = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
+    R = _reach(hbar, np.linalg.eigvalsh(Q.imag))
+    # half-widths hq, hp <= _TABLE_EXPONENT hbar / r bound |Im Q_qp| hq hp
+    # by _TABLE_EXPONENT hbar
+    r = math.sqrt(_TABLE_EXPONENT * hbar * np.abs(Qqp.imag).max())
+    ih = 1j / hbar
+    p_tiles = []
+    for rp in _tiles(po, r, hbar):
+        xp = po[rp]
+        p_tiles.append((rp, xp, (pt >= xp[0] - R) & (pt <= xp[-1] + R)))
+    out = np.zeros((qo.size, po.size), dtype=complex)
+    for rq in _tiles(qo, r, hbar):
+        xq = qo[rq]
+        s = _in_reach(qt, xq[0], xq[-1], R)
+        qbar = 0.5 * (xq[0] + xq[-1])
+        dxq = xq - qbar
+        for rp, xp, near in p_tiles:
+            kept = s.start + np.flatnonzero(near[s])
+            if not kept.size:
+                continue
+            pbar = 0.5 * (xp[0] + xp[-1])
+            dxp = xp - pbar
+            tile = out[rq[0]:rq[-1] + 1, rp[0]:rp[-1] + 1]
+            step = max(1, _BATCH_ENTRIES // tile.size)
+            for k in np.array_split(kept, math.ceil(kept.size / step)):
+                dq, dp = qbar - qt[k], pbar - pt[k]
+                # f over (q node, source), g over (source, p node)
+                uq, up = xq[:, None] - qt[k], xp - pt[k][:, None]
+                f = ih * uq * (0.5 * pt[k] + Qqp[k] * dp + 0.5 * Qqq[k] * uq)
+                g = ih * up * ((Qqp[k] * dq - 0.5 * qt[k])[:, None] + 0.5 * Qpp[k][:, None] * up)
+                fs, gs = f.real.max(axis=0), g.real.max(axis=1)[:, None]
+                sigma = ih * (base[k] - Qqp[k] * dq * dp) + fs + gs[:, 0]
+                ss = sigma.real.max()
+                # rows (q node, source), columns the p nodes
+                C = _phase_table(dxq[:, None], dxp, ih * Qqp[k])
+                C *= np.exp(g - gs)
+                wf = np.exp(f - fs) * (W[k] * np.exp(sigma - ss))
+                tile += np.exp(ss) * np.matmul(wf[:, None, :], C)[:, 0, :]
+    return out
+
+
 def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
                      out_axes=None, opts: FlowOptions | None = None) -> ComplexField:
     """Propagate a phase-space field: ``Psi(X, t) = integral
@@ -417,12 +508,15 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     widths at spacing ``sqrt(hbar)/4`` — unless ``out_axes=(q, p)``, two
     uniform increasing axes, overrides it.  The propagation is unitary on analyzed fields, so
     the output norm matches the input norm to quadrature accuracy.
-    A flow in closed form (method ``"exact"``, the default for models that
-    carry closed forms) is affine and summed as matrix products over output
-    tiles, each pair of tiles over the sources whose image ``Y_t`` lies
-    within the reach ``R`` of it, past which ``|K|`` falls below ``e^-40`` of
-    its prefactor (:func:`_affine_sum`); an integrated flow pair by pair,
-    over one orbit per source.  Sources below 1e-13 of the peak modulus are
+    Either sum runs over output tiles, each pair of tiles over the sources
+    whose image ``Y_t`` lies within the reach ``R`` of it, past which
+    ``|K|`` falls below ``e^-40`` of its prefactor.  A flow in closed form
+    (method ``"exact"``, the default for models that carry closed forms) is
+    affine, and a tile is a product of matrices over the sources' grid
+    lines (:func:`_affine_sum`).  An integrated flow gives each source its
+    own orbit, and a tile is one product over its sources of per-source
+    q and p factors and a short-table cross factor
+    (:func:`_integrated_sum`).  Sources below 1e-13 of the peak modulus are
     dropped.
     Emits an Ehrenfest warning when the linearized flow along the orbit
     from the centre of the input's support box outgrows ``hbar^{-1/2}``:
@@ -451,14 +545,8 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
 
     center = PhasePoint([(box[0] + box[1]) / 2], [(box[2] + box[3]) / 2])
     e, crossings = _guarded_flow(model, qs[iq], ps[ip], center, t, hbar, opts)
-    if _method(model, opts or FlowOptions()) == "exact":
-        out = _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po)
-    else:  # one integrated orbit per source; about a million pairs at a time
-        kernel = _Kernel(qs[iq], ps[ip], e)
-        X = np.stack(np.meshgrid(qo, po, indexing="ij"), axis=-1)
-        rows = max(1, int(1e6 / (Wg.size * po.size)))
-        out = np.concatenate([kernel.values(X[s:s + rows], hbar) @ Wg
-                              for s in range(0, qo.size, rows)])
+    summed = _affine_sum if _method(model, opts or FlowOptions()) == "exact" else _integrated_sum
+    out = summed(e, hbar, qs, ps, iq, ip, Wg, qo, po)
     for msg in crossings:
         warnings.warn(msg, EhrenfestWarning, stacklevel=2)
     return ComplexField((qo, po), out, hbar)

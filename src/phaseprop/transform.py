@@ -180,8 +180,9 @@ def _expi(theta: np.ndarray) -> np.ndarray:
 
 def _phase_table(u, v, c) -> np.ndarray:
     """``exp(c u_k v_l)`` for any ``u``, a uniform ``v`` of ``L`` nodes and a
-    scalar ``c``, from two short factor tables; a purely imaginary ``c``
-    goes through :func:`_expi`.
+    coefficient ``c``, a scalar or one per row broadcast against ``u``, from
+    two short factor tables; the table has the rows of ``c u`` and a last
+    axis over ``v``.  A purely imaginary ``c`` goes through :func:`_expi`.
 
     With ``B`` odd near ``sqrt(L)``, ``v_l = a_j + b_k`` for
     ``l = k B + j - lead``: ``a`` is a block of ``B`` nodes centred on the
@@ -196,29 +197,30 @@ def _phase_table(u, v, c) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    cu = c * u
     L = v.size
     if L == 0:
-        return np.empty((u.size, 0), dtype=complex)
+        return np.empty(cu.shape + (0,), dtype=complex)
     B = math.isqrt(L) | 1
     nb = -(-L // B)
     lead = (nb * B - L) // 2
     h = (v[-1] - v[0]) / max(L - 1, 1)
     a = 0.5 * (v[0] + v[-1]) + (np.arange(B) - (B - 1) / 2) * h
     b = (np.arange(nb) * B - lead - (L - B) / 2) * h
-    if c.real == 0:
-        ta, tb = _expi(np.outer(c.imag * u, a)), _expi(np.outer(c.imag * u, b))
+    if not np.any(np.real(c)):
+        ta, tb = (_expi(np.multiply.outer(np.imag(c) * u, w)) for w in (a, b))
     else:
-        ta, tb = np.exp(np.outer(c * u, a)), np.exp(np.outer(c * u, b))
+        ta, tb = np.exp(np.multiply.outer(cu, a)), np.exp(np.multiply.outer(cu, b))
     # v_l - a_j - b_k is a few units in the last place of v, so its factor
     # exp(c u_k (v_l - a_j - b_k)) is 1 + c u_k (v_l - a_j - b_k) in double
     k, j = divmod(np.arange(L) + lead, B)
     rest = np.zeros(nb * B)
     rest[lead:lead + L] = (v - b[k]) - a[j]
-    out = np.outer(c * u, rest).reshape(u.size, nb, B)
+    out = np.multiply.outer(cu, rest).reshape(cu.shape + (nb, B))
     out += 1
-    out *= tb[:, :, None]
-    out *= ta[:, None, :]
-    return out.reshape(u.size, nb * B)[:, lead:lead + L]
+    out *= tb[..., None]
+    out *= ta[..., None, :]
+    return out.reshape(cu.shape + (nb * B,))[..., lead:lead + L]
 
 
 def wave_packet_transform(psi: ComplexField, phase_grid) -> ComplexField:

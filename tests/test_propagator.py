@@ -13,6 +13,7 @@ from phaseprop import (
     ConfigurationError,
     EhrenfestWarning,
     FlowOptions,
+    HamiltonianModel,
     PhasePoint,
     SpacingWarning,
     VariationalFrame,
@@ -36,7 +37,7 @@ from phaseprop import (
 )
 from phaseprop import flow
 from phaseprop.flow import _default_times, flow_batch
-from phaseprop.propagator import _default_phase_axes
+from phaseprop.propagator import _Kernel, _default_phase_axes, _kept_sources
 from phaseprop.oracles import (
     exact_kernel,
     exact_phase_field,
@@ -45,6 +46,7 @@ from phaseprop.oracles import (
     initial_phase_state,
     initial_position_state,
 )
+from test_numeric_paths import BARE_TRAP  # the harmonic trap without its closed forms
 
 HBAR = 0.1
 KINDS = ("free", "linear", "harmonic")
@@ -618,6 +620,89 @@ def packet_field(axis, center, hbar):
     return ComplexField((axis, axis), (2 * np.pi * hbar) ** -0.5 * np.array(vals), hbar)
 
 
+def dense_kernel_sum(Psi0, t, model, out_axes, opts):
+    """The per-pair sum that the integrated sum replaces: one
+    ``_Kernel.values`` exponential per (target, source) pair, over the kept
+    sources and their endpoints from one ``flow_batch``."""
+    qs, ps = Psi0.axes
+    iq, ip, Wg = _kept_sources(Psi0)
+    kernel = _Kernel(qs[iq], ps[ip], flow_batch(model, qs[iq], ps[ip], t, opts))
+    X = np.stack(np.meshgrid(*out_axes, indexing="ij"), axis=-1)
+    return np.array([kernel.values(row, Psi0.hbar) @ Wg for row in X])
+
+
+def _sub_quadratic_value(q, p):
+    return p[:, 0] ** 2 + np.sqrt(1 + q[:, 0] ** 2)
+
+
+def _sub_quadratic_derivatives(q, p):
+    s = np.sqrt(1 + q[:, 0] ** 2)
+    H2 = np.zeros((len(q), 2, 2))
+    H2[:, 0, 0], H2[:, 1, 1] = s ** -3, 2.0
+    return np.stack([q[:, 0] / s, 2 * p[:, 0]], axis=1), H2
+
+
+# H = p^2 + sqrt(1 + q^2): a potential of the paper's sub-quadratic class,
+# whose second derivative is bounded, and no closed form
+SUB_QUADRATIC = HamiltonianModel(
+    dim=1,
+    value=lambda X: float(_sub_quadratic_value(X.q[None], X.p[None])[0]),
+    gradient=lambda X: _sub_quadratic_derivatives(X.q[None], X.p[None])[0][0],
+    hessian=lambda X: _sub_quadratic_derivatives(X.q[None], X.p[None])[1][0],
+    bulk_value=_sub_quadratic_value, bulk_derivatives=_sub_quadratic_derivatives)
+
+
+def clumps_field(hbar):
+    """Packets at (-3, 0) and (3, 0.2) on a 0.1 grid over [-4, 4] x [-1, 1]."""
+    qa, pa = np.linspace(-4.0, 4.0, 81), np.linspace(-1.0, 1.0, 21)
+    vals = [[overlap(PhasePoint(q, p), PhasePoint(-3.0, 0.0), hbar)
+             + np.exp(0.3j) * overlap(PhasePoint(q, p), PhasePoint(3.0, 0.2), hbar)
+             for p in pa] for q in qa]
+    return ComplexField((qa, pa), (2 * np.pi * hbar) ** -0.5 * np.array(vals), hbar)
+
+
+AXIS_17 = np.linspace(-2.0, 2.0, 17)
+AXIS_21 = np.linspace(-1.0, 1.0, 21)
+WIDE = np.linspace(-6.0, 6.0, 161)
+CLUMPS_Q = np.linspace(-4.0, 4.0, 1201)
+
+
+@pytest.mark.parametrize("model, Psi0, t, out_axes, zero", [
+    # phase-quartic's input: one tile over the 17 x 17 input axes
+    (QUARTIC, packet_field(AXIS_17, PhasePoint(0.05, -0.03), 0.05), 0.5,
+     (AXIS_17, AXIS_17), None),
+    # derived axes: 90 x 150 nodes
+    (QUARTIC, packet_field(AXIS_17, PhasePoint(0.3, 0.2), 0.05), 0.5, None, None),
+    (BARE_TRAP, packet_field(AXIS_17, PhasePoint(0.3, -0.2), 0.05), 0.7, None, None),
+    (SUB_QUADRATIC, packet_field(AXIS_17, PhasePoint(-0.2, 0.3), 0.05), 0.8, None, None),
+    # 1201 q nodes make five tiles of at most 256 nodes (the trap's Q has no
+    # imaginary cross term, so no tile is narrower).  The images keep
+    # |q_t| >= 2.1 and R = 0.89, so the middle tile, over [-0.79, 0.8],
+    # keeps no source: its nodes are exactly 0 (the per-pair sum reads
+    # 1.6e-56 of the peak there)
+    (BARE_TRAP, clumps_field(0.005), 0.1, (CLUMPS_Q, np.linspace(-1.0, 1.0, 21)),
+     (-0.795, 0.801)),
+    # p^2 - q^2 at hbar = 0.01: the frame grows like e^(2t), and at t = 1
+    # the split exponents overflow unless each factor is scaled; a 161^2
+    # window of the derived 449 x 448 nodes
+    (INVERTED, packet_field(AXIS_21, PhasePoint(0.1, 0.05), 0.01), 1.0, (WIDE, WIDE), None),
+], ids=["quartic", "quartic-derived", "bare-trap", "sub-quadratic", "two-clumps",
+        "inverted"])
+def test_integrated_sum_matches_the_dense_kernel_sum(model, Psi0, t, out_axes, zero):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # edge mass and Ehrenfest notes
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow anywhere
+        got = apply_propagator(Psi0, t, model, out_axes=out_axes, opts=RK4)
+    want = dense_kernel_sum(Psi0, t, model, got.axes, RK4)
+    assert np.isfinite(got.values).all()
+    if zero is not None:
+        lo, hi = zero
+        gap = (lo < got.axes[0]) & (got.axes[0] < hi)
+        assert gap.sum() == 240 and not got.values[gap].any()
+    err = np.abs(got.values - want).max() / np.abs(want).max()
+    assert err <= 1e-14, err
+
+
 def crossing_time(message: str) -> float:
     return float(message.split("at t = ")[1].split(";")[0])
 
@@ -718,6 +803,20 @@ def test_the_closed_form_guard_warns_the_same_text(model, t, want):
         apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), 0.05), t, model,
                          out_axes=(axis, axis))
     assert [str(w.message) for w in record if w.category is EhrenfestWarning] == want
+
+
+@pytest.mark.parametrize("opts", [RK4, FlowOptions(method="adaptive", step=1e-2)],
+                         ids=["rk4", "adaptive"])
+def test_the_integrated_guard_warns_the_same_text(opts):
+    # an integrated flow reads the centre row's norms from the sources' pass,
+    # all 101 samples in one stacked call; the text is the closed forms'
+    axis = np.linspace(-1.0, 1.0, 9)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), 0.05), 1.0, INVERTED,
+                         out_axes=(axis, axis), opts=opts)
+    assert [str(w.message) for w in record if w.category is EhrenfestWarning] == [
+        crossing("4.482", "0.75")]
 
 
 COMPOSED = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}

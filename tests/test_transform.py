@@ -382,3 +382,22 @@ def test_phase_table_matches_the_direct_table(u, L, v0, h, re, im, imaginary):
     # worst over 40 000 random draws was 2.96 eps (1 + that modulus)
     bound = 6 * np.finfo(float).eps * (1 + abs(c) * size)
     assert (np.abs(got - want) <= bound * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(np.array([3.0j, -0.5j, 40.0j]), id="imaginary"),
+    pytest.param(np.array([2.0 + 3.0j, -0.5j, -30.0 + 40.0j]), id="complex")])
+def test_phase_table_takes_a_coefficient_per_row(c):
+    # rows (u node, coefficient): each coefficient's rows are its own
+    # scalar table, bit for bit where both take the same exponential (a
+    # purely imaginary row of a complex batch takes np.exp, not _expi)
+    u = np.linspace(-1.0, 1.0, 5)
+    v = np.linspace(-0.7, 0.9, 23)
+    got = _phase_table(u[:, None], v, c)
+    assert got.shape == (5, 3, 23)
+    for j, cj in enumerate(c):
+        want = _phase_table(u, v, cj)
+        if bool(cj.real) == bool(c.real.any()):
+            assert np.array_equal(got[:, j], want)
+        else:
+            assert np.abs(got[:, j] - want).max() <= 4 * np.finfo(float).eps
