@@ -218,6 +218,17 @@ def _default_times(T: float, step: float | None) -> np.ndarray:
     return np.linspace(0.0, T, _n_steps(T, step) + 1)
 
 
+def _step_grid(times: np.ndarray, step: float | None):
+    """The rk4 step grid through the samples ``times``, and the index of each
+    sample in it: interval ``k`` takes :func:`_n_steps` equal steps."""
+    pieces, ends = [times[:1]], [0]
+    for a, b in zip(times[:-1], times[1:]):
+        n = _n_steps(b - a, step)
+        pieces.append(np.linspace(a, b, n + 1)[1:])
+        ends.append(ends[-1] + n)
+    return np.concatenate(pieces), ends
+
+
 def _log_increment(prev_det, new_det):
     """Principal log of the determinant ratio (branch-safe increment)."""
     ratio = new_det / prev_det
@@ -525,13 +536,9 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
     if method == "adaptive":
         yield from _tracked(_adaptive(model, Q, P, times, opts.rtol))
         return
-    pieces, ends = [times[:1]], [0]
-    for a, b in zip(times[:-1], times[1:]):
-        n = _n_steps(b - a, opts.step)
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-        ends.append(ends[-1] + n)
+    grid, ends = _step_grid(times, opts.step)
     i, stop = 0, 0
-    for run in _rk4(model, Q, P, np.concatenate(pieces)):
+    for run in _rk4(model, Q, P, grid):
         start, stop = stop, stop + len(run.action)  # the run's states
         while i < len(ends) and ends[i] < stop:
             yield FlowBatch._make(f[ends[i] - start] for f in run)

@@ -18,16 +18,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
-                     SpacingWarning)
+from .errors import CausticError, ConfigurationError, EhrenfestWarning
 from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
                    _anisotropy, _check_siegel, _default_times,
                    _ehrenfest_crossings, _method, _real_jacobian,
                    _sample_orbits, anisotropy_Z, ehrenfest_guard, flow_batch,
                    integrate_characteristics, symplectic_J)
 from .models import HamiltonianModel, PhasePoint
-from .transform import (ComplexField, _checked_axis, _momentum_scale,
-                        _phase_table, _position_support, wave_packet_transform)
+from .transform import (_PAD, ComplexField, _checked_axis, _clip_momentum,
+                        _edge_ratio, _momentum_scale, _padded_axis, _phase_table,
+                        _support, wave_packet_transform)
 
 __all__ = [
     "PropagatedPacket", "propagate_packet", "eval_packet",
@@ -142,10 +142,14 @@ class _Kernel:
                    for i in range(n) for j in range(i, n))
         return self.base + 0.5 * (X @ self.JYt + quad)
 
+    def log_prefactor(self, hbar: float) -> np.ndarray:
+        """The log of ``(2 pi hbar)^(-d) 2^(d/2) det(A - iB)^(-1/2)``, per
+        source."""
+        d = self.Yt.shape[1] / 2
+        return d * np.log(2 ** 0.5 / (2 * np.pi * hbar)) - 0.5 * self.logdet_w
+
     def values(self, X: np.ndarray, hbar: float) -> np.ndarray:
-        d = self.Yt.shape[1] / 2  # (2 pi hbar)^(-d) 2^(d/2) det(A - iB)^(-1/2)
-        log_amp = d * np.log(2 ** 0.5 / (2 * np.pi * hbar)) - 0.5 * self.logdet_w
-        return np.exp(log_amp + 1j / hbar * self.phase(X))
+        return np.exp(self.log_prefactor(hbar) + 1j / hbar * self.phase(X))
 
 
 def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
@@ -167,7 +171,13 @@ def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
     return complex(kernel.values(X.as_vector(), hbar)[0])
 
 
-def _require_nonzero(field: ComplexField, name: str) -> None:
+def _check_input(field: ComplexField, rank: int, t: float, caller: str, name: str) -> None:
+    """The entry checks of the grid propagators, in order: the field's rank,
+    ``t >= 0`` and a field that is not zero everywhere."""
+    if field.rank != rank:
+        raise ConfigurationError(f"{caller} expects a rank-{rank} field")
+    if t < 0:
+        raise ConfigurationError(f"t must be nonnegative, got {t}")
     if not field.values.any():
         raise ConfigurationError(f"{name} is zero everywhere: nothing to propagate")
 
@@ -180,74 +190,43 @@ def _kept_sources(field: ComplexField):
     return iq, ip, field.values[iq, ip] * (field.spacing(0) * field.spacing(1))
 
 
-def _support_box(field: ComplexField, rel: float = 1e-6):
-    """Index-aligned bounding box where the field exceeds ``rel`` of
-    its peak modulus."""
-    mag = np.abs(field.values)
-    mask = mag > rel * mag.max()
-    iq = np.nonzero(mask.any(axis=1))[0]
-    ip = np.nonzero(mask.any(axis=0))[0]
-    qs, ps = field.axes
-    return (float(qs[iq[0]]), float(qs[iq[-1]]),
-            float(ps[ip[0]]), float(ps[ip[-1]]))
-
-
-def _axis(lo: float, hi: float, target: float) -> np.ndarray:
-    n = max(2, int(math.ceil((hi - lo) / target)) + 1)
-    return np.linspace(lo, hi, n)
-
-
 def _derive_out_axes(model, box, t, hbar, opts):
-    """Propagated bounding box: flow the support-box corners and center
-    forward and pad by the packet decay width."""
-    qa, qb, pa, pb = box
+    """Propagated support box: flow the corners and centre of ``box``, the
+    input's support (:func:`_support`), forward and pad the range of their
+    images as every derived grid is padded (:func:`_padded_axis`)."""
+    (qa, qb), (pa, pb) = box
     e = flow_batch(model, [qa, qa, qb, qb, (qa + qb) / 2],
                    [pa, pb, pa, pb, (pa + pb) / 2], t, opts)
-    pad = 6 * np.sqrt(hbar)
-    tgt = np.sqrt(hbar) / 4
-    return (_axis(float(e.q.min()) - pad, float(e.q.max()) + pad, tgt),
-            _axis(float(e.p.min()) - pad, float(e.p.max()) + pad, tgt))
-
-
-def _warn_if_edge_mass(field: ComplexField) -> None:
-    v = np.abs(field.values)
-    peak = v.max()
-    edge = max(v[0].max(), v[-1].max(), v[:, 0].max(), v[:, -1].max())
-    if edge > 1e-6 * peak:
-        warnings.warn(
-            f"phase-space field carries {edge / peak:.2e} of its peak at the "
-            "grid boundary; propagated norm may be lossy", UserWarning,
-            stacklevel=3)
-
-
-def _closed_form_guard(model, center, t, hbar, opts) -> list[str]:
-    """The Ehrenfest crossings of the closed-form orbit from ``center``,
-    read at ``t/200`` steps."""
-    if t <= 0:
-        return []
-    bundle = integrate_characteristics(model, center, t,
-                                       replace(opts, step=t / 200, hbar=hbar))
-    return ehrenfest_guard(bundle)
+    return (_padded_axis(float(e.q.min()), float(e.q.max()), hbar),
+            _padded_axis(float(e.p.min()), float(e.p.max()), hbar))
 
 
 def _guarded_flow(model, Q, P, center, t, hbar, opts):
     """The endpoints at ``t >= 0`` of the orbits from the rows of ``Q``,
-    ``P``, as :func:`flow_batch` gives them, and the Ehrenfest crossings of
-    the orbit from ``center``, read on the step grid of the sources' pass
-    when it is integrated, where ``center`` is the batch's last row."""
+    ``P``, as :func:`flow_batch` gives them.  Warns, at the line that called
+    the grid propagator, of each Ehrenfest crossing of the orbit from
+    ``center``: a closed-form orbit read at ``t/200`` steps, an integrated
+    one on the step grid of the sources' pass, as the batch's last row."""
     opts = opts or FlowOptions()
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
     if t <= 0 or _method(model, opts) == "exact":
-        return flow_batch(model, Q, P, t, opts), _closed_form_guard(model, center, t, hbar, opts)
-    times = _default_times(t, opts.step)
-    A, B = [], []
-    for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
-                            times, opts):
-        A.append(s.A[-1])
-        B.append(s.B[-1])
-    norms = np.linalg.norm(_real_jacobian(np.stack(A), np.stack(B)), 2, axis=(-2, -1))
-    return FlowBatch(*(field[:-1] for field in s)), _ehrenfest_crossings(times, norms, hbar)
+        e = flow_batch(model, Q, P, t, opts)
+        crossings = [] if t <= 0 else ehrenfest_guard(integrate_characteristics(
+            model, center, t, replace(opts, step=t / 200, hbar=hbar)))
+    else:
+        times = _default_times(t, opts.step)
+        A, B = [], []
+        for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
+                                times, opts):
+            A.append(s.A[-1])
+            B.append(s.B[-1])
+        norms = np.linalg.norm(_real_jacobian(np.stack(A), np.stack(B)), 2, axis=(-2, -1))
+        e = FlowBatch(*(field[:-1] for field in s))
+        crossings = _ehrenfest_crossings(times, norms, hbar)
+    for msg in crossings:
+        warnings.warn(msg, EhrenfestWarning, stacklevel=3)
+    return e
 
 
 # Largest real part of an exponent in the tables of the separable sums.  The
@@ -418,7 +397,8 @@ _BATCH_ENTRIES = 1 << 18
 
 def _integrated_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     """Kernel sum over integrated orbits, from the sources' endpoints ``e``
-    (one :func:`flow_batch`), each with its own ``Y_t``, ``Q`` and action.
+    (one :func:`flow_batch`), each with its own ``Y_t``, ``Q``, source-only
+    phase ``base`` and prefactor, as :class:`_Kernel` gives them.
 
     At a target ``X = Y_t + u`` the exponent of source ``s`` is
     ``base + u.J Y_t/2 + u.Q u/2``, since ``Y_t.J Y_t = 0``.  On an output
@@ -450,13 +430,12 @@ def _integrated_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     ``e^-40 |W_s|`` times its prefactor.  The sources of a pair go through
     in batches of at most ``_BATCH_ENTRIES`` table entries.
     """
+    kernel = _Kernel(qs[iq], ps[ip], e)
     qt, pt = e.q[:, 0], e.p[:, 0]
-    Q = _doubled(_anisotropy(e.A, e.B))
-    base = e.action + 0.5 * (qs[iq] * ps[ip] - qt * pt)
-    # the prefactor (2 pi hbar)^-1 2^(1/2) det(A - iB)^(-1/2), in the weights
-    W = Wg * np.exp(math.log(2 ** 0.5 / (2 * np.pi * hbar)) - 0.5 * e.logdet_w)
+    # the kernel's prefactor rides in the weights
+    W = Wg * np.exp(kernel.log_prefactor(hbar))
     order = np.argsort(qt, kind="stable")
-    qt, pt, base, W, Q = qt[order], pt[order], base[order], W[order], Q[order]
+    qt, pt, base, W, Q = qt[order], pt[order], kernel.base[order], W[order], kernel.Q[order]
     Qqq, Qqp, Qpp = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
     R = _reach(hbar, np.linalg.eigvalsh(Q.imag))
     # half-widths hq, hp <= _TABLE_EXPONENT hbar / r bound |Im Q_qp| hq hp
@@ -503,53 +482,43 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     """Propagate a phase-space field: ``Psi(X, t) = integral
     K(X, Y, t) Psi0(Y) dY`` by grid quadrature, at the field's own ``hbar``.
 
-    The output grid is derived automatically — the input support box is
-    flowed forward (corners and center) and padded by six packet decay
-    widths at spacing ``sqrt(hbar)/4`` — unless ``out_axes=(q, p)``, two
-    uniform increasing axes, overrides it.  The propagation is unitary on analyzed fields, so
-    the output norm matches the input norm to quadrature accuracy.
-    Either sum runs over output tiles, each pair of tiles over the sources
-    whose image ``Y_t`` lies within the reach ``R`` of it, past which
-    ``|K|`` falls below ``e^-40`` of its prefactor.  A flow in closed form
-    (method ``"exact"``, the default for models that carry closed forms) is
-    affine, and a tile is a product of matrices over the sources' grid
-    lines (:func:`_affine_sum`).  An integrated flow gives each source its
-    own orbit, and a tile is one product over its sources of per-source
-    q and p factors and a short-table cross factor
-    (:func:`_integrated_sum`).  Sources below 1e-13 of the peak modulus are
-    dropped.
-    Emits an Ehrenfest warning when the linearized flow along the orbit
-    from the centre of the input's support box outgrows ``hbar^{-1/2}``:
-    a closed-form flow reads it at ``t/200`` steps, an integrated one at
-    the steps of the sources' own pass, where that orbit is one more row
-    of the batch.  Never silently truncates a non-decayed input.
+    The output grid is the input's support flowed forward and padded
+    (:func:`_derive_out_axes`) unless ``out_axes=(q, p)``, two uniform
+    increasing axes, overrides it.  The propagation is unitary on analyzed
+    fields, so the output norm matches the input norm to quadrature
+    accuracy.  Sources below 1e-13 of the peak modulus are dropped
+    (:func:`_kept_sources`).  A flow in closed form (method ``"exact"``, the
+    default for models that carry closed forms) is summed by
+    :func:`_affine_sum`, an integrated one by :func:`_integrated_sum`.
+    Warns of boundary mass above 1e-6 of the peak and, through
+    :func:`_guarded_flow`, when the linearized flow along the orbit from the
+    centre of the input's support outgrows ``hbar^{-1/2}``.  Never silently
+    truncates a non-decayed input.
     """
-    if Psi0.rank != 2:
-        raise ConfigurationError("apply_propagator expects a rank-2 field")
+    _check_input(Psi0, 2, t, "apply_propagator", "the input field")
     hbar = Psi0.hbar
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
-    _require_nonzero(Psi0, "the input field")
     if out_axes is not None:
         if len(out_axes) != 2:
             raise ConfigurationError("out_axes must be a (q, p) pair of axes")
         qo = _checked_axis(out_axes[0], "out_axes[0]")
         po = _checked_axis(out_axes[1], "out_axes[1]")
-    _warn_if_edge_mass(Psi0)
+    edge = _edge_ratio(Psi0.values)
+    if edge > 1e-6:
+        warnings.warn(
+            f"phase-space field carries {edge:.2e} of its peak at the grid "
+            "boundary; propagated norm may be lossy", UserWarning, stacklevel=2)
     qs, ps = Psi0.axes
     iq, ip, Wg = _kept_sources(Psi0)
 
-    box = _support_box(Psi0)
+    box = _support(Psi0)
     if out_axes is None:
         qo, po = _derive_out_axes(model, box, t, hbar, opts)
 
-    center = PhasePoint([(box[0] + box[1]) / 2], [(box[2] + box[3]) / 2])
-    e, crossings = _guarded_flow(model, qs[iq], ps[ip], center, t, hbar, opts)
+    (qa, qb), (pa, pb) = box
+    e = _guarded_flow(model, qs[iq], ps[ip], PhasePoint([(qa + qb) / 2], [(pa + pb) / 2]),
+                      t, hbar, opts)
     summed = _affine_sum if _method(model, opts or FlowOptions()) == "exact" else _integrated_sum
-    out = summed(e, hbar, qs, ps, iq, ip, Wg, qo, po)
-    for msg in crossings:
-        warnings.warn(msg, EhrenfestWarning, stacklevel=2)
-    return ComplexField((qo, po), out, hbar)
+    return ComplexField((qo, po), summed(e, hbar, qs, ps, iq, ip, Wg, qo, po), hbar)
 
 
 # Output nodes per synthesis window: few, so that a window's source slice is
@@ -561,7 +530,10 @@ def _windowed_synthesis(e, src, hbar, x):
     """``sum_s src_s exp{(i/hbar)(p_t (x - q_t) + z_s (x - q_t)^2 / 2)}`` at
     the nodes ``x``, from the sources' endpoints ``e``: each run of
     ``_WINDOW_NODES`` nodes sums, pair by pair, the sources whose images
-    ``q_t`` lie within :func:`_reach` of the run."""
+    ``q_t`` lie within :func:`_reach` of the run.  A term's modulus is
+    ``|src_s| exp{-Im z_s (x - q_t)^2 / (2 hbar)}``, so the dropped terms sum
+    to at most ``e^-40 sum_s |src_s|`` at any node: the truncation step of
+    the fast Gauss transform (Greengard & Strain 1991)."""
     qt, pt = e.q[:, 0], e.p[:, 0]
     z = _anisotropy(e.A, e.B)[:, 0, 0]
     order = np.argsort(qt, kind="stable")
@@ -639,25 +611,17 @@ def _separable_synthesis(e, src, hbar, qs, ps, iq, ip, x):
 
 
 def _default_phase_axes(psi0: ComplexField, hbar: float):
-    x = psi0.axes[0]
-    i0, i1 = _position_support(psi0)
-    pad = 6 * np.sqrt(hbar)
-    qa, qb = float(x[i0]) - pad, float(x[i1]) + pad
-    # momentum half-width: local phase-gradient scale plus packet decay,
-    # within the momenta the position spacing resolves (a source packet at
-    # |p| > pi hbar / dx aliases on the grid)
-    pscale = _momentum_scale(psi0, hbar)
-    P = max(abs(qa), abs(qb), pscale + pad)
+    """The derived analysis grid of :func:`position_space_solution`: the
+    state's padded support (:func:`_padded_axis`) in q, and in p a
+    half-width of the local phase-gradient scale plus the pad, at least
+    the q axis's extent, within the momenta the position spacing resolves
+    (a source packet at ``|p| > pi hbar / dx`` aliases on the grid)."""
+    (lo, hi), = _support(psi0)
+    qs = _padded_axis(lo, hi, hbar)
     dx = psi0.spacing()
-    nyq = np.pi * hbar / dx
-    if P > nyq:
-        warnings.warn(
-            f"position spacing {dx:.4g} resolves momenta only up to "
-            f"{nyq:.4g} < requested {P:.4g}; clipping the p axis",
-            SpacingWarning, stacklevel=3)
-        P = nyq
-    tgt = np.sqrt(hbar) / 4
-    return _axis(qa, qb, tgt), _axis(-P, P, tgt)
+    P = max(abs(qs[0]), abs(qs[-1]), _momentum_scale(psi0, hbar) + _PAD * math.sqrt(hbar))
+    P = _clip_momentum(P, np.pi * hbar / dx, dx, "p axis")
+    return qs, _padded_axis(-P, P, hbar, pad=0.0)
 
 
 def position_space_solution(psi0: ComplexField, t: float,
@@ -671,50 +635,31 @@ def position_space_solution(psi0: ComplexField, t: float,
     packet along its orbit (center, width, amplitude, action), and
     resynthesizes ``psi(x, t) = (2 pi hbar)^(-d/2) integral
     Psi0(Y) [propagated packet](x) dY``.  The analysis grid is derived
-    from the state's support and local momentum scale unless
-    ``phase_axes`` overrides it; the output axis defaults to the input
-    axis, and one given as ``out_axis`` must be uniform and increasing.
-
-    Source ``s`` contributes ``src_s exp{(i/hbar)(p_t (x - q_t)
-    + z_s (x - q_t)^2 / 2)}``, of modulus ``|src_s| exp{-Im z_s
-    (x - q_t)^2 / (2 hbar)}`` with ``Im z_s > 0``.  Let
-    ``R = sqrt(2 hbar L / min_s Im z_s)``, ``L = 40``: past ``R`` a term's
-    modulus is at most ``e^-L |src_s|`` (``e^-40 = 4.2e-18``).
-
-    A flow in closed form (method ``"exact"``) is affine and every packet
-    shares ``z``, so the sum separates over the tensor grid of the kept
-    sources (:func:`_separable_synthesis`): per output tile, two exponential
-    tables, each the product of two short factor tables, and one matrix
-    product over the grid lines of the sources with ``q_t`` within ``R`` of
-    the tile; only those sources take an exponential of their own, and
-    every node farther than ``R`` from each image ``q_t`` is exactly 0.  An
-    integrated flow gives each source its own ``z`` and is summed pair by
-    pair over windows (:func:`_windowed_synthesis`): with the sources
-    sorted by ``q_t``, each run of 16 output nodes sums only the sources
-    with ``q_t`` within ``R`` of the run.  Either way the dropped terms sum
-    to at most ``e^-L sum_s |src_s|`` at any node, and the kept ones are
-    the terms of the full sum.
-
-    Emits Ehrenfest warnings as :func:`apply_propagator` does, for the
-    orbit from the mean of the kept sources.
+    from the state's support and local momentum scale
+    (:func:`_default_phase_axes`) unless ``phase_axes`` overrides it; the
+    output axis defaults to the input axis, and one given as ``out_axis``
+    must be uniform and increasing.  A flow in closed form (method
+    ``"exact"``) is summed by :func:`_separable_synthesis`, an integrated
+    one by :func:`_windowed_synthesis`; each drops only the terms of
+    sources farther than :func:`_reach` from a node.  Emits Ehrenfest
+    warnings as :func:`apply_propagator` does, for the orbit from the mean
+    of the kept sources.
     """
-    if psi0.rank != 1:
-        raise ConfigurationError("position_space_solution expects a rank-1 field")
+    _check_input(psi0, 1, t, "position_space_solution", "the input state")
     hbar = psi0.hbar
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
-    _require_nonzero(psi0, "the input state")
     x = _checked_axis(out_axis, "out_axis") if out_axis is not None else psi0.axes[0]
     if phase_axes is None:
         phase_axes = _default_phase_axes(psi0, hbar)
     Psi0 = wave_packet_transform(psi0, phase_axes)
-    _require_nonzero(Psi0, "the state analysed on phase_axes")
+    if not Psi0.values.any():
+        raise ConfigurationError(
+            "the state analysed on phase_axes is zero everywhere: nothing to propagate")
 
     iq, ip, Wg = _kept_sources(Psi0)
     Qg, Pg = Psi0.axes[0][iq], Psi0.axes[1][ip]
 
     center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
-    e, crossings = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)
+    e = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)
     amp = np.exp(-0.5 * e.logdetA)
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5)
     src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
@@ -722,8 +667,6 @@ def position_space_solution(psi0: ComplexField, t: float,
         out = _separable_synthesis(e, src, hbar, *Psi0.axes, iq, ip, x)
     else:
         out = _windowed_synthesis(e, src, hbar, x)
-    for msg in crossings:
-        warnings.warn(msg, EhrenfestWarning, stacklevel=2)
     return ComplexField((x,), out, hbar)
 
 

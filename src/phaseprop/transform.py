@@ -10,7 +10,6 @@ which converge spectrally for the smooth decaying integrands used here.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,28 +117,47 @@ def gaussian_packet(center: PhasePoint, hbar: float, x) -> np.ndarray:
     return (np.pi * hbar) ** (-d / 4) * np.exp(1j / hbar * phase)
 
 
+def _edge_ratio(values: np.ndarray) -> float:
+    """The largest modulus on the grid's boundary over the peak modulus, of
+    a field that is not zero everywhere."""
+    mag = np.abs(values)
+    edge = max(float(mag[(slice(None),) * k + (end,)].max())
+               for k in range(mag.ndim) for end in (0, -1))
+    return edge / float(mag.max())
+
+
 def _check_boundary(values: np.ndarray, rel: float, what: str) -> None:
-    peak = float(np.abs(values).max())
-    if peak == 0.0:
+    if not values.any():
         raise ConfigurationError(f"{what} is identically zero")
-    edge = 0.0
-    for k in range(values.ndim):
-        sl = [slice(None)] * values.ndim
-        for end in (0, -1):
-            sl[k] = end
-            edge = max(edge, float(np.abs(values[tuple(sl)]).max()))
-    if edge > rel * peak:
+    ratio = _edge_ratio(values)
+    if ratio > rel:
         raise TruncationError(
             f"{what} does not decay at the grid boundary "
-            f"(edge/peak = {edge / peak:.3e} > {rel:g}); enlarge the grid",
-            boundary_mass=edge / peak)
+            f"(edge/peak = {ratio:.3e} > {rel:g}); enlarge the grid",
+            boundary_mass=ratio)
+
+
+# A derived grid pads the support by _PAD sqrt(hbar), six packet decay
+# widths, and spaces its nodes at most _SPACING sqrt(hbar) apart, the
+# spacing below which packet quadratures keep their accuracy.
+_PAD, _SPACING = 6.0, 0.25
+
+
+def _padded_axis(lo: float, hi: float, hbar: float, pad: float = _PAD,
+                 nodes: int = 2) -> np.ndarray:
+    """The uniform axis over ``[lo, hi]`` widened by ``pad sqrt(hbar)`` at
+    either end, in the fewest equal steps (at least ``nodes - 1``) no longer
+    than ``_SPACING sqrt(hbar)``."""
+    r = math.sqrt(hbar)
+    lo, hi = lo - pad * r, hi + pad * r
+    return np.linspace(lo, hi, max(nodes, math.ceil((hi - lo) / (_SPACING * r)) + 1))
 
 
 def _check_spacing(dx: float, hbar: float, what: str) -> None:
-    if dx > np.sqrt(hbar) / 4 * (1 + 1e-12):
+    if dx > _SPACING * math.sqrt(hbar) * (1 + 1e-12):
         warnings.warn(
             f"{what} spacing {dx:.4g} exceeds sqrt(hbar)/4 = "
-            f"{np.sqrt(hbar) / 4:.4g}; packet quadratures lose accuracy",
+            f"{_SPACING * math.sqrt(hbar):.4g}; packet quadratures lose accuracy",
             SpacingWarning, stacklevel=3)
 
 
@@ -333,11 +351,25 @@ def fock_bargmann_residual(Psi: ComplexField) -> float:
     return float(np.abs(res).max() / np.abs(v).max())
 
 
-def _position_support(psi: ComplexField, rel: float = 1e-6):
-    """Index range where the state exceeds ``rel`` of its peak."""
-    mag = np.abs(psi.values)
-    idx = np.nonzero(mag > rel * mag.max())[0]
-    return int(idx[0]), int(idx[-1])
+def _support(field: ComplexField) -> list:
+    """Per axis, the least and the greatest coordinate of the nodes where
+    the field exceeds 1e-6 of its peak modulus."""
+    mag = np.abs(field.values)
+    nodes = np.nonzero(mag > 1e-6 * mag.max())
+    return [(float(a[i.min()]), float(a[i.max()])) for a, i in zip(field.axes, nodes)]
+
+
+def _clip_momentum(P: float, nyq: float, dx: float, what: str) -> float:
+    """``P``, or ``nyq`` where ``P`` exceeds the momenta that the position
+    spacing ``dx`` resolves, with a :class:`SpacingWarning` at the line that
+    called the public function two calls up."""
+    if P > nyq:
+        warnings.warn(
+            f"position spacing {dx:.4g} resolves momenta only up to "
+            f"{nyq:.4g} < requested {P:.4g}; clipping the {what}",
+            SpacingWarning, stacklevel=4)
+        return nyq
+    return P
 
 
 def _momentum_scale(psi: ComplexField, hbar: float) -> float:
@@ -356,29 +388,21 @@ def _momentum_scale(psi: ComplexField, hbar: float) -> float:
 
 
 def _default_husimi_grid(psi: ComplexField):
+    """The derived grid of :func:`husimi_check`: the position nodes, at a
+    stride near ``_SPACING sqrt(hbar)``, over the padded support within the
+    grid, and a p axis that the Wigner sum's lags ``2 dx`` resolve, of at
+    least 9 nodes (a coarse grid's clipped axis would take fewer)."""
     x = psi.axes[0]
     dx = psi.spacing()
     hbar = psi.hbar
-    i0, i1 = _position_support(psi)
-    pad = 6 * np.sqrt(hbar)
-    lo = max(float(x[0]), float(x[i0]) - pad)
-    hi = min(float(x[-1]), float(x[i1]) + pad)
-    i0 = int(np.searchsorted(x, lo - 1e-12))
-    i1 = int(np.searchsorted(x, hi + 1e-12)) - 1
-    stride = max(1, int(np.floor((np.sqrt(hbar) / 4) / dx)))
+    pad = _PAD * math.sqrt(hbar)
+    (lo, hi), = _support(psi)
+    i0 = int(np.searchsorted(x, max(float(x[0]), lo - pad) - 1e-12))
+    i1 = int(np.searchsorted(x, min(float(x[-1]), hi + pad) + 1e-12)) - 1
+    stride = max(1, int(np.floor(_SPACING * math.sqrt(hbar) / dx)))
     iq = np.arange(i0, i1 + 1, stride)
-    pscale = _momentum_scale(psi, hbar)
-    P = pscale + 6 * np.sqrt(hbar)
-    nyq = np.pi * hbar / (2 * dx)
-    if P > nyq:
-        warnings.warn(
-            f"position spacing {dx:.4g} resolves momenta only up to "
-            f"{nyq:.4g} < requested {P:.4g}; clipping the p grid",
-            SpacingWarning, stacklevel=3)
-        P = nyq
-    npts = int(np.ceil(2 * P / (np.sqrt(hbar) / 4))) + 1
-    ps = np.linspace(-P, P, max(npts, 9))
-    return iq, ps
+    P = _clip_momentum(_momentum_scale(psi, hbar) + pad, np.pi * hbar / (2 * dx), dx, "p grid")
+    return iq, _padded_axis(-P, P, hbar, pad=0.0, nodes=9)
 
 
 def husimi_check(psi: ComplexField, phase_grid=None):

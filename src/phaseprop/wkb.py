@@ -426,7 +426,8 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
     ``F'' = M^T Q M + Phi''`` (``M`` the real flow Jacobian, ``Q`` the
     doubled anisotropy, ``Phi''`` the lift phase's Hessian; every term with
     a second flow derivative carries ``X - Y_t``), and for symplectic ``M``
-    ``det((A - iB)/2) (1 - i S0''(eta)) det F'' = -(T_q - i T_p)``.  The
+    ``det((A - iB)/2) (1 - i S0''(eta)) det F'' = -(T_q - i T_p)``, the
+    phase-space form of the WKB transport law (Maslov & Fedoriuk 1981).  The
     root is ``exp(-log(T_q - i T_p)/2)``, the log starting principal at
     ``1 - i S0''(eta)`` and continued by the flow's branch-safe increments
     along one pass of the source's orbit: through 41 even times of

@@ -15,7 +15,8 @@ from phaseprop import propagator
 from phaseprop.cli import main
 from phaseprop.models import PhasePoint, polynomial_model
 from phaseprop.propagator import kernel_Ksc
-from phaseprop.oracles import exact_kernel, exact_manifold
+from phaseprop.oracles import exact_kernel, exact_manifold, exact_position_solution
+from phaseprop.wkb import GaussianPoly, WKBData, lift_wkb
 
 
 BASE_CONFIG = """\
@@ -236,6 +237,50 @@ def test_convergence_requires_at_least_three_values(tmp_path, capsys):
     assert "[convergence] values" in capsys.readouterr().err
 
 
+CONVERGENCE_CONFIG = """\
+[meta]
+schema_version = 1
+
+[model]
+kind = free
+
+[grid.phase]
+q_count = 41
+p_count = 41
+
+[convergence]
+values = 0.1, 0.05, 0.025
+"""
+
+
+def test_convergence_hbar_study_shows_a_first_order_lift(tmp_path):
+    # the leading-order lift against the analysed state on the default
+    # position grid: the error halves with hbar
+    cfg = write_config(tmp_path, CONVERGENCE_CONFIG, name="conv.ini")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--parameter", "hbar",
+                 "--out-dir", str(out)]) == 0
+    (entry,) = entries_of(read_report(out), "convergence")
+    assert entry["parameter"] == "hbar"
+    assert entry["values"] == [0.1, 0.05, 0.025]
+    assert entry["slope"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_convergence_grid_spacing_study_halves_the_phase_spacing(tmp_path):
+    # Cauchy increments of the analysed norm on the 41-node box and its
+    # halvings: the quadrature error reaches round-off after one halving
+    cfg = write_config(tmp_path, CONVERGENCE_CONFIG, name="conv.ini")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--parameter", "grid-spacing",
+                 "--out-dir", str(out)]) == 0
+    (entry,) = entries_of(read_report(out), "convergence")
+    assert entry["parameter"] == "grid-spacing"
+    assert entry["values"] == pytest.approx([0.275, 0.1375, 0.06875], rel=1e-12)
+    first, *rest = entry["errors"]
+    assert first < 1e-5 and max(rest) < 1e-3 * first
+    assert len((out / "convergence.csv").read_text().splitlines()) == 4
+
+
 def test_propagate_verbs_write_state_and_field_dumps(tmp_path):
     cfg = write_config(tmp_path)
     pos_out, phase_out = tmp_path / "pos", tmp_path / "phase"
@@ -364,6 +409,58 @@ def test_oracle_dump_writes_closed_form_tables(tmp_path):
                  "--t", "0.3", "--out", str(act_csv),
                  "--out-dir", str(tmp_path)]) == 0
     assert act_csv.read_text().splitlines()[0] == "x,S"
+
+
+def read_csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def test_oracle_dump_position_and_kernel_on_the_default_axes(tmp_path):
+    # without a config: 601 position nodes on [-6, 6], 81^2 phase nodes on
+    # [-5.5, 5.5]^2, hbar 0.1; the tables are the oracles' values
+    pos_csv, ker_csv = tmp_path / "pos.csv", tmp_path / "ker.csv"
+    assert main(["oracle-dump", "--kind", "harmonic", "--what", "position",
+                 "--t", "0.7", "--out", str(pos_csv), "--out-dir", str(tmp_path)]) == 0
+    x, re, im = read_csv(pos_csv).T
+    assert np.array_equal(x, np.linspace(-6.0, 6.0, 601))
+    assert np.array_equal(re + 1j * im, exact_position_solution("harmonic", x, 0.7, 0.1))
+
+    assert main(["oracle-dump", "--kind", "linear", "--what", "kernel", "--t", "0.7",
+                 "--y-q", "-0.3", "--y-p", "0.4", "--out", str(ker_csv),
+                 "--out-dir", str(tmp_path)]) == 0
+    q, p, re, im = read_csv(ker_csv).T
+    axis = np.linspace(-5.5, 5.5, 81)
+    assert np.array_equal(q, np.repeat(axis, 81)) and np.array_equal(p, np.tile(axis, 81))
+    Y = PhasePoint(np.array([-0.3]), np.array([0.4]))
+    for k in (0, 3280, 6560, 1234):
+        want = exact_kernel("linear", PhasePoint(q[k], p[k]), Y, 0.7, 0.1)
+        assert complex(re[k], im[k]) == want
+
+
+# (c0 + 2 c0 x) e^(-x^2/2) has unit norm for c0 = (3 sqrt(pi))^(-1/2)
+C0 = float((3 * np.sqrt(np.pi)) ** -0.5)
+
+
+@pytest.mark.parametrize("r0, coeffs, mu, sigma", [
+    (f"0,1,{C0!r},{2 * C0!r}", [C0, 2 * C0], 0.0, 1.0),
+    # without coefficients the envelope is normalised
+    ("0.3,0.8", [(0.8 * np.sqrt(np.pi)) ** -0.5], 0.3, 0.8),
+], ids=["coefficients", "normalised"])
+def test_lift_wkb_reads_the_r0_flag(tmp_path, r0, coeffs, mu, sigma):
+    out = tmp_path / "lift.csv"
+    assert main(["lift-wkb", "--r0", r0, "--hbar", "0.1", "--out", str(out),
+                 "--out-dir", str(tmp_path)]) == 0
+    axis = np.linspace(-5.5, 5.5, 81)
+    data = WKBData(S0=np.array([0.0, 0.0, 0.5]),
+                   R0=GaussianPoly(np.array(coeffs), mu=mu, sigma=sigma), r=2)
+    want = lift_wkb(data, (axis, axis), 0.1).values.ravel()
+    _, _, re, im = read_csv(out).T
+    assert np.array_equal(re + 1j * im, want)
+
+
+def test_lift_wkb_rejects_an_r0_flag_without_sigma(tmp_path, capsys):
+    assert main(["lift-wkb", "--r0", "0.3", "--out-dir", str(tmp_path)]) == 2
+    assert "--r0: expected 'mu,sigma[,c0,c1,...]'" in capsys.readouterr().err
 
 
 def test_oracle_dump_prints_the_singular_display_warning(tmp_path, capsys):

@@ -23,7 +23,7 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import _n_steps, _sample_orbits
+from phaseprop.flow import _default_times, _n_steps, _sample_orbits, _step_grid
 
 QUARTIC = {(0, 2): 1.0, (4, 0): 1.0}
 
@@ -108,6 +108,37 @@ def test_a_step_that_divides_the_interval_gives_its_steps():
     for T in (0.3, 0.35, 0.5, 0.55, 0.7, 1.0, 1.5, 2.0, 3.0):
         assert [_n_steps(T, T / k) for k in range(2, 200)] == list(range(2, 200)), T
     assert _n_steps(0.5 * (1 + 1e-12), 0.5) == 1 and _n_steps(0.0, 0.5) == 0
+
+
+@pytest.mark.parametrize("times, step", [
+    # the guard pass of a phase-quartic apply and a default-step one
+    (_default_times(0.5, 1e-2), 1e-2),
+    (_default_times(1.0, 1e-3), 1e-3),
+    # van_vleck_kernel: n = clip(ceil(t / 1e-3), 256, 400) intervals of t / n
+    (np.linspace(0.0, 0.4, 401), 0.4 / 400),
+    (np.linspace(0.0, 2.0, 401), 2.0 / 400),
+    (np.linspace(0.0, 0.2, 257), 0.2 / 256),
+    # the fold scans: 81 samples of [0, t] and 2001 of [0, t_max]
+    (np.linspace(0.0, 0.7, 81), 1e-3),
+    (np.linspace(0.0, 1.3, 81), 1e-2),
+    (np.linspace(0.0, 2.0, 2001), 1e-3),
+    (np.linspace(0.0, 2.0, 2001), 1e-2),
+    # signed, uneven, and a repeated sample
+    (np.linspace(0.0, -0.9, 41), 1e-2),
+    (np.array([0.0, 0.013, 0.5, 0.5, 0.51, 1.7]), 1e-2),
+], ids=["guard-quartic", "guard-default", "van-vleck-0.4", "van-vleck-2", "van-vleck-0.2",
+        "fold-81-fine", "fold-81-coarse", "fold-2001-fine", "fold-2001-coarse",
+        "backward", "uneven"])
+def test_the_step_grid_lands_on_every_sample_in_equal_steps(times, step):
+    grid, ends = _step_grid(times, step)
+    assert grid[ends].tobytes() == times.tobytes()
+    for k, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        assert b - a == _n_steps(times[k + 1] - times[k], step)
+        h = np.diff(grid[a:b + 1])
+        assert np.all(np.abs(h) <= step * (1 + 1e-9))
+        assert np.allclose(h, h[:1], rtol=1e-9, atol=1e-15)
+    if all(b - a == 1 for a, b in zip(ends[:-1], ends[1:])):
+        assert grid.tobytes() == times.tobytes()
 
 
 def test_a_time_no_step_lands_on_says_so():

@@ -329,6 +329,21 @@ def test_zero_input_field_is_rejected():
         position_space_solution(psi, 0.3, model, phase_axes=far)
 
 
+def test_the_grid_propagators_check_rank_and_time_first():
+    x = np.linspace(-3.0, 3.0, 81)
+    model = builtin_model("free")
+    psi = ComplexField((x,), gaussian_packet(PhasePoint(0, 0), HBAR, x), HBAR)
+    Psi = ComplexField((x, x), np.outer(psi.values, psi.values), HBAR)
+    with pytest.raises(ConfigurationError, match="apply_propagator expects a rank-2 field"):
+        apply_propagator(psi, 0.3, model)
+    with pytest.raises(ConfigurationError, match="position_space_solution expects a rank-1 field"):
+        position_space_solution(Psi, 0.3, model)
+    with pytest.raises(ConfigurationError, match="t must be nonnegative, got -0.3"):
+        apply_propagator(Psi, -0.3, model)
+    with pytest.raises(ConfigurationError, match="t must be nonnegative, got -0.3"):
+        position_space_solution(psi, -0.3, model)
+
+
 BAD_AXES = {
     "2-D": np.linspace(-3.0, 3.0, 5)[:, None],
     "one node": np.array([0.5]),
@@ -817,6 +832,23 @@ def test_the_integrated_guard_warns_the_same_text(opts):
                          out_axes=(axis, axis), opts=opts)
     assert [str(w.message) for w in record if w.category is EhrenfestWarning] == [
         crossing("4.482", "0.75")]
+
+
+@pytest.mark.parametrize("opts", [None, RK4], ids=["closed-form", "rk4"])
+def test_the_grid_propagators_warn_at_their_callers_line(opts):
+    # the edge-mass note and the guard's crossings name this file, not the
+    # library, whichever flow carries the sources
+    axis = np.linspace(-1.0, 1.0, 9)
+    x = np.linspace(-3.0, 3.0, 121)
+    psi = ComplexField((x,), gaussian_packet(PhasePoint(0.0, 0.0), 0.05, x), 0.05)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        apply_propagator(packet_field(axis, PhasePoint(0.0, 0.0), 0.05), 1.0, INVERTED,
+                         out_axes=(axis, axis), opts=opts)
+        position_space_solution(psi, 1.0, INVERTED, opts=opts)
+    seen = [(w.category, w.filename) for w in record
+            if w.category in (UserWarning, EhrenfestWarning)]
+    assert seen == [(UserWarning, __file__)] + [(EhrenfestWarning, __file__)] * 2
 
 
 COMPOSED = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}

@@ -284,6 +284,22 @@ def test_derived_phase_grids_are_unchanged():
         assert np.array_equal(ps, np.linspace(*husimi_p))
 
 
+@pytest.mark.parametrize("count, nodes", [(201, 37), (21, 9)])
+def test_husimi_check_clips_its_p_axis_where_the_wigner_sum_aliases(count, nodes):
+    # the Wigner sum's lags are 2 dx apart, so it resolves momenta up to
+    # pi hbar / (2 dx); the derived p axis stops there, with a warning, and
+    # keeps 9 nodes where the clipped axis would take fewer
+    x = np.linspace(-8.0, 8.0, count)
+    psi = ComplexField((x,), initial_position_state(x, 0.05), 0.05)
+    with pytest.warns(SpacingWarning) as record:  # the grid is coarse, too
+        hus, _conv, _diff = husimi_check(psi)
+    nyq = np.pi * 0.05 / (2 * psi.spacing())
+    assert f"resolves momenta only up to {nyq:.4g} < requested" in str(record[0].message)
+    ps = hus.axes[1]
+    assert ps[-1] == -ps[0] == nyq
+    assert ps.size == nodes
+
+
 def test_csv_dump_golden_bytes(tmp_path):
     # .17g cells, C order, "\n" line ends; -0 and subnormals included
     f1 = ComplexField((np.linspace(-1.0, 1.0, 3),),

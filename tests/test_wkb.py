@@ -297,6 +297,14 @@ def test_solution_on_manifold_tracks_display_to_first_order():
             assert rel < 5 * hbar, (kind, a0, rel)
 
 
+def test_solution_on_manifold_rejects_a_point_off_the_manifold():
+    # (0.9, 0.9) pulls back under the free flow to (0.18, 0.9), off p = q
+    data, model = reference_data(), builtin_model("free")
+    X = model.exact_flow(PhasePoint(0.5, 0.5), 0.4)
+    with pytest.raises(ProjectionError, match="off p = S0'"):
+        solution_on_manifold(PhasePoint(X.q, X.p + 0.4), 0.4, data, model, HBAR)
+
+
 # The stationary-phase Hessian F'' that solution_on_manifold's amplitude
 # reduces to: a 9-point central-difference stencil of the double-phase-space
 # phase around the source (centre, eta and xi axis points, corners), with one
