@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, PhasePropError
+from .errors import ConfigurationError, PhasePropError, SpacingWarning, _warn_at_caller
 from .flow import FlowOptions, integrate_characteristics
 from .models import HamiltonianModel, PhasePoint, builtin_model, polynomial_model
 from .oracles import (
@@ -450,15 +450,25 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
 
     if parameter == "hbar":
         data = config.wkb_data()
-        for hb in values:
-            x = config.position_axis.build()
-            psi = ComplexField(axes=(x,), values=data.state(x, hb), hbar=hb)
-            axes = config.phase_axes()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+        x = config.position_axis.build()
+        axes = config.phase_axes()
+        reach = float(np.abs(axes[1]).max())
+        # the warnings of every analysis and lift, and one for each hbar whose
+        # p axis the position grid cannot resolve, go to the report
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for hb in values:
+                psi = ComplexField(axes=(x,), values=data.state(x, hb), hbar=hb)
+                nyq = np.pi * hb / psi.spacing()
+                if reach > nyq:
+                    _warn_at_caller(
+                        f"hbar = {hb:g}: the p axis reaches {reach:.4g}, past the "
+                        f"pi hbar / dx = {nyq:.4g} that the position grid resolves; "
+                        "the reference analysis aliases", SpacingWarning)
                 want = wave_packet_transform(psi, axes)
                 got = lift_wkb(data, axes, hb)
-            rows.append((hb, _field_errors(got, want)["max_rel"]))
+                rows.append((hb, _field_errors(got, want)["max_rel"]))
+        _record_warnings(report, caught)
     elif parameter == "grid-spacing":
         # Quadrature error proxy: Cauchy increments of the squared norm under
         # grid halving.  Differencing on a fixed box cancels the (constant)
@@ -541,9 +551,20 @@ def _verb_kernel_dump(args, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _flag_floats(flag: str, raw: str) -> list[float]:
+    """The comma-separated numbers of a flag's value."""
+    values = []
+    for item in raw.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ConfigurationError(f"{flag}: not a number: {item!r}") from None
+    return values
+
+
 def _parse_s0_flag(raw: str | None, config: RunConfig | None) -> np.ndarray:
     if raw:
-        return np.asarray([float(s) for s in raw.split(",")], dtype=float)
+        return np.asarray(_flag_floats("--s0", raw))
     if config is not None:
         return np.asarray(config.s0, dtype=float)
     return np.asarray([0.0, 0.0, 0.5])
@@ -551,7 +572,7 @@ def _parse_s0_flag(raw: str | None, config: RunConfig | None) -> np.ndarray:
 
 def _parse_r0_flag(raw: str | None, config: RunConfig | None) -> GaussianPoly:
     if raw:
-        parts = [float(s) for s in raw.split(",")]
+        parts = _flag_floats("--r0", raw)
         if len(parts) < 2:
             raise ConfigurationError("--r0: expected 'mu,sigma[,c0,c1,...]'")
         mu, sigma, *coeffs = parts
@@ -622,7 +643,7 @@ def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) ->
     model = _model_from_flags(args, config)
     t = args.t
     if args.alpha:
-        alphas = np.asarray([float(s) for s in args.alpha.split(",")], dtype=float)
+        alphas = np.asarray(_flag_floats("--alpha", args.alpha))
     else:
         alphas = np.linspace(-1.0, 1.0, 9)
     out = Path(args.out) if args.out else out_dir / "solution_on_manifold.csv"

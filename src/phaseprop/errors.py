@@ -2,9 +2,25 @@
 
 Every error raised by this package derives from :class:`PhasePropError`,
 so callers can catch one base class at CLI boundaries while tests can
-assert on the precise failure mode.
+assert on the precise failure mode.  Every warning it emits names the
+line that called into the package (:func:`_warn_at_caller`).
 """
 from __future__ import annotations
+
+import os
+import sys
+import warnings
+
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def _warn_at_caller(message: str, category: type[Warning]) -> None:
+    """Warn at the line outside this package that called into it: the
+    nearest frame up the stack whose file is not one of the package's."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class PhasePropError(Exception):

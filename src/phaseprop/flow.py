@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +40,16 @@ __all__ = [
 
 def symplectic_J(d: int) -> np.ndarray:
     """The standard symplectic matrix ``[[0, I], [-I, 0]]`` on R^{2d}."""
+    return _symplectic(d).copy()
+
+
+@cache
+def _symplectic(d: int) -> np.ndarray:
+    """:func:`symplectic_J`, built once per dimension and read-only."""
     J = np.zeros((2 * d, 2 * d))
     J[:d, d:] = np.eye(d)
     J[d:, :d] = -np.eye(d)
+    J.flags.writeable = False
     return J
 
 
@@ -204,13 +211,14 @@ class FlowBatch(NamedTuple):
     logdet_w: np.ndarray
 
 
-def _n_steps(d: float, step: float | None) -> int:
-    """Equal steps that cover an interval of length ``|d|``: ``ceil(|d| / step)``
-    (step default 1e-3) up to a relative 1e-9, so that round-off never adds a
-    step: a step ``T / k`` gives ``k`` steps, and an interval of a grid one
-    step (on a 20 000-step grid it exceeds its step by up to 2e-12)."""
+def _n_steps(d, step: float | None):
+    """Equal steps that cover an interval of length ``|d|`` (or each of an
+    array of them): ``ceil(|d| / step)`` (step default 1e-3) up to a relative
+    1e-9, so that round-off never adds a step: a step ``T / k`` gives ``k``
+    steps, and an interval of a grid one step (on a 20 000-step grid it
+    exceeds its step by up to 2e-12)."""
     h = step if step is not None else 1e-3
-    return math.ceil(abs(d) / h * (1 - 1e-9))
+    return np.ceil(np.abs(d) / h * (1 - 1e-9)).astype(int)
 
 
 def _default_times(T: float, step: float | None) -> np.ndarray:
@@ -220,13 +228,17 @@ def _default_times(T: float, step: float | None) -> np.ndarray:
 
 def _step_grid(times: np.ndarray, step: float | None):
     """The rk4 step grid through the samples ``times``, and the index of each
-    sample in it: interval ``k`` takes :func:`_n_steps` equal steps."""
-    pieces, ends = [times[:1]], [0]
-    for a, b in zip(times[:-1], times[1:]):
-        n = _n_steps(b - a, step)
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-        ends.append(ends[-1] + n)
-    return np.concatenate(pieces), ends
+    sample in it, in one pass: interval ``k`` takes ``n`` = :func:`_n_steps`
+    equal steps, whose nodes ``j ((b - a) / n) + a`` end on ``b`` itself, as
+    ``np.linspace(a, b, n + 1)`` places them."""
+    d = times[1:] - times[:-1]
+    n = _n_steps(d, step)
+    ends = np.concatenate([[0], n.cumsum()])
+    k = np.arange(n.size).repeat(n)  # the interval of each node after the first
+    grid = np.empty(ends[-1] + 1)
+    grid[1:] = (np.arange(1, grid.size) - ends[k]) * (d / np.maximum(n, 1))[k] + times[k]
+    grid[ends] = times
+    return grid, ends.tolist()
 
 
 def _log_increment(prev_det, new_det):
@@ -238,11 +250,14 @@ def _log_increment(prev_det, new_det):
 def _pack(q, p) -> np.ndarray:
     """Packed states of orbits from the rows of ``q``, ``p`` at t = 0: one
     real row per orbit holding ``q``, ``p``, the Hamiltonian-gauge frame
-    ``F = [A; B] = [I; iI]`` as interleaved (re, im) pairs, and the action 0."""
+    ``F = [A; B] = [I; iI]`` as interleaved (re, im) pairs, and the action 0.
+    Row ``i`` of the frame's real ``2d x 2d`` view starts ``2d i`` in, so
+    ``Re A_ii`` and ``Im B_ii`` sit ``2d + 2`` apart, from 0 and ``2d^2 + 1``."""
     n, d = q.shape
     y = np.zeros((n, 2 * d + 4 * d * d + 1))
     y[:, :d], y[:, d:2 * d] = q, p
-    y[:, 2 * d:-1] = np.concatenate([np.eye(d), 1.0j * np.eye(d)]).view(float).ravel()
+    y[:, 2 * d:2 * d + 2 * d * d:2 * d + 2] = 1.0  # Re A = I
+    y[:, 2 * d + 2 * d * d + 1:-1:2 * d + 2] = 1.0  # Im B = I
     return y
 
 
@@ -264,9 +279,9 @@ class _CharRHS:
 
     def __init__(self, model: HamiltonianModel, q0, p0):
         self.derivatives, self.q0, self.p0 = model.bulk_derivatives, q0, p0
-        self.H0 = model.bulk_value(q0, p0)
+        self.H0 = model.bulk_value(np.concatenate([q0, p0], axis=1))
         self.d = q0.shape[1]
-        self.JT = symplectic_J(self.d).T
+        self.JT = _symplectic(self.d).T
 
     def generator(self, H2, axis: int = -2):
         """``J H''`` of a stack of Hessians whose rows run along ``axis``:
@@ -292,7 +307,7 @@ class _CharRHS:
         n, d = len(y), self.d
         q, p = y[:, :d], y[:, d:2 * d]
         with np.errstate(invalid="ignore"):  # a non-finite derivative raises below
-            g, H2 = self.derivatives(q, p)
+            g, H2 = self.derivatives(y[:, :2 * d])
         dy = np.empty_like(y)
         dy[:, :2 * d] = g @ self.JT
         dy[:, 2 * d:-1] = (self.generator(H2) @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
@@ -367,17 +382,20 @@ def _rk4(model, q, p, times):
 def _orbit_steps(rhs, x, h):
     """RK4 steps ``h`` of the orbit points ``x`` alone, ``X' = g J^T``:
     the points after each step (``x`` first), and each stage's point and
-    derivatives ``(X, g, H'')``."""
-    d, xs, stages, hJ = rhs.d, [x], [], h[:, None, None] * rhs.JT
+    derivatives ``(X, g, H'')``.  ``J^T`` is a signed permutation, so the
+    product ``g (c J^T)`` of a stage update is ``c g J^T`` exactly."""
+    derivatives, xs, stages = rhs.derivatives, [x], []
+    hJ = h[:, None, None] * rhs.JT
     for J2, J1, J6 in zip(hJ / 2, hJ, hJ / 6):  # J^T times h/2, h and h/6
-        stage = x
-        for cJ in (J2, J2, J1, None):
-            g, H2 = rhs.derivatives(stage[:, :d], stage[:, d:])
-            stages.append((stage, g, H2))
-            if cJ is not None:
-                stage = x + g @ cJ
-        (_, g1, _), (_, g2, _), (_, g3, _), (_, g4, _) = stages[-4:]
-        x = x + (g1 + 2 * g2 + 2 * g3 + g4) @ J6
+        g1, H1 = derivatives(x)
+        x2 = x + np.dot(g1, J2)
+        g2, H2 = derivatives(x2)
+        x3 = x + np.dot(g2, J2)
+        g3, H3 = derivatives(x3)
+        x4 = x + np.dot(g3, J1)
+        g4, H4 = derivatives(x4)
+        stages += (x, g1, H1), (x2, g2, H2), (x3, g3, H3), (x4, g4, H4)
+        x = x + np.dot(g1 + 2 * g2 + 2 * g3 + g4, J6)
         xs.append(x)
     return xs, stages
 
@@ -385,10 +403,11 @@ def _orbit_steps(rhs, x, h):
 def _orbits_last(arrays):
     """A run's stage arrays, each of shape ``(N, ...)``, joined in one
     C-ordered array of shape ``(..., steps, 4, N)``, where stacked 2d x 2d
-    products over the steps, stages and orbits are long vector operations."""
-    a, axes = arrays[0], (*range(1, arrays[0].ndim), 0)
+    products over the steps, stages and orbits are long vector operations.
+    They are copied once, into the orbits-first view of that array."""
+    a = arrays[0]
     out = np.empty(a.shape[1:] + (len(arrays) * len(a),))
-    np.concatenate([v.transpose(axes) for v in arrays], axis=-1, out=out)
+    np.concatenate(arrays, out=out.transpose(a.ndim - 1, *range(a.ndim - 1)))
     return out.reshape(a.shape[1:] + (len(arrays) // 4, 4, len(a)))
 
 
@@ -493,10 +512,13 @@ def _tracked(states):
 
 
 def _closed_form(model, q0, p0, times):
-    """Closed-form states at each of ``times``, from one stacked call per hook."""
-    t, shape = times[:, None, None], times.shape + q0.shape[:1]
-    A, B, ldA, ldw = (np.broadcast_to(F[:, None], shape + F.shape[1:])
-                      for F in model.frame_at(times))
+    """Closed-form states at each of ``times``, from one stacked call per hook;
+    the frames and log-dets, which no orbit changes, are broadcast over the
+    orbits, each stacked pair in one view."""
+    t, n = times[:, None, None], len(q0)
+    frames, lds = model.frame_at(times)
+    A, B = np.broadcast_to(frames[:, :, None], frames.shape[:2] + (n,) + frames.shape[2:])
+    ldA, ldw = np.broadcast_to(lds[..., None], lds.shape + (n,))
     yield from map(FlowBatch._make, zip(*model.bulk_flow(q0, p0, t), A, B,
                                         model.bulk_action(q0, p0, t), ldA, ldw))
 
@@ -555,7 +577,8 @@ def flow_batch(model: HamiltonianModel, Q, P, t: float,
     """
     Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
     P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    times = [t] if _method(model, opts or FlowOptions()) == "exact" else [0.0, t]
+    opts = opts or FlowOptions()
+    times = [t] if _method(model, opts) == "exact" else [0.0, t]
     *_, end = _sample_orbits(model, Q, P, np.array(times, dtype=float), opts)
     return end
 

@@ -78,7 +78,8 @@ class HamiltonianModel:
         ``polynomial``.
 
     The remaining fields are private hooks.  ``bulk_value`` and
-    ``bulk_derivatives`` take stacks ``q``, ``p`` of shape ``(N, d)``;
+    ``bulk_derivatives`` take a stack ``X`` of points, one row ``(q, p)``
+    each (shape ``(N, 2d)``), the rows the flow module steps;
     ``bulk_value`` returns shape ``(N,)`` and ``bulk_derivatives`` the
     pair ``(g, H'')`` of shapes ``(N, 2d)`` and ``(N, 2d, 2d)``, fused
     because the flow module, their one caller, steps batches of orbits
@@ -88,7 +89,8 @@ class HamiltonianModel:
     row.  Quadratic models carry the closed forms of the ``exact`` method,
     read by the flow module alone and broadcast over a stack of times:
     ``bulk_flow``/``bulk_action`` (flow and action of coordinate arrays)
-    and ``frame_at`` (the base-point-independent frame and its log-dets);
+    and ``frame_at`` (the base-point-independent frame ``(A, B)`` and its two
+    log-dets, each pair stacked);
     ``exact_flow`` and ``inverse_flow`` are point views of ``bulk_flow``.
     """
 
@@ -113,8 +115,7 @@ class HamiltonianModel:
             object.__setattr__(self, "bulk_value", _row_by_row(self.value))
         if self.bulk_derivatives is None:
             gradient, hessian = _row_by_row(self.gradient), _row_by_row(self.hessian)
-            object.__setattr__(self, "bulk_derivatives",
-                               lambda q, p: (gradient(q, p), hessian(q, p)))
+            object.__setattr__(self, "bulk_derivatives", lambda X: (gradient(X), hessian(X)))
 
     def action(self, X: PhasePoint, t: float) -> float:
         """Closed-form phase-space action, when available."""
@@ -126,21 +127,21 @@ class HamiltonianModel:
 
 def _row_by_row(point_fn):
     """Stacked form of a point callable, evaluated one row at a time."""
-    def stacked(q, p):
-        return np.array([point_fn(PhasePoint(a, b)) for a, b in zip(q, p)])
+    def stacked(X):
+        return np.array([point_fn(PhasePoint.from_vector(x)) for x in X])
     return stacked
 
 
 def _from_stacks(dim, bulk_value, bulk_derivatives, **hooks):
     """Model whose point callables are one-point views of its stacks."""
     def value(X):
-        return float(bulk_value(X.q[None], X.p[None])[0])
+        return float(bulk_value(X.as_vector()[None])[0])
 
     def gradient(X):
-        return bulk_derivatives(X.q[None], X.p[None])[0][0]
+        return bulk_derivatives(X.as_vector()[None])[0][0]
 
     def hessian(X):
-        return bulk_derivatives(X.q[None], X.p[None])[1][0]
+        return bulk_derivatives(X.as_vector()[None])[1][0]
 
     return HamiltonianModel(dim=dim, value=value, gradient=gradient,
                             hessian=hessian, bulk_value=bulk_value,
@@ -196,11 +197,13 @@ def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
             return qt + (x * b1 + y * mjb0), pt + (y * mjb1 - x * b0)
         return qt, pt
 
-    def bulk_value(q, p):
+    def bulk_value(X):
+        q, p = X[:, :d], X[:, d:]
         return (0.5 * (s00 * q * q + 2.0 * s01 * q * p + s11 * p * p)
                 + b0 * q + b1 * p).sum(axis=-1) + h0
 
-    def bulk_derivatives(q, p):
+    def bulk_derivatives(X):
+        q, p = X[:, :d], X[:, d:]
         g = np.concatenate([s00 * q + s01 * p + b0, s10 * q + s11 * p + b1], axis=-1)
         return g, np.broadcast_to(hess, q.shape[:-1] + hess.shape)
 
@@ -222,17 +225,18 @@ def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
         return (terms.sum(axis=-1, keepdims=True) - h0 * t)[..., 0]
 
     def frame_at(t):
-        """``(A, B, log det A, log det(A - iB))`` at the times ``t``."""
+        """The frames ``A``, ``B`` and the log-dets ``log det A``,
+        ``log det(A - iB)`` at the times ``t``, each pair stacked on a new
+        first axis."""
         C, Sn = trig(t)
         av = np.multiply.outer(_ONE_TWO, C) + np.multiply.outer(slopes, Sn)  # a, v
-        A = av[0, ..., None, None] * eye
-        B = (Sn * complex(m10, m11) + 1j * C)[..., None, None] * eye  # E_pq + i E_pp
+        ab = np.stack([av[0], Sn * complex(m10, m11) + 1j * C])  # a, E_pq + i E_pp
         if det > 0:  # the nearest half-turn n
             n = np.rint(t * (w / np.pi))
             av = np.log(av * (-1.0) ** n) + complex(0.0, math.copysign(np.pi, s11)) * n
         else:
             av = np.log(av)
-        return (A, B, *(d * av))
+        return ab[..., None, None] * eye, d * av
 
     return _from_stacks(d, bulk_value, bulk_derivatives, kind=kind,
                         exact_flow=lambda X, t: PhasePoint(*bulk_flow(X.q, X.p, t)),
@@ -307,33 +311,35 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
             if i >= m and j >= n:  # d^m/dq^m d^n/dp^n of c q^i p^j
                 rows.setdefault((i - m, j - n), np.zeros(len(_JET_ORDERS)))[col] += (
                     c * math.perm(i, m) * math.perm(j, n))
-    qexp, pexp = (np.array([m[k] for m in rows], dtype=int) for k in (0, 1))
+    # the rows of q**a and of p**b in the flattened power table of jet
+    qrow, prow = (np.array([2 * m[k] + k for m in rows], dtype=int) for k in (0, 1))
     coef = np.array(list(rows.values())).reshape(len(rows), len(_JET_ORDERS))
 
     # an overflowed power times a zero coefficient gives NaN, not a warning:
     # the flow reports non-finite derivatives as a ModelError.  The flow's
     # stage loops enter that error state once for all their calls, so the
     # jet itself does not; the value and the point callables enter it here.
-    def jet(q, p):  # columns of _JET_ORDERS
-        x = np.empty((5, 2, len(q)))  # x[k] = (q**k, p**k)
+    def jet(X):  # columns of _JET_ORDERS
+        x = np.empty((5, 2, len(X)))  # x[k] = (q**k, p**k)
         x[0] = 1.0
-        x[1, 0], x[1, 1] = q[:, 0], p[:, 0]
+        x[1] = X.T
         np.multiply(x[1], x[1], out=x[2])
         np.multiply(x[1:3], x[2], out=x[3:])  # x**3 = x * x**2, x**4 = x**2 * x**2
-        return (x[qexp, 0] * x[pexp, 1]).T @ coef
+        x = x.reshape(10, len(X))  # row 2k is q**k, row 2k + 1 is p**k
+        return (x.take(qrow, 0) * x.take(prow, 0)).T @ coef
 
     @np.errstate(invalid="ignore")
-    def bulk_value(q, p):
-        return jet(q, p)[:, 0]
+    def bulk_value(X):
+        return jet(X)[:, 0]
 
-    def bulk_derivatives(q, p):
-        out = jet(q, p)
+    def bulk_derivatives(X):
+        out = jet(X)
         return out[:, 1:3], out[:, 3:].reshape(len(out), 2, 2)
 
     if all(i + j <= 2 for i, j in rows):  # H'', grad H and H at 0 fix a quadratic
-        zero = np.zeros((1, 1))
-        (g,), (S,) = bulk_derivatives(zero, zero)
-        return _quadratic(S, g, float(bulk_value(zero, zero)[0]), 1, "polynomial")
+        zero = np.zeros((1, 2))
+        (g,), (S,) = bulk_derivatives(zero)
+        return _quadratic(S, g, float(bulk_value(zero)[0]), 1, "polynomial")
     model = _from_stacks(1, bulk_value, bulk_derivatives, kind="polynomial")
     return replace(model, gradient=np.errstate(invalid="ignore")(model.gradient),
                    hessian=np.errstate(invalid="ignore")(model.hessian))

@@ -15,14 +15,13 @@ implemented here and the discrepancy is recorded in ``deviations.json``
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CausticError, ConfigurationError
+from .errors import CausticError, ConfigurationError, _warn_at_caller
 from .models import PhasePoint
 from .transform import ComplexField
 
@@ -220,15 +219,12 @@ def _phase_solution_values(kind: str, q, p, t: float, hbar: float):
 
 
 def _warn_if_display_singular(kind: str, t: float) -> None:
-    """Warn, for the caller's caller, when the harmonic display's
-    trigonometric ratios are singular at ``t`` (``sin 2t = 0``, ``t != 0``)."""
+    """Warn when the harmonic display's trigonometric ratios are singular
+    at ``t`` (``sin 2t = 0``, ``t != 0``)."""
     if kind == "harmonic" and abs(np.sin(2 * t)) < 1e-12 and t != 0.0:
-        warnings.warn(
+        _warn_at_caller(
             "harmonic display parameterization is singular at this time; "
-            "returning the algebraically continued value",
-            UserWarning,
-            stacklevel=3,
-        )
+            "returning the algebraically continued value", UserWarning)
 
 
 def exact_phase_solution(kind: str, X: PhasePoint, t: float, hbar: float) -> complex:

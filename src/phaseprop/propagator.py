@@ -12,18 +12,18 @@ data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CausticError, ConfigurationError, EhrenfestWarning
+from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
+                     _warn_at_caller)
 from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
                    _anisotropy, _check_siegel, _default_times,
                    _ehrenfest_crossings, _method, _real_jacobian,
-                   _sample_orbits, anisotropy_Z, ehrenfest_guard, flow_batch,
-                   integrate_characteristics, symplectic_J)
+                   _sample_orbits, _symplectic, anisotropy_Z, ehrenfest_guard,
+                   flow_batch, integrate_characteristics)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (_PAD, ComplexField, _checked_axis, _clip_momentum,
                         _edge_ratio, _momentum_scale, _padded_axis, _phase_table,
@@ -103,8 +103,9 @@ def _doubled(Z: np.ndarray) -> np.ndarray:
     over the whole stack."""
     I = np.eye(Z.shape[-1])
     R = np.linalg.inv(I - 1j * Z)
-    Q = np.concatenate([np.concatenate([1j * (I - R), 0.5 * I - R], axis=-1),
-                        np.concatenate([0.5 * I - R, 1j * R], axis=-1)], axis=-2)
+    off = 0.5 * I - R  # both off-diagonal blocks
+    Q = np.concatenate([np.concatenate([1j * (I - R), off], axis=-1),
+                        np.concatenate([off, 1j * R], axis=-1)], axis=-2)
     _check_siegel(Q)
     return Q
 
@@ -120,7 +121,7 @@ class _Kernel:
 
     def __init__(self, eta, xi, e):
         self.Yt = np.concatenate([e.q, e.p], axis=1)
-        self.JYt = symplectic_J(e.q.shape[1]) @ self.Yt.T
+        self.JYt = _symplectic(e.q.shape[1]) @ self.Yt.T
         self.Q = _doubled(_anisotropy(e.A, e.B))
         # the source-only phase Act + (xi.eta - xi_t.eta_t)/2
         xi_eta = np.reshape(np.multiply(xi, eta), e.q.shape)
@@ -225,7 +226,7 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
         e = FlowBatch(*(field[:-1] for field in s))
         crossings = _ehrenfest_crossings(times, norms, hbar)
     for msg in crossings:
-        warnings.warn(msg, EhrenfestWarning, stacklevel=3)
+        _warn_at_caller(msg, EhrenfestWarning)
     return e
 
 
@@ -335,7 +336,7 @@ def _affine_sum(e, hbar, qs, ps, iq, ip, Wg, qo, po):
     """
     M, half, yq, yp, jq, jp, v, Ybt = _source_box(e, qs, ps, iq, ip)
     Q = _doubled(_anisotropy(e.A[0], e.B[0]))
-    J = symplectic_J(1)
+    J = _symplectic(1)
     K = (0.5 * J - Q) @ M
 
     Y = np.stack([qs[iq], ps[ip]])
@@ -504,9 +505,9 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
         po = _checked_axis(out_axes[1], "out_axes[1]")
     edge = _edge_ratio(Psi0.values)
     if edge > 1e-6:
-        warnings.warn(
+        _warn_at_caller(
             f"phase-space field carries {edge:.2e} of its peak at the grid "
-            "boundary; propagated norm may be lossy", UserWarning, stacklevel=2)
+            "boundary; propagated norm may be lossy", UserWarning)
     qs, ps = Psi0.axes
     iq, ip, Wg = _kept_sources(Psi0)
 

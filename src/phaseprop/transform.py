@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, SpacingWarning, TruncationError)
+from .errors import (ConfigurationError, SpacingWarning, TruncationError,
+                     _warn_at_caller)
 from .models import PhasePoint
 
 __all__ = [
@@ -155,10 +155,10 @@ def _padded_axis(lo: float, hi: float, hbar: float, pad: float = _PAD,
 
 def _check_spacing(dx: float, hbar: float, what: str) -> None:
     if dx > _SPACING * math.sqrt(hbar) * (1 + 1e-12):
-        warnings.warn(
+        _warn_at_caller(
             f"{what} spacing {dx:.4g} exceeds sqrt(hbar)/4 = "
             f"{_SPACING * math.sqrt(hbar):.4g}; packet quadratures lose accuracy",
-            SpacingWarning, stacklevel=3)
+            SpacingWarning)
 
 
 # Packet weights exp{-(x-q)^2/(2 hbar)} fall below 1e-16 beyond
@@ -361,13 +361,12 @@ def _support(field: ComplexField) -> list:
 
 def _clip_momentum(P: float, nyq: float, dx: float, what: str) -> float:
     """``P``, or ``nyq`` where ``P`` exceeds the momenta that the position
-    spacing ``dx`` resolves, with a :class:`SpacingWarning` at the line that
-    called the public function two calls up."""
+    spacing ``dx`` resolves, with a :class:`SpacingWarning`."""
     if P > nyq:
-        warnings.warn(
+        _warn_at_caller(
             f"position spacing {dx:.4g} resolves momenta only up to "
             f"{nyq:.4g} < requested {P:.4g}; clipping the {what}",
-            SpacingWarning, stacklevel=4)
+            SpacingWarning)
         return nyq
     return P
 

@@ -12,7 +12,6 @@ transported manifold from the flow's variational frame.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
-                     DomainError, ProjectionError)
+                     DomainError, ProjectionError, _warn_at_caller)
 from .flow import (FlowOptions, _default_times, _log_increment, _method,
                    _sample_orbits, flow_batch)
 from .models import HamiltonianModel, PhasePoint
@@ -399,10 +398,9 @@ def _project_alpha(X, t, data, model, opts) -> float:
     if mins.size > 1:
         best = np.sort(dist2[mins])
         if best[1] < 4.0 * best[0]:
-            warnings.warn(
+            _warn_at_caller(
                 "projection onto the transported manifold is ambiguous "
-                "(competing nearest points); keeping the closest",
-                UserWarning, stacklevel=3)
+                "(competing nearest points); keeping the closest", UserWarning)
     lo = j0 - 1 if gs[j0] < 0 else j0
     if not (0 <= lo < alpha.size - 1 and gs[lo] * gs[lo + 1] <= 0):
         raise ProjectionError(

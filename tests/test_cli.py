@@ -266,6 +266,25 @@ def test_convergence_hbar_study_shows_a_first_order_lift(tmp_path):
     assert entry["slope"] == pytest.approx(1.0, abs=0.1)
 
 
+def test_convergence_hbar_study_reports_its_warnings_and_the_aliased_hbar(tmp_path):
+    # on 1601 nodes of [-8, 8] the state at hbar = 0.0125 resolves momenta
+    # only up to pi hbar / dx = 3.9 < 5.5: its reference analysis aliases and
+    # the study reads error 1.0; the report says so, with the analyses' own
+    # warnings, where it used to drop them all
+    cfg = write_config(tmp_path, CONVERGENCE_CONFIG.replace(
+        "0.1, 0.05, 0.025", "0.05, 0.025, 0.0125"), name="conv.ini")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--parameter", "hbar",
+                 "--out-dir", str(out)]) == 0
+    report = read_report(out)
+    warned = entries_of(report, "warning")
+    aliased = [w["message"] for w in warned if "the reference analysis aliases" in w["message"]]
+    assert len(aliased) == 1 and aliased[0].startswith("hbar = 0.0125:")
+    assert {w["category"] for w in warned} == {"SpacingWarning"}
+    assert any("q grid spacing" in w["message"] for w in warned)  # 0.275 > sqrt(hbar)/4
+    assert report[-1]["entry"] == "convergence"
+
+
 def test_convergence_grid_spacing_study_halves_the_phase_spacing(tmp_path):
     # Cauchy increments of the analysed norm on the 41-node box and its
     # halvings: the quadrature error reaches round-off after one halving
@@ -461,6 +480,18 @@ def test_lift_wkb_reads_the_r0_flag(tmp_path, r0, coeffs, mu, sigma):
 def test_lift_wkb_rejects_an_r0_flag_without_sigma(tmp_path, capsys):
     assert main(["lift-wkb", "--r0", "0.3", "--out-dir", str(tmp_path)]) == 2
     assert "--r0: expected 'mu,sigma[,c0,c1,...]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, item", [
+    (["lift-wkb", "--r0", "0,abc"], "--r0", "abc"),
+    (["lift-wkb", "--s0", "0,0.5,x1"], "--s0", "x1"),
+    (["solution-on-manifold", "--hbar", "0.1", "--alpha", "0.0,,0.5"], "--alpha", ""),
+], ids=["r0", "s0", "alpha"])
+def test_a_malformed_number_list_flag_is_a_configuration_error(tmp_path, capsys, argv,
+                                                                flag, item):
+    # a bare float() ended these in a ValueError traceback
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert f"configuration error: {flag}: not a number: {item!r}" in capsys.readouterr().err
 
 
 def test_oracle_dump_prints_the_singular_display_warning(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_a_step_that_divides_the_interval_gives_its_steps():
     assert _n_steps(0.5 * (1 + 1e-12), 0.5) == 1 and _n_steps(0.0, 0.5) == 0
 
 
-@pytest.mark.parametrize("times, step", [
+STEP_GRIDS = pytest.mark.parametrize("times, step", [
     # the guard pass of a phase-quartic apply and a default-step one
     (_default_times(0.5, 1e-2), 1e-2),
     (_default_times(1.0, 1e-3), 1e-3),
@@ -129,6 +129,9 @@ def test_a_step_that_divides_the_interval_gives_its_steps():
 ], ids=["guard-quartic", "guard-default", "van-vleck-0.4", "van-vleck-2", "van-vleck-0.2",
         "fold-81-fine", "fold-81-coarse", "fold-2001-fine", "fold-2001-coarse",
         "backward", "uneven"])
+
+
+@STEP_GRIDS
 def test_the_step_grid_lands_on_every_sample_in_equal_steps(times, step):
     grid, ends = _step_grid(times, step)
     assert grid[ends].tobytes() == times.tobytes()
@@ -139,6 +142,14 @@ def test_the_step_grid_lands_on_every_sample_in_equal_steps(times, step):
         assert np.allclose(h, h[:1], rtol=1e-9, atol=1e-15)
     if all(b - a == 1 for a, b in zip(ends[:-1], ends[1:])):
         assert grid.tobytes() == times.tobytes()
+
+
+@STEP_GRIDS
+def test_the_step_grid_is_the_per_interval_linspace(times, step):
+    # the one-pass grid is bit for bit the grid built interval by interval
+    pieces = [times[:1]] + [np.linspace(a, b, _n_steps(b - a, step) + 1)[1:]
+                            for a, b in zip(times[:-1], times[1:])]
+    assert _step_grid(times, step)[0].tobytes() == np.concatenate(pieces).tobytes()
 
 
 def test_a_time_no_step_lands_on_says_so():

@@ -5,6 +5,7 @@ Hypothesis draws batches of sources and times from the seeded profile of
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -356,6 +357,23 @@ def test_rk4_batch_matches_the_joint_system(n, step):
         if name in ("q", "p", "action"):
             assert np.array_equal(getattr(got, name), want[name]), name
         assert close(getattr(got, name), want[name], 1e-12), name
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_an_rk4_step_evaluates_the_derivatives_four_times(n):
+    # one orbit over n steps takes 4n stage evaluations, counted through a
+    # wrapping model, across runs of steps: no Hessian-only pass, and no
+    # evaluation at a step's end
+    model = MODELS["quartic"]
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return model.bulk_derivatives(X)
+
+    wrapped = dataclasses.replace(model, bulk_derivatives=counted)
+    flow_batch(wrapped, [0.3], [-0.2], n / 64, FlowOptions(method="rk4", step=1 / 64))
+    assert rows == [1] * (4 * n)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -25,6 +25,7 @@ from phaseprop import (
     ehrenfest_guard,
     eval_packet,
     gaussian_packet,
+    husimi_check,
     integrate_characteristics,
     kernel_Ksc,
     overlap,
@@ -510,7 +511,7 @@ def test_affine_apply_is_tiled_where_one_table_would_overflow():
     ax = np.linspace(-5.5, 5.5, 81)
     Q, P = np.meshgrid(ax, ax, indexing="ij")
     Psi0 = ComplexField((ax, ax), initial_phase_state(Q, P, hbar), hbar)
-    A, B, _ldA, _ldw = model.frame_at(t)
+    (A, B), _ = model.frame_at(t)
     M = np.block([[A.real, A.imag], [B.real, B.imag]])
     Qd = double_anisotropy_Q(anisotropy_Z(VariationalFrame(A, B))).M
     K = (0.5 * symplectic_J(1) - Qd) @ M
@@ -646,24 +647,24 @@ def dense_kernel_sum(Psi0, t, model, out_axes, opts):
     return np.array([kernel.values(row, Psi0.hbar) @ Wg for row in X])
 
 
-def _sub_quadratic_value(q, p):
-    return p[:, 0] ** 2 + np.sqrt(1 + q[:, 0] ** 2)
+def _sub_quadratic_value(X):
+    return X[:, 1] ** 2 + np.sqrt(1 + X[:, 0] ** 2)
 
 
-def _sub_quadratic_derivatives(q, p):
-    s = np.sqrt(1 + q[:, 0] ** 2)
-    H2 = np.zeros((len(q), 2, 2))
+def _sub_quadratic_derivatives(X):
+    s = np.sqrt(1 + X[:, 0] ** 2)
+    H2 = np.zeros((len(X), 2, 2))
     H2[:, 0, 0], H2[:, 1, 1] = s ** -3, 2.0
-    return np.stack([q[:, 0] / s, 2 * p[:, 0]], axis=1), H2
+    return np.stack([X[:, 0] / s, 2 * X[:, 1]], axis=1), H2
 
 
 # H = p^2 + sqrt(1 + q^2): a potential of the paper's sub-quadratic class,
 # whose second derivative is bounded, and no closed form
 SUB_QUADRATIC = HamiltonianModel(
     dim=1,
-    value=lambda X: float(_sub_quadratic_value(X.q[None], X.p[None])[0]),
-    gradient=lambda X: _sub_quadratic_derivatives(X.q[None], X.p[None])[0][0],
-    hessian=lambda X: _sub_quadratic_derivatives(X.q[None], X.p[None])[1][0],
+    value=lambda X: float(_sub_quadratic_value(X.as_vector()[None])[0]),
+    gradient=lambda X: _sub_quadratic_derivatives(X.as_vector()[None])[0][0],
+    hessian=lambda X: _sub_quadratic_derivatives(X.as_vector()[None])[1][0],
     bulk_value=_sub_quadratic_value, bulk_derivatives=_sub_quadratic_derivatives)
 
 
@@ -849,6 +850,23 @@ def test_the_grid_propagators_warn_at_their_callers_line(opts):
     seen = [(w.category, w.filename) for w in record
             if w.category in (UserWarning, EhrenfestWarning)]
     assert seen == [(UserWarning, __file__)] + [(EhrenfestWarning, __file__)] * 2
+
+
+@pytest.mark.parametrize("caller", ["husimi_check", "position_space_solution"])
+def test_the_analysis_inside_a_caller_warns_at_its_callers_line(caller):
+    # dx = 0.08 exceeds sqrt(hbar)/4 = 0.056: the analysis that each runs
+    # warns about the position grid at this file's line, not the library's
+    x = np.linspace(-8.0, 8.0, 201)
+    psi = ComplexField((x,), initial_position_state(x, 0.05), 0.05)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        if caller == "husimi_check":
+            husimi_check(psi)
+        else:
+            position_space_solution(psi, 0.3, builtin_model("harmonic"))
+    spacing = [w for w in record if w.category is SpacingWarning]
+    assert any("position grid spacing" in str(w.message) for w in spacing)
+    assert {w.filename for w in spacing} == {__file__}
 
 
 COMPOSED = {kind: builtin_model(kind) for kind in ("free", "linear", "harmonic")}
