@@ -39,7 +39,6 @@ from .flow import (
 )
 from .models import HamiltonianModel, PhasePoint, builtin_model, polynomial_model
 from .oracles import (
-    OracleCase,
     exact_action_S,
     exact_kernel,
     exact_manifold,
@@ -117,7 +116,7 @@ __all__ = [
     "vertical_tangent_time", "asymptotic_phase_Fsc", "solution_on_manifold",
     "gaussian_integral",
     # oracles
-    "OracleCase", "initial_position_state", "initial_phase_state",
+    "initial_position_state", "initial_phase_state",
     "exact_position_solution", "exact_phase_solution", "exact_phase_field",
     "exact_kernel", "exact_manifold", "exact_action_S", "exact_van_vleck",
     "harmonic_vertical_time", "load_deviations",

@@ -27,7 +27,7 @@ import json
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,7 @@ from .oracles import (
     initial_position_state,
 )
 from .propagator import _Kernel, apply_propagator, position_space_solution
-from .transform import (
-    ComplexField,
-    field_metadata,
-    wave_packet_transform,
-    write_field_csv,
-)
+from .transform import ComplexField, wave_packet_transform, write_field_csv
 from .wkb import GaussianPoly, WKBData, lift_wkb, solution_on_manifold, transport_manifold
 
 SCHEMA_VERSION = 1
@@ -61,19 +56,23 @@ SCHEMA_VERSION = 1
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """One uniform grid axis: [lo, hi] with ``count`` nodes."""
+# The description of the verbs that take ``--config`` optionally, when none is
+# given: every key it leaves out takes its schema default.
+DEFAULT_CONFIG = """\
+[meta]
+schema_version = 1
+[model]
+kind = free
+[run]
+hbar = 0.1
+[grid.position]
+min = -6
+max = 6
+count = 601
+"""
 
-    lo: float
-    hi: float
-    count: int
 
-    def build(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run description parsed from the INI file."""
 
@@ -89,10 +88,9 @@ class RunConfig:
     r0_coeffs: tuple[float, ...]
     r: int
     center: tuple[float, float]
-    position_axis: AxisSpec
-    q_axis: AxisSpec
-    p_axis: AxisSpec
-    alpha_axis: AxisSpec
+    position_axis: np.ndarray
+    phase_axes: tuple[np.ndarray, np.ndarray]
+    alpha_axis: np.ndarray
     convergence_parameter: str
     convergence_values: tuple[float, ...]
     kernel_y: tuple[float, float]
@@ -109,12 +107,15 @@ class RunConfig:
         return WKBData(S0=np.asarray(self.s0, dtype=float), R0=r0, r=self.r)
 
     def position_state(self) -> ComplexField:
-        x = self.position_axis.build()
+        x = self.position_axis
         vals = self.wkb_data().state(x, self.hbar)
         return ComplexField(axes=(x,), values=vals, hbar=self.hbar)
 
-    def phase_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.q_axis.build(), self.p_axis.build()
+
+def _unit_norm_c0(sigma: float) -> float:
+    """The constant envelope coefficient ``(sigma sqrt(pi))^(-1/2)``, which
+    gives ``exp(-(x - mu)^2 / (2 sigma^2))`` unit L2 norm."""
+    return float((sigma * np.sqrt(np.pi)) ** -0.5)
 
 
 def _cfg_float(sec, section: str, key: str, default=None) -> float:
@@ -145,19 +146,20 @@ def _cfg_floats(sec, section: str, key: str, default: str = "") -> tuple[float, 
         raise ConfigurationError(f"[{section}] {key}: not a number list: {raw!r}") from exc
 
 
-def _axis_from(cfg, section: str, prefix: str, lo: float, hi: float, count: int) -> AxisSpec:
+def _axis_from(cfg, section: str, prefix: str, lo: float, hi: float,
+               count: int) -> np.ndarray:
+    """The read-only uniform axis of ``[section] {prefix}min/max/count``."""
     sec = cfg[section] if cfg.has_section(section) else {}
-    key = (lambda name: f"{prefix}{name}" if prefix else name)
-    axis = AxisSpec(
-        lo=_cfg_float(sec, section, key("min"), lo),
-        hi=_cfg_float(sec, section, key("max"), hi),
-        count=_cfg_int(sec, section, key("count"), count),
-    )
-    if not (axis.hi > axis.lo) or axis.count < 2:
+    lo = _cfg_float(sec, section, f"{prefix}min", lo)
+    hi = _cfg_float(sec, section, f"{prefix}max", hi)
+    count = _cfg_int(sec, section, f"{prefix}count", count)
+    if not (hi > lo) or count < 2:
         raise ConfigurationError(
             f"[{section}] {prefix}min/{prefix}max/{prefix}count: "
             "need max > min and count >= 2"
         )
+    axis = np.linspace(lo, hi, count)
+    axis.flags.writeable = False
     return axis
 
 
@@ -181,15 +183,17 @@ def _parse_poly_coeffs(section: str, raw: str) -> dict:
     return out
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate an INI run description."""
+def load_config(path=None) -> RunConfig:
+    """Parse and validate an INI run description; :data:`DEFAULT_CONFIG`
+    without ``path``."""
     cfg = configparser.ConfigParser()
     try:
-        read = cfg.read(path)
+        if path is None:
+            cfg.read_string(DEFAULT_CONFIG)
+        elif not cfg.read(path):
+            raise ConfigurationError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from exc
-    if not read:
-        raise ConfigurationError(f"config file not found: {path}")
 
     if not cfg.has_section("meta"):
         raise ConfigurationError("[meta] schema_version: required value is missing")
@@ -228,8 +232,8 @@ def load_config(path) -> RunConfig:
     s0 = _cfg_floats(init_sec, "initial", "s0", "0, 0, 0.5")
     r0_mu = _cfg_float(init_sec, "initial", "r0_mu", 0.0)
     r0_sigma = _cfg_float(init_sec, "initial", "r0_sigma", 1.0)
-    default_c0 = float((r0_sigma * np.sqrt(np.pi)) ** -0.5)
-    r0_coeffs = _cfg_floats(init_sec, "initial", "r0_coeffs", f"{default_c0!r}")
+    r0_coeffs = _cfg_floats(init_sec, "initial", "r0_coeffs",
+                            f"{_unit_norm_c0(r0_sigma)!r}")
     r = _cfg_int(init_sec, "initial", "r", 2)
     center = (
         _cfg_float(init_sec, "initial", "center_q", 0.0),
@@ -265,8 +269,8 @@ def load_config(path) -> RunConfig:
         r=r,
         center=center,
         position_axis=_axis_from(cfg, "grid.position", "", -8.0, 8.0, 1601),
-        q_axis=_axis_from(cfg, "grid.phase", "q_", -5.5, 5.5, 81),
-        p_axis=_axis_from(cfg, "grid.phase", "p_", -5.5, 5.5, 81),
+        phase_axes=tuple(_axis_from(cfg, "grid.phase", f"{c}_", -5.5, 5.5, 81)
+                         for c in "qp"),
         alpha_axis=_axis_from(cfg, "grid.alpha", "", -2.0, 2.0, 41),
         convergence_parameter=conv_param,
         convergence_values=conv_values,
@@ -325,7 +329,7 @@ def _initial_phase_field(config: RunConfig) -> ComplexField:
     exact up to quadrature error); packet initial data uses the closed-form
     transform of a Gaussian packet.
     """
-    axes = config.phase_axes()
+    axes = config.phase_axes
     if config.initial_kind == "wkb":
         return wave_packet_transform(config.position_state(), axes)
     center = PhasePoint(np.array([config.center[0]]), np.array([config.center[1]]))
@@ -383,6 +387,14 @@ def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path):
         yield t, Psi_t, name, write_field_csv(Psi_t, out_dir / name)
 
 
+def _is_reference_state(config: RunConfig) -> bool:
+    """Whether the WKB initial state is the oracles' reference state on the
+    position axis, to 1e-12 of its peak."""
+    want = initial_position_state(config.position_axis, config.hbar)
+    diff = np.abs(config.position_state().values - want).max()
+    return bool(diff <= 1e-12 * np.abs(want).max())
+
+
 def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
     report = Report()
     report.add("config", schema_version=SCHEMA_VERSION, model=config.model_kind,
@@ -390,8 +402,7 @@ def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
                rel_tolerance=config.rel_tolerance)
     model = config.model()
     reference = config.model_kind in KINDS and config.initial_kind == "wkb" \
-        and tuple(config.s0) == (0.0, 0.0, 0.5) \
-        and (config.r0_mu, config.r0_sigma) == (0.0, 1.0)
+        and _is_reference_state(config)
 
     ok = True
     with warnings.catch_warnings(record=True) as caught:
@@ -450,8 +461,8 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
 
     if parameter == "hbar":
         data = config.wkb_data()
-        x = config.position_axis.build()
-        axes = config.phase_axes()
+        x = config.position_axis
+        axes = config.phase_axes
         reach = float(np.abs(axes[1]).max())
         # the warnings of every analysis and lift, and one for each hbar whose
         # p axis the position grid cannot resolve, go to the report
@@ -474,7 +485,7 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
         # grid halving.  Differencing on a fixed box cancels the (constant)
         # domain-truncation contribution and isolates pure quadrature error.
         psi = config.position_state()
-        qa, pa = config.phase_axes()
+        qa, pa = config.phase_axes
         norms = []
         spacings = []
         for k in range(len(values) + 1):
@@ -541,7 +552,7 @@ def _verb_kernel_dump(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     Y = PhasePoint(np.array([config.kernel_y[0]]), np.array([config.kernel_y[1]]))
     t = config.kernel_t
-    qa, pa = config.phase_axes()
+    qa, pa = config.phase_axes
     kernel = _Kernel.launched(model, Y.q, Y.p, t)  # the one orbit, from Y
     X = np.stack(np.meshgrid(qa, pa, indexing="ij"), axis=-1)
     write_field_csv(ComplexField((qa, pa), kernel.values(X, config.hbar)[..., 0],
@@ -562,72 +573,42 @@ def _flag_floats(flag: str, raw: str) -> list[float]:
     return values
 
 
-def _parse_s0_flag(raw: str | None, config: RunConfig | None) -> np.ndarray:
-    if raw:
-        return np.asarray(_flag_floats("--s0", raw))
-    if config is not None:
-        return np.asarray(config.s0, dtype=float)
-    return np.asarray([0.0, 0.0, 0.5])
-
-
-def _parse_r0_flag(raw: str | None, config: RunConfig | None) -> GaussianPoly:
-    if raw:
-        parts = _flag_floats("--r0", raw)
+def _with_flags(config: RunConfig, args) -> RunConfig:
+    """``config`` with the ``--s0``, ``--r0``, ``--hbar`` and ``--model`` that
+    the verb was given in place of its fields."""
+    flags = vars(args)
+    changes: dict = {}
+    if flags.get("s0"):
+        changes["s0"] = tuple(_flag_floats("--s0", flags["s0"]))
+    if flags.get("r0"):
+        parts = _flag_floats("--r0", flags["r0"])
         if len(parts) < 2:
             raise ConfigurationError("--r0: expected 'mu,sigma[,c0,c1,...]'")
         mu, sigma, *coeffs = parts
-        if not coeffs:
-            coeffs = [(sigma * np.sqrt(np.pi)) ** -0.5]
-        return GaussianPoly(np.asarray(coeffs), mu=mu, sigma=sigma)
-    if config is not None:
-        return GaussianPoly(np.asarray(config.r0_coeffs), mu=config.r0_mu,
-                            sigma=config.r0_sigma)
-    return GaussianPoly(np.asarray([np.pi ** -0.25]))
+        changes.update(r0_mu=mu, r0_sigma=sigma,
+                       r0_coeffs=tuple(coeffs) or (_unit_norm_c0(sigma),))
+    if flags.get("hbar") is not None:
+        changes["hbar"] = flags["hbar"]
+    if flags.get("model"):
+        changes.update(model_kind=flags["model"], model_coeffs=None)
+    return replace(config, **changes)
 
 
-def _wkb_from_flags(args, config: RunConfig | None) -> WKBData:
-    return WKBData(S0=_parse_s0_flag(args.s0, config),
-                   R0=_parse_r0_flag(args.r0, config),
-                   r=config.r if config is not None else 2)
-
-
-def _hbar_from_flags(args, config: RunConfig | None) -> float:
-    """``--hbar``, else the config's, else 0.1."""
-    if args.hbar is not None:
-        return args.hbar
-    return config.hbar if config is not None else 0.1
-
-
-def _model_from_flags(args, config: RunConfig | None) -> HamiltonianModel:
-    """The config's model unless ``--model`` names one; ``free`` without either."""
-    if config is not None and args.model is None:
-        return config.model()
-    return builtin_model(args.model or "free")
-
-
-def _verb_lift_wkb(args, config: RunConfig | None, out_dir: Path) -> int:
-    hbar = _hbar_from_flags(args, config)
-    data = _wkb_from_flags(args, config)
-    if config is not None:
-        axes = config.phase_axes()
-    else:
-        qa = np.linspace(-5.5, 5.5, 81)
-        axes = (qa, qa.copy())
+def _verb_lift_wkb(args, config: RunConfig, out_dir: Path) -> int:
+    data = config.wkb_data()
     with _printed_warnings():
-        fld = lift_wkb(data, axes, hbar)
+        fld = lift_wkb(data, config.phase_axes, config.hbar)
     out = Path(args.out) if args.out else out_dir / "lift.csv"
     meta = write_field_csv(fld, out)
     print(f"lift-wkb: field written to {out} (norm {meta['norm']:.6g})")
     return 0
 
 
-def _verb_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
-    data = _wkb_from_flags(args, config)
-    model = _model_from_flags(args, config)
+def _verb_manifold(args, config: RunConfig, out_dir: Path) -> int:
+    data = config.wkb_data()
+    model = config.model()
     t = args.t
-    alpha = config.alpha_axis.build() if config is not None \
-        else np.linspace(-2.0, 2.0, 41)
-    manifold = transport_manifold(data, model, t, alpha)
+    manifold = transport_manifold(data, model, t, config.alpha_axis)
     slope, offset, resid = manifold.line_fit()
     out = Path(args.out) if args.out else out_dir / "manifold.csv"
     _write_table(out, "alpha,q,p,S",
@@ -637,10 +618,9 @@ def _verb_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
     return 0
 
 
-def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) -> int:
-    hbar = _hbar_from_flags(args, config)
-    data = _wkb_from_flags(args, config)
-    model = _model_from_flags(args, config)
+def _verb_solution_on_manifold(args, config: RunConfig, out_dir: Path) -> int:
+    data = config.wkb_data()
+    model = config.model()
     t = args.t
     if args.alpha:
         alphas = np.asarray(_flag_floats("--alpha", args.alpha))
@@ -652,7 +632,7 @@ def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) ->
     def rows():
         for a, q, p in zip(alphas, manifold.q, manifold.p):
             val = solution_on_manifold(PhasePoint(np.array([q]), np.array([p])),
-                                       t, data, model, hbar)
+                                       t, data, model, config.hbar)
             yield a, q, p, val.real, val.imag
 
     _write_table(out, "alpha,q,p,re,im", rows())
@@ -660,22 +640,17 @@ def _verb_solution_on_manifold(args, config: RunConfig | None, out_dir: Path) ->
     return 0
 
 
-def _verb_oracle_dump(args, config: RunConfig | None, out_dir: Path) -> int:
+def _verb_oracle_dump(args, config: RunConfig, out_dir: Path) -> int:
     kind = args.kind
     if kind not in KINDS:
         raise ConfigurationError(
             f"--kind: unknown reference model kind {kind!r}; expected one of {KINDS}")
-    hbar = _hbar_from_flags(args, config)
+    hbar = config.hbar
     t = args.t
     what = args.what
     out = Path(args.out) if args.out else out_dir / f"oracle_{what}.csv"
-    if config is not None:
-        x_axis = config.position_axis.build()
-        axes = config.phase_axes()
-    else:
-        x_axis = np.linspace(-6.0, 6.0, 601)
-        qa = np.linspace(-5.5, 5.5, 81)
-        axes = (qa, qa.copy())
+    x_axis = config.position_axis
+    axes = config.phase_axes
 
     if what == "phase":
         with _printed_warnings():
@@ -761,7 +736,7 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        config = load_config(args.config) if args.config else None
+        config = _with_flags(load_config(args.config), args)
         return args.func(args, config, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ implemented here and the discrepancy is recorded in ``deviations.json``
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -27,7 +26,6 @@ from .transform import ComplexField
 
 __all__ = [
     "KINDS",
-    "OracleCase",
     "initial_position_state",
     "initial_phase_state",
     "exact_position_solution",
@@ -396,41 +394,3 @@ def load_deviations() -> list[dict]:
     if not isinstance(data, list):
         raise ConfigurationError("deviations registry must be a JSON list")
     return data
-
-
-# ---------------------------------------------------------------------------
-# bundled case object
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleCase:
-    """Closed-form reference data for one model at one value of hbar."""
-
-    kind: str
-    hbar: float
-
-    def __post_init__(self) -> None:
-        _require_kind(self.kind)
-        if not (self.hbar > 0):
-            raise ConfigurationError("hbar must be positive")
-
-    def position_solution(self, x, t: float):
-        return exact_position_solution(self.kind, x, t, self.hbar)
-
-    def phase_solution(self, X: PhasePoint, t: float) -> complex:
-        return exact_phase_solution(self.kind, X, t, self.hbar)
-
-    def phase_field(self, axes: Sequence[np.ndarray], t: float) -> ComplexField:
-        return exact_phase_field(self.kind, axes, t, self.hbar)
-
-    def kernel(self, X: PhasePoint, Y: PhasePoint, t: float) -> complex:
-        return exact_kernel(self.kind, X, Y, t, self.hbar)
-
-    def manifold(self, t: float) -> tuple[float, float]:
-        return exact_manifold(self.kind, t)
-
-    def action(self, x, t: float):
-        return exact_action_S(self.kind, x, t)
-
-    def van_vleck(self, x: float, y: float, t: float) -> complex:
-        return exact_van_vleck(self.kind, x, y, t, self.hbar)

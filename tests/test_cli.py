@@ -163,6 +163,28 @@ def test_run_exits_one_when_tolerance_is_exceeded(tmp_path, capsys):
     assert err["within_tolerance"] is False
 
 
+# (2/sqrt(pi))^(1/2) x e^(-x^2/2) has unit norm: the reference s0 with another
+# envelope
+ODD_ENVELOPE = "r0_coeffs = 0, 1.0622519320271968"
+
+
+@pytest.mark.parametrize("initial, reference", [
+    ("", True),
+    # the reference state written out in full is still the reference state
+    ("s0 = 0, 0, 0.5, 0\nr0_coeffs = 0.7511255444649425", True),
+    (ODD_ENVELOPE, False),
+], ids=["defaults", "spelled-out", "odd-envelope"])
+def test_run_compares_only_the_reference_state_with_the_oracles(tmp_path, initial,
+                                                                 reference):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"\n[initial]\n{initial}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = read_report(out)
+    assert len(entries_of(report, "t0_projection")) == int(reference)
+    assert len(entries_of(report, "field_error")) == int(reference)
+    assert [d["t"] for d in entries_of(report, "field_dump")] == [0.0, 0.4]
+
+
 def test_unknown_model_kind_exits_two_and_names_the_key(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("kind = free", "kind = seagull"))
     rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
@@ -184,6 +206,46 @@ def test_descending_times_exit_two(tmp_path, capsys):
     rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "[run] times" in capsys.readouterr().err
+
+
+META = "[meta]\nschema_version = 1\n"
+POLYNOMIAL = META + "[model]\nkind = polynomial\n"
+FREE = META + "[model]\nkind = free\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[meta]\n[model]\nkind = free\n", "[meta] schema_version: required value"),
+    ("[meta]\nschema_version = 2\n", "[meta] schema_version: unsupported version 2"),
+    (FREE + "[run]\nhbar = tiny\n", "[run] hbar: not a number: 'tiny'"),
+    (FREE + "[grid.position]\ncount = 100.5\n", "[grid.position] count: expected an integer"),
+    (FREE + "[run]\ntimes = 0.1, soon\n", "[run] times: not a number list"),
+    (FREE + "[grid.phase]\nq_min = 1\nq_max = 1\n",
+     "[grid.phase] q_min/q_max/q_count: need max > min and count >= 2"),
+    (FREE + "[grid.alpha]\ncount = 1\n",
+     "[grid.alpha] min/max/count: need max > min and count >= 2"),
+    (POLYNOMIAL + "coeffs = (0,2):1.0\n", "[model] coeffs: expected '(i;j):c' items"),
+    (POLYNOMIAL, "[model] coeffs: required for polynomial models"),
+    ("no section header\n", "config parse error in"),
+    (None, "config file not found"),
+    (FREE + "[run]\nhbar = 0\n", "[run] hbar: must be positive"),
+    (FREE + "[initial]\nkind = tophat\n", "[initial] kind: unknown initial-data kind"),
+    (FREE + "[convergence]\nparameter = temperature\n",
+     "[convergence] parameter: unknown parameter"),
+], ids=["no-schema-version", "version", "not-a-number", "not-an-integer",
+        "number-list", "max-le-min", "count-lt-2", "poly-item", "poly-no-coeffs",
+        "unparsable", "missing-file", "hbar-le-0", "initial-kind",
+        "convergence-parameter"])
+def test_each_config_error_exits_two_and_names_its_key(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text) if text is not None else str(tmp_path / "none.ini")
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_a_domain_failure_exits_one(tmp_path, capsys):
+    # the harmonic flow turns the reference manifold vertical before t = 1.5
+    assert main(["manifold", "--model", "harmonic", "--t", "1.5",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_convergence_step_study_recovers_fourth_order_slope(tmp_path):
@@ -513,6 +575,25 @@ def test_oracle_dump_rejects_unknown_kind(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "--kind" in capsys.readouterr().err
+
+
+def readme_cli_lines():
+    """The ``phaseprop ...`` lines of the README's CLI section, comments cut."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("#", 1)[0].split() for line in section.splitlines()
+            if line.startswith("phaseprop ")]
+
+
+def test_the_readme_cli_examples_run(tmp_path, monkeypatch):
+    lines = readme_cli_lines()
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[meta]\nschema_version = 1\n[model]\nkind = free\n"
+        "[run]\nhbar = 0.05\ntimes = 0.1, 0.5, 1.0\n")
+    for argv in lines:
+        assert main(argv[1:]) == 0, " ".join(argv)
 
 
 @pytest.mark.skipif(

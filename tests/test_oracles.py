@@ -13,7 +13,6 @@ from phaseprop import (
 )
 from phaseprop.oracles import (
     KINDS,
-    OracleCase,
     exact_action_S,
     exact_kernel,
     exact_manifold,
@@ -220,18 +219,6 @@ def test_manifold_lines_and_actions():
         dS = (exact_action_S(kind, x + d, 0.4) - exact_action_S(kind, x - d, 0.4)) \
             / (2 * d)
         assert float(dS[0]) == pytest.approx(s * 1.1 + o, abs=1e-8), kind
-
-
-def test_oracle_case_delegates():
-    case = OracleCase("free", HBAR)
-    x = np.array([0.7])
-    assert complex(case.position_solution(x, 0.3)[0]) == pytest.approx(
-        POSITION_FROZEN[("free", 0.3)], rel=1e-12)
-    assert case.manifold(0.4)[0] == pytest.approx(1 / 1.8)
-    with pytest.raises(ConfigurationError):
-        OracleCase("bogus", HBAR)
-    with pytest.raises(ConfigurationError):
-        OracleCase("free", -0.1)
 
 
 def test_deviations_registry_is_complete_and_well_formed():
