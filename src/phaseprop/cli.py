@@ -96,6 +96,14 @@ class RunConfig:
     kernel_y: tuple[float, float]
     kernel_t: float
 
+    def __post_init__(self):
+        # dataclasses.replace runs this again, so the flags are checked too
+        if not (self.hbar > 0):
+            raise ConfigurationError("[run] hbar: must be positive")
+        for key in ("s0", "r0_coeffs"):
+            if not getattr(self, key):
+                raise ConfigurationError(f"[initial] {key}: needs at least one number")
+
     def model(self) -> HamiltonianModel:
         if self.model_kind == "polynomial":
             return polynomial_model(self.model_coeffs or {})
@@ -216,8 +224,6 @@ def load_config(path=None) -> RunConfig:
 
     run_sec = cfg["run"] if cfg.has_section("run") else {}
     hbar = _cfg_float(run_sec, "run", "hbar", 0.05)
-    if not (hbar > 0):
-        raise ConfigurationError("[run] hbar: must be positive")
     times = _cfg_floats(run_sec, "run", "times", "")
     if any(t < 0 for t in times) or list(times) != sorted(times):
         raise ConfigurationError("[run] times: must be >= 0 and ascending")
@@ -578,9 +584,9 @@ def _with_flags(config: RunConfig, args) -> RunConfig:
     the verb was given in place of its fields."""
     flags = vars(args)
     changes: dict = {}
-    if flags.get("s0"):
+    if flags.get("s0") is not None:
         changes["s0"] = tuple(_flag_floats("--s0", flags["s0"]))
-    if flags.get("r0"):
+    if flags.get("r0") is not None:
         parts = _flag_floats("--r0", flags["r0"])
         if len(parts) < 2:
             raise ConfigurationError("--r0: expected 'mu,sigma[,c0,c1,...]'")
@@ -712,7 +718,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s0", help="phase polynomial coefficients c0,c1,...")
         p.add_argument("--r0", help="amplitude spec mu,sigma[,c0,c1,...]")
         p.add_argument("--hbar", type=float)
-        p.add_argument("--t", type=float, default=0.5)
+        if name != "lift-wkb":
+            p.add_argument("--t", type=float, default=0.5)
         p.add_argument("--out")
         p.add_argument("--model", choices=KINDS)
         if name == "solution-on-manifold":

@@ -11,6 +11,12 @@ import os
 import sys
 import warnings
 
+__all__ = [
+    "PhasePropError", "ConfigurationError", "ModelError", "GridRangeError",
+    "CausticError", "TruncationError", "BranchError", "ProjectionError",
+    "DomainError", "IntegrationError", "SpacingWarning", "EhrenfestWarning",
+]
+
 _PACKAGE = os.path.dirname(__file__) + os.sep
 
 

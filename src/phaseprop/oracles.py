@@ -25,7 +25,6 @@ from .models import PhasePoint
 from .transform import ComplexField
 
 __all__ = [
-    "KINDS",
     "initial_position_state",
     "initial_phase_state",
     "exact_position_solution",

@@ -213,31 +213,44 @@ POLYNOMIAL = META + "[model]\nkind = polynomial\n"
 FREE = META + "[model]\nkind = free\n"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[meta]\n[model]\nkind = free\n", "[meta] schema_version: required value"),
-    ("[meta]\nschema_version = 2\n", "[meta] schema_version: unsupported version 2"),
-    (FREE + "[run]\nhbar = tiny\n", "[run] hbar: not a number: 'tiny'"),
-    (FREE + "[grid.position]\ncount = 100.5\n", "[grid.position] count: expected an integer"),
-    (FREE + "[run]\ntimes = 0.1, soon\n", "[run] times: not a number list"),
-    (FREE + "[grid.phase]\nq_min = 1\nq_max = 1\n",
+@pytest.mark.parametrize("argv, text, message", [
+    (["run"], "[meta]\n[model]\nkind = free\n", "[meta] schema_version: required value"),
+    (["run"], "[meta]\nschema_version = 2\n", "[meta] schema_version: unsupported version 2"),
+    (["run"], FREE + "[run]\nhbar = tiny\n", "[run] hbar: not a number: 'tiny'"),
+    (["run"], FREE + "[grid.position]\ncount = 100.5\n",
+     "[grid.position] count: expected an integer"),
+    (["run"], FREE + "[run]\ntimes = 0.1, soon\n", "[run] times: not a number list"),
+    (["run"], FREE + "[grid.phase]\nq_min = 1\nq_max = 1\n",
      "[grid.phase] q_min/q_max/q_count: need max > min and count >= 2"),
-    (FREE + "[grid.alpha]\ncount = 1\n",
+    (["run"], FREE + "[grid.alpha]\ncount = 1\n",
      "[grid.alpha] min/max/count: need max > min and count >= 2"),
-    (POLYNOMIAL + "coeffs = (0,2):1.0\n", "[model] coeffs: expected '(i;j):c' items"),
-    (POLYNOMIAL, "[model] coeffs: required for polynomial models"),
-    ("no section header\n", "config parse error in"),
-    (None, "config file not found"),
-    (FREE + "[run]\nhbar = 0\n", "[run] hbar: must be positive"),
-    (FREE + "[initial]\nkind = tophat\n", "[initial] kind: unknown initial-data kind"),
-    (FREE + "[convergence]\nparameter = temperature\n",
+    (["run"], POLYNOMIAL + "coeffs = (0,2):1.0\n", "[model] coeffs: expected '(i;j):c' items"),
+    (["run"], POLYNOMIAL, "[model] coeffs: required for polynomial models"),
+    (["run"], "no section header\n", "config parse error in"),
+    (["run"], None, "config file not found"),
+    (["run"], FREE + "[run]\nhbar = 0\n", "[run] hbar: must be positive"),
+    (["run"], FREE + "[initial]\nkind = tophat\n", "[initial] kind: unknown initial-data kind"),
+    (["run"], FREE + "[convergence]\nparameter = temperature\n",
      "[convergence] parameter: unknown parameter"),
+    (["lift-wkb", "--hbar", "0"], FREE, "[run] hbar: must be positive"),
+    (["lift-wkb", "--hbar", "-0.1"], FREE, "[run] hbar: must be positive"),
+    (["oracle-dump", "--kind", "free", "--what", "position", "--hbar", "0"], FREE,
+     "[run] hbar: must be positive"),
+    (["lift-wkb"], FREE + "[initial]\ns0 =\n", "[initial] s0: needs at least one number"),
+    (["lift-wkb"], FREE + "[initial]\nr0_coeffs =\n",
+     "[initial] r0_coeffs: needs at least one number"),
+    (["lift-wkb", "--s0", ""], FREE, "--s0: not a number: ''"),
+    (["lift-wkb", "--r0", ""], FREE, "--r0: not a number: ''"),
 ], ids=["no-schema-version", "version", "not-a-number", "not-an-integer",
         "number-list", "max-le-min", "count-lt-2", "poly-item", "poly-no-coeffs",
         "unparsable", "missing-file", "hbar-le-0", "initial-kind",
-        "convergence-parameter"])
-def test_each_config_error_exits_two_and_names_its_key(tmp_path, capsys, text, message):
+        "convergence-parameter", "hbar-flag-0", "hbar-flag-negative",
+        "oracle-dump-hbar-flag-0", "empty-s0", "empty-r0-coeffs", "empty-s0-flag",
+        "empty-r0-flag"])
+def test_each_config_error_exits_two_and_names_its_key(tmp_path, capsys, argv, text,
+                                                      message):
     cfg = write_config(tmp_path, text) if text is not None else str(tmp_path / "none.ini")
-    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert main([*argv, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
@@ -537,6 +550,12 @@ def test_lift_wkb_reads_the_r0_flag(tmp_path, r0, coeffs, mu, sigma):
     want = lift_wkb(data, (axis, axis), 0.1).values.ravel()
     _, _, re, im = read_csv(out).T
     assert np.array_equal(re + 1j * im, want)
+
+
+def test_lift_wkb_takes_no_t_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["lift-wkb", "--t", "1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_lift_wkb_rejects_an_r0_flag_without_sigma(tmp_path, capsys):
