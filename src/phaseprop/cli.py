@@ -46,7 +46,7 @@ from .oracles import (
     initial_position_state,
 )
 from .propagator import _Kernel, apply_propagator, position_space_solution
-from .transform import ComplexField, wave_packet_transform, write_field_csv
+from .transform import ComplexField, _overlap, wave_packet_transform, write_field_csv
 from .wkb import GaussianPoly, WKBData, lift_wkb, solution_on_manifold, transport_manifold
 
 SCHEMA_VERSION = 1
@@ -154,10 +154,10 @@ def _cfg_floats(sec, section: str, key: str, default: str = "") -> tuple[float, 
         raise ConfigurationError(f"[{section}] {key}: not a number list: {raw!r}") from exc
 
 
-def _axis_from(cfg, section: str, prefix: str, lo: float, hi: float,
+def _axis_from(sections, section: str, prefix: str, lo: float, hi: float,
                count: int) -> np.ndarray:
     """The read-only uniform axis of ``[section] {prefix}min/max/count``."""
-    sec = cfg[section] if cfg.has_section(section) else {}
+    sec = sections.get(section, {})
     lo = _cfg_float(sec, section, f"{prefix}min", lo)
     hi = _cfg_float(sec, section, f"{prefix}max", hi)
     count = _cfg_int(sec, section, f"{prefix}count", count)
@@ -191,27 +191,42 @@ def _parse_poly_coeffs(section: str, raw: str) -> dict:
     return out
 
 
+class _ReadLog(dict):
+    """A dict that records each key read through ``get``."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def load_config(path=None) -> RunConfig:
     """Parse and validate an INI run description; :data:`DEFAULT_CONFIG`
-    without ``path``."""
+    without ``path``.  A section or key that the parse does not read is an
+    error, so a misspelled one is never silently ignored."""
     cfg = configparser.ConfigParser()
     try:
         if path is None:
             cfg.read_string(DEFAULT_CONFIG)
         elif not cfg.read(path):
             raise ConfigurationError(f"config file not found: {path}")
+        sections = _ReadLog((name, _ReadLog(cfg[name])) for name in cfg.sections())
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from exc
 
-    if not cfg.has_section("meta"):
+    meta = sections.get("meta")
+    if meta is None:
         raise ConfigurationError("[meta] schema_version: required value is missing")
-    version = _cfg_int(cfg["meta"], "meta", "schema_version")
+    version = _cfg_int(meta, "meta", "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"[meta] schema_version: unsupported version {version} (expected {SCHEMA_VERSION})"
         )
 
-    model_sec = cfg["model"] if cfg.has_section("model") else {}
+    model_sec = sections.get("model", {})
     kind = (model_sec.get("kind") or "").strip()
     if kind not in (*KINDS, "polynomial"):
         raise ConfigurationError(
@@ -222,14 +237,19 @@ def load_config(path=None) -> RunConfig:
     if kind == "polynomial":
         coeffs = _parse_poly_coeffs("model", model_sec.get("coeffs", ""))
 
-    run_sec = cfg["run"] if cfg.has_section("run") else {}
+    run_sec = sections.get("run", {})
     hbar = _cfg_float(run_sec, "run", "hbar", 0.05)
     times = _cfg_floats(run_sec, "run", "times", "")
     if any(t < 0 for t in times) or list(times) != sorted(times):
         raise ConfigurationError("[run] times: must be >= 0 and ascending")
+    for a, b in zip(times, times[1:]):  # ascending, so equal file names are neighbours
+        if a and f"{a:g}" == f"{b:g}":
+            raise ConfigurationError(
+                f"[run] times: {a!r} and {b!r} both write phase_t{a:g}.csv "
+                f"and position_t{a:g}.csv")
     rel_tol = _cfg_float(run_sec, "run", "rel_tolerance", 1e-4)
 
-    init_sec = cfg["initial"] if cfg.has_section("initial") else {}
+    init_sec = sections.get("initial", {})
     initial_kind = (init_sec.get("kind", "wkb") or "wkb").strip()
     if initial_kind not in ("wkb", "packet"):
         raise ConfigurationError(
@@ -246,7 +266,7 @@ def load_config(path=None) -> RunConfig:
         _cfg_float(init_sec, "initial", "center_p", 0.0),
     )
 
-    conv_sec = cfg["convergence"] if cfg.has_section("convergence") else {}
+    conv_sec = sections.get("convergence", {})
     conv_param = (conv_sec.get("parameter", "hbar") or "hbar").strip()
     if conv_param not in ("hbar", "grid-spacing", "step"):
         raise ConfigurationError(
@@ -254,14 +274,14 @@ def load_config(path=None) -> RunConfig:
         )
     conv_values = _cfg_floats(conv_sec, "convergence", "values", "0.1, 0.05, 0.025")
 
-    kern_sec = cfg["kernel"] if cfg.has_section("kernel") else {}
+    kern_sec = sections.get("kernel", {})
     kernel_y = (
         _cfg_float(kern_sec, "kernel", "y_q", 0.5),
         _cfg_float(kern_sec, "kernel", "y_p", 0.1),
     )
     kernel_t = _cfg_float(kern_sec, "kernel", "t", 0.5)
 
-    return RunConfig(
+    config = RunConfig(
         model_kind=kind,
         model_coeffs=coeffs,
         hbar=hbar,
@@ -274,15 +294,25 @@ def load_config(path=None) -> RunConfig:
         r0_coeffs=r0_coeffs,
         r=r,
         center=center,
-        position_axis=_axis_from(cfg, "grid.position", "", -8.0, 8.0, 1601),
-        phase_axes=tuple(_axis_from(cfg, "grid.phase", f"{c}_", -5.5, 5.5, 81)
+        position_axis=_axis_from(sections, "grid.position", "", -8.0, 8.0, 1601),
+        phase_axes=tuple(_axis_from(sections, "grid.phase", f"{c}_", -5.5, 5.5, 81)
                          for c in "qp"),
-        alpha_axis=_axis_from(cfg, "grid.alpha", "", -2.0, 2.0, 41),
+        alpha_axis=_axis_from(sections, "grid.alpha", "", -2.0, 2.0, 41),
         convergence_parameter=conv_param,
         convergence_values=conv_values,
         kernel_y=kernel_y,
         kernel_t=kernel_t,
     )
+    unread = []
+    for name, sec in sections.items():
+        if name not in sections.read:
+            unread.append(f"[{name}]")
+        else:
+            unread += [f"[{name}] {key}" for key in sec if key not in sec.read]
+    if unread:
+        raise ConfigurationError(
+            f"{', '.join(unread)}: not read (misspelled, or unused by this description)")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +368,9 @@ def _initial_phase_field(config: RunConfig) -> ComplexField:
     axes = config.phase_axes
     if config.initial_kind == "wkb":
         return wave_packet_transform(config.position_state(), axes)
-    center = PhasePoint(np.array([config.center[0]]), np.array([config.center[1]]))
-    qa, pa = axes
-    Q, P = np.meshgrid(qa, pa, indexing="ij")
-    # <G_X, G_center> pairs evaluate in closed form; the transform of a packet
-    # is (2 pi hbar)^{-1/2} times the overlap.
-    dq = Q - center.q[0]
-    dp = P - center.p[0]
-    cross = 0.5j * (Q * center.p[0] - P * center.q[0]) / config.hbar
-    vals = (2 * np.pi * config.hbar) ** -0.5 * np.exp(
-        cross - (dq * dq + dp * dp) / (4 * config.hbar)
-    )
+    # the transform of a packet is (2 pi hbar)^{-1/2} times its overlap
+    Q, P = np.meshgrid(*axes, indexing="ij")
+    vals = (2 * np.pi * config.hbar) ** -0.5 * _overlap(Q, P, *config.center, config.hbar)
     return ComplexField(axes=axes, values=vals, hbar=config.hbar)
 
 

@@ -455,11 +455,13 @@ def _dets(F):
 
 
 def _adaptive(model, q, p, times, rtol):
-    """States ``(q, p, [A; B], action)`` at each of ``times``, every orbit
-    of the batch stepped together by one lazily stepped DOP853 solve on the
-    packed states: each step's samples are read from its dense output, as
-    ``solve_ivp`` reads them, then its end with no action, so that the
-    log-dets track every step.
+    """The :class:`FlowBatch` states at each of ``times``, every orbit of the
+    batch stepped together by one lazily stepped DOP853 solve on the packed
+    states: each step's samples are read from its dense output, as
+    ``solve_ivp`` reads them.  The log-dets start at the first sample and
+    continue from step end to step end by branch-safe increments; a sample
+    takes one increment from the last step's end, so they do not depend on
+    which times are sampled.
 
     Each orbit (row) gets DOP853's own error norm over its own components,
     and a step's norm is their largest: a step is accepted only when every
@@ -474,11 +476,17 @@ def _adaptive(model, q, p, times, rtol):
             denom = np.where(e5 + e3 > 0, e5 + 0.01 * e3, 1.0) * (K.shape[1] // len(q))
             return float(np.max(np.abs(h) * e5 / np.sqrt(denom)))
 
+    def advance(F):
+        """Log-dets and dets of the frames ``F``, one increment on from ``track``."""
+        dets = _dets(F)
+        return (np.log(dets) if track is None
+                else track[0] + _log_increment(track[1], dets)), dets
+
     rhs, d, shape = _CharRHS(model, q, p), q.shape[1], (len(q), -1)
     solver = RowwiseDOP853(lambda t, y: rhs(y.reshape(shape)).ravel(), float(times[0]),
                            _pack(q, p).ravel(), float(times[-1]), rtol=rtol, atol=rtol * 1e-2)
     signed = solver.direction * times  # increasing
-    k = 0
+    k, track = 0, None
     while k < times.size:
         message = solver.step()
         if solver.status == "failed":
@@ -488,27 +496,13 @@ def _adaptive(model, q, p, times, rtol):
         stop = np.searchsorted(signed, solver.direction * solver.t, side="right")
         if stop > k:
             for y in np.ascontiguousarray(solver.dense_output()(times[k:stop]).T):
-                yield _unpack(y.reshape(shape), d)
+                qk, pk, F, act = _unpack(y.reshape(shape), d)
+                ld, dets = advance(F)
+                track = track or (ld, dets)
+                yield FlowBatch(qk, pk, F[:, :d], F[:, d:], act, ld[0], ld[1])
             k = stop
         if k < times.size:
-            yield _unpack(solver.y.reshape(shape), d)[:3] + (None,)
-
-
-def _tracked(states):
-    """The states of :func:`_adaptive` with ``log det A`` and
-    ``log det(A - iB)`` attached.  A state without action is a step's end: it
-    continues the tracking from the last step by a branch-safe increment and
-    is not yielded.  A state with action is a sample between steps: it takes
-    one increment from the last step and the tracking does not pass through
-    it, so the log-dets do not depend on which times are sampled."""
-    for k, (q, p, F, act) in enumerate(states):
-        d = q.shape[1]
-        dets = _dets(F)
-        ld = np.log(dets) if k == 0 else last_ld + _log_increment(last_det, dets)
-        if k == 0 or act is None:
-            last_ld, last_det = ld, dets
-        if act is not None:
-            yield FlowBatch(q, p, F[:, :d], F[:, d:], act, ld[0], ld[1])
+            track = advance(_unpack(solver.y.reshape(shape), d)[2])
 
 
 def _closed_form(model, q0, p0, times):
@@ -556,7 +550,7 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
         yield from _closed_form(model, Q, P, np.asarray(times, dtype=float))
         return
     if method == "adaptive":
-        yield from _tracked(_adaptive(model, Q, P, times, opts.rtol))
+        yield from _adaptive(model, Q, P, times, opts.rtol)
         return
     grid, ends = _step_grid(times, opts.step)
     i, stop = 0, 0
@@ -672,14 +666,15 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     """
     if bundle.hbar is None:
         return []
-    norms = np.linalg.norm(_real_jacobian(bundle.A, bundle.B), 2, axis=(-2, -1))
-    return _ehrenfest_crossings(bundle.times, norms, bundle.hbar)
+    return _ehrenfest_crossings(bundle.times, bundle.A, bundle.B, bundle.hbar)
 
 
-def _ehrenfest_crossings(times, norms, hbar: float) -> list[str]:
+def _ehrenfest_crossings(times, A, B, hbar: float) -> list[str]:
     """One warning string per upward crossing of ``hbar^{-1/2}`` by the
-    flow Jacobian's ``norms`` at ``times``: the first sample above the
-    threshold, then the first above it again after one at or below it."""
+    operator norm of the flow Jacobian of the frames ``A``, ``B`` at
+    ``times``: the first sample above the threshold, then the first above
+    it again after one at or below it."""
+    norms = np.linalg.norm(_real_jacobian(A, B), 2, axis=(-2, -1))
     thresh = hbar ** -0.5
     warnings_out = []
     above = False

@@ -272,9 +272,8 @@ def builtin_model(kind: str, d: int = 1) -> HamiltonianModel:
 _JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (1, 1), (0, 2))
 
 
-def polynomial_model(coeffs: Mapping[tuple[int, int], float],
-                     d: int = 1) -> HamiltonianModel:
-    """Hamiltonian from polynomial coefficients, ``d = 1`` only.
+def polynomial_model(coeffs: Mapping[tuple[int, int], float]) -> HamiltonianModel:
+    """Hamiltonian from polynomial coefficients, in one dimension.
 
     Parameters
     ----------
@@ -293,8 +292,6 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float],
     of a general ``pow``.  The flow module integrates these numerically;
     total degree at most 2 gives the quadratic model (:func:`_quadratic`).
     """
-    if d != 1:
-        raise ConfigurationError("polynomial_model is implemented for d=1")
     rows: dict[tuple[int, int], np.ndarray] = {}
     for (i, j), c in coeffs.items():
         i, j, c = int(i), int(j), float(c)

@@ -12,7 +12,7 @@ data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
 from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
                    _anisotropy, _check_siegel, _default_times,
                    _ehrenfest_crossings, _method, _real_jacobian,
-                   _sample_orbits, _symplectic, anisotropy_Z, ehrenfest_guard,
+                   _sample_orbits, _symplectic, ehrenfest_guard,
                    flow_batch, integrate_characteristics)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (_PAD, ComplexField, _checked_axis, _clip_momentum,
@@ -30,59 +30,47 @@ from .transform import (_PAD, ComplexField, _checked_axis, _clip_momentum,
                         _support, wave_packet_transform)
 
 __all__ = [
-    "PropagatedPacket", "propagate_packet", "eval_packet",
+    "propagate_packet", "eval_packet",
     "double_anisotropy_Q", "kernel_Ksc", "apply_propagator",
     "position_space_solution", "van_vleck_kernel",
 ]
 
 
-@dataclass(frozen=True)
-class PropagatedPacket:
-    """A coherent packet carried along one characteristic orbit.
-
-    At every stored time the packet stays an exact Gaussian: center
-    ``X_t``, width matrix ``Z_t = B A^{-1}``, amplitude
-    ``1/sqrt(det A)`` (branch-tracked), and action phase — with unit
-    L2 norm for all t.
-    """
-
-    bundle: TrajectoryBundle
-    hbar: float
-
-
 def propagate_packet(model: HamiltonianModel, X0: PhasePoint, T: float,
                      hbar: float, opts: FlowOptions | None = None
-                     ) -> PropagatedPacket:
-    """Carry the packet centered at X0 along its orbit up to time T."""
-    opts = replace(opts or FlowOptions(), hbar=hbar)
-    return PropagatedPacket(integrate_characteristics(model, X0, T, opts), hbar)
+                     ) -> TrajectoryBundle:
+    """Carry the packet centered at X0 along its orbit up to time T.  The
+    orbit's bundle, which carries ``hbar``, is the packet's record: at each
+    stored time an exact Gaussian of unit norm (:func:`eval_packet`)."""
+    return integrate_characteristics(model, X0, T, replace(opts or FlowOptions(), hbar=hbar))
 
 
-def eval_packet(pkt: PropagatedPacket, t: float, x) -> np.ndarray:
-    """Evaluate the propagated packet at position samples ``x``.
+def eval_packet(bundle: TrajectoryBundle, t: float, x) -> np.ndarray:
+    """Evaluate the packet that :func:`propagate_packet` carried along
+    ``bundle`` at position samples ``x``.
 
     ``(pi hbar)^(-d/4) a(t) exp{(i/hbar)(Act + p_0.q_0/2 + p_t.(x-q_t)
     + (x-q_t).Z_t (x-q_t)/2)}`` with ``a(t) = exp(-log det A / 2)``.
     The static gauge term ``p_0.q_0/2`` is the initial packet's own and
     does not transport — the dynamical phase sits entirely in ``Act``.
     """
-    b = pkt.bundle
-    i = b.index_of(t)
-    X0 = b.points[0]
-    Xt = b.points[i]
-    Z = anisotropy_Z(b.frames[i]).M
-    a = np.exp(-0.5 * b.logdetA[i])
-    act = b.action[i]
-    hbar = pkt.hbar
+    hbar = bundle.hbar
+    if hbar is None:
+        raise ConfigurationError("eval_packet needs a bundle that carries hbar")
+    i = bundle.index_of(t)
+    q0, p0, qt, pt = bundle.q[0], bundle.p[0], bundle.q[i], bundle.p[i]
+    Z = _anisotropy(bundle.A[i], bundle.B[i])
+    a = np.exp(-0.5 * bundle.logdetA[i])
+    act = bundle.action[i]
     x = np.asarray(x, dtype=float)
-    d = Xt.d
+    d = qt.size
     if d == 1:
-        dx = x - Xt.q[0]
-        phase = act + X0.p[0] * X0.q[0] / 2 + Xt.p[0] * dx + 0.5 * Z[0, 0] * dx ** 2
+        dx = x - qt[0]
+        phase = act + p0[0] * q0[0] / 2 + pt[0] * dx + 0.5 * Z[0, 0] * dx ** 2
     else:
-        dx = x - Xt.q
+        dx = x - qt
         quad = np.einsum("...i,ij,...j->...", dx, Z, dx)
-        phase = act + (X0.p @ X0.q) / 2 + dx @ Xt.p + 0.5 * quad
+        phase = act + (p0 @ q0) / 2 + dx @ pt + 0.5 * quad
     return (np.pi * hbar) ** (-d / 4) * a * np.exp(1j / hbar * phase)
 
 
@@ -222,9 +210,8 @@ def _guarded_flow(model, Q, P, center, t, hbar, opts):
                                 times, opts):
             A.append(s.A[-1])
             B.append(s.B[-1])
-        norms = np.linalg.norm(_real_jacobian(np.stack(A), np.stack(B)), 2, axis=(-2, -1))
         e = FlowBatch(*(field[:-1] for field in s))
-        crossings = _ehrenfest_crossings(times, norms, hbar)
+        crossings = _ehrenfest_crossings(times, np.stack(A), np.stack(B), hbar)
     for msg in crossings:
         _warn_at_caller(msg, EhrenfestWarning)
     return e

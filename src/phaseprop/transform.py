@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -313,13 +315,20 @@ def overlap(X: PhasePoint, Y: PhasePoint, hbar: float) -> complex:
     """Inner product of two unit packets, ``<G_X, G_Y>``.
 
     Equals ``exp{(i/hbar)(X.JY/2)} exp{-(|q-eta|^2+|p-xi|^2)/(4 hbar)}``
-    with the pairing ``X.JY = q.xi - p.eta`` for ``X=(q,p), Y=(eta,xi)``.
+    with the pairing ``X.JY = q.xi - p.eta`` for ``X=(q,p), Y=(eta,xi)``:
+    the product of the coordinates' one-dimensional overlaps.
     """
-    q, p = X.q, X.p
-    eta, xi = Y.q, Y.p
-    sym = float(q @ xi - p @ eta)
-    dist = float(np.sum((q - eta) ** 2) + np.sum((p - xi) ** 2))
-    return complex(np.exp(0.5j * sym / hbar - dist / (4 * hbar)))
+    # on Python floats the division by hbar is Python's complex one, which
+    # rounds unlike numpy's (a product with the reciprocal) on arrays
+    return complex(reduce(mul, (_overlap(*map(float, c), hbar)
+                                for c in zip(X.q, X.p, Y.q, Y.p))))
+
+
+def _overlap(q, p, eta, xi, hbar):
+    """``<G_X, G_Y>`` of one-dimensional unit packets at ``X = (q, p)`` and
+    ``Y = (eta, xi)``, for scalars or arrays that broadcast."""
+    dq, dp = q - eta, p - xi
+    return np.exp(0.5j * (q * xi - p * eta) / hbar - (dq * dq + dp * dp) / (4 * hbar))
 
 
 def bergmann_kernel(X: PhasePoint, Y: PhasePoint, hbar: float) -> complex:

@@ -135,12 +135,8 @@ class WKBData:
                 f"amplitude must be L2-normalized: got norm {nrm:.10f}")
 
     @cached_property
-    def _s0_stack(self):
-        return _derivative_stack(self.S0, self.r)
-
-    @cached_property
-    def _s0pp_stack(self):
-        return _derivative_stack(self.S0.deriv(2), self.r)
+    def _s0_stack(self):  # S0 to S0^(r+2): r + 1 terms each for S0 and S0''
+        return _derivative_stack(self.S0, self.r + 2)
 
     @cached_property
     def _r0_stack(self):
@@ -150,13 +146,13 @@ class WKBData:
         return self._s0_stack[1](np.asarray(x, dtype=float))
 
     def s0_second(self, x):
-        return self._s0pp_stack[0](np.asarray(x, dtype=float))
+        return self._s0_stack[2](np.asarray(x, dtype=float))
 
     def ext_S0(self, z):
-        return _extend(self._s0_stack, z)
+        return _extend(self._s0_stack[:self.r + 1], z)
 
     def ext_S0_second(self, z):
-        return _extend(self._s0pp_stack, z)
+        return _extend(self._s0_stack[2:], z)
 
     def ext_R0(self, z):
         return _extend(self._r0_stack, z)

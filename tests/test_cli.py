@@ -12,7 +12,7 @@ import pytest
 
 import phaseprop
 from phaseprop import propagator
-from phaseprop.cli import main
+from phaseprop.cli import load_config, main
 from phaseprop.models import PhasePoint, polynomial_model
 from phaseprop.propagator import kernel_Ksc
 from phaseprop.oracles import exact_kernel, exact_manifold, exact_position_solution
@@ -185,6 +185,19 @@ def test_run_compares_only_the_reference_state_with_the_oracles(tmp_path, initia
     assert [d["t"] for d in entries_of(report, "field_dump")] == [0.0, 0.4]
 
 
+def test_run_at_a_vertical_manifold_time_reports_no_on_manifold_error(tmp_path):
+    # the harmonic flow turns the reference manifold p = q vertical at 3 pi / 8
+    t = 3 * np.pi / 8
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("kind = free", "kind = harmonic")
+                       .replace("times = 0.4", f"times = {t!r}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+    (err,) = entries_of(read_report(out), "field_error")
+    assert err["t"] == t
+    assert err["on_manifold_max_rel"] is None
+    assert err["max_rel"] < 1e-2
+
+
 def test_unknown_model_kind_exits_two_and_names_the_key(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("kind = free", "kind = seagull"))
     rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
@@ -241,12 +254,21 @@ FREE = META + "[model]\nkind = free\n"
      "[initial] r0_coeffs: needs at least one number"),
     (["lift-wkb", "--s0", ""], FREE, "--s0: not a number: ''"),
     (["lift-wkb", "--r0", ""], FREE, "--r0: not a number: ''"),
+    (["run"], FREE + "[run]\nhbr = 0.01\n", "[run] hbr: not read"),
+    (["run"], FREE + "[grid.positon]\ncount = 11\n", "[grid.positon]: not read"),
+    (["lift-wkb"], FREE + "[initial]\nr0_sigma = 1\nr0_coefs = 1\n[kernal]\n",
+     "[initial] r0_coefs, [kernal]: not read"),
+    (["run"], FREE + "[run]\ntimes = 0.5, 0.5\n",
+     "[run] times: 0.5 and 0.5 both write phase_t0.5.csv and position_t0.5.csv"),
+    (["run"], FREE + "[run]\ntimes = 0.1234561, 0.1234562\n",
+     "[run] times: 0.1234561 and 0.1234562 both write phase_t0.123456.csv"),
 ], ids=["no-schema-version", "version", "not-a-number", "not-an-integer",
         "number-list", "max-le-min", "count-lt-2", "poly-item", "poly-no-coeffs",
         "unparsable", "missing-file", "hbar-le-0", "initial-kind",
         "convergence-parameter", "hbar-flag-0", "hbar-flag-negative",
         "oracle-dump-hbar-flag-0", "empty-s0", "empty-r0-coeffs", "empty-s0-flag",
-        "empty-r0-flag"])
+        "empty-r0-flag", "unread-key", "unread-section", "unread-key-and-section",
+        "equal-times", "times-equal-to-6-digits"])
 def test_each_config_error_exits_two_and_names_its_key(tmp_path, capsys, argv, text,
                                                       message):
     cfg = write_config(tmp_path, text) if text is not None else str(tmp_path / "none.ini")
@@ -376,12 +398,14 @@ def test_convergence_grid_spacing_study_halves_the_phase_spacing(tmp_path):
 
 
 def test_propagate_verbs_write_state_and_field_dumps(tmp_path):
-    cfg = write_config(tmp_path)
+    # t = 0 in times writes no second dump of the initial state
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("times = 0.4", "times = 0, 0.4"))
     pos_out, phase_out = tmp_path / "pos", tmp_path / "phase"
     assert main(["propagate-position", "--config", cfg, "--out-dir", str(pos_out)]) == 0
     assert main(["propagate-phase", "--config", cfg, "--out-dir", str(phase_out)]) == 0
     assert (pos_out / "position_t0.csv").read_text().splitlines()[0] == "x,re,im"
-    assert (pos_out / "position_t0.4.csv").exists()
+    assert sorted(p.name for p in pos_out.iterdir()) == ["position_t0.4.csv",
+                                                         "position_t0.csv"]
     assert (phase_out / "phase_t0.csv").exists()
     assert (phase_out / "phase_t0.4.csv").read_text().splitlines()[0] == "q,p,re,im"
 
@@ -483,6 +507,12 @@ def test_lift_manifold_and_on_manifold_verbs_write_tables(tmp_path, capsys):
     values = np.array([[float(s) for s in r.split(",")] for r in rows[1:]])
     assert np.isfinite(values).all()
     assert "solution-on-manifold: 2 values" in capsys.readouterr().out
+    # without --alpha: 9 values on [-1, 1]
+    assert main(["solution-on-manifold", "--model", "harmonic", "--t", "0.4",
+                 "--out", str(som_csv), "--out-dir", str(tmp_path)]) == 0
+    rows = som_csv.read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == list(np.linspace(-1.0, 1.0, 9))
+    assert "solution-on-manifold: 9 values" in capsys.readouterr().out
 
 
 def test_oracle_dump_writes_closed_form_tables(tmp_path):
@@ -613,6 +643,18 @@ def test_the_readme_cli_examples_run(tmp_path, monkeypatch):
         "[run]\nhbar = 0.05\ntimes = 0.1, 0.5, 1.0\n")
     for argv in lines:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_the_readme_config_schema_loads_as_written(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("\n```ini\n", 1)[1].split("\n```", 1)[0]
+    config = load_config(write_config(tmp_path, block))
+    assert (config.model_kind, config.hbar, config.times) == ("free", 0.05, (0.1, 0.5, 1.0))
+    assert (config.initial_kind, config.s0, config.r) == ("wkb", (0.0, 0.0, 0.5), 2)
+    assert [a.size for a in (config.position_axis, *config.phase_axes, config.alpha_axis)] == [
+        1601, 81, 81, 41]
+    assert (config.convergence_parameter, config.kernel_y, config.kernel_t) == (
+        "hbar", (0.5, 0.1), 0.5)
 
 
 @pytest.mark.skipif(

@@ -9,6 +9,7 @@ import pytest
 from phaseprop import (
     CausticError,
     ConfigurationError,
+    DomainError,
     FlowOptions,
     GridRangeError,
     PhasePoint,
@@ -229,6 +230,13 @@ def test_siegel_matrix_rejects_bad_input():
         SiegelMatrix([[1.0 + 0.0j]])  # imaginary part not positive definite
     with pytest.raises(Exception):
         SiegelMatrix([[1j, 0.5], [0.0, 1j]])  # not symmetric
+    with pytest.raises(DomainError, match=r"must be square, got \(1, 2\)"):
+        SiegelMatrix([[1j, 0.5j]])
+
+
+def test_integrate_characteristics_rejects_a_point_of_another_dimension():
+    with pytest.raises(ConfigurationError, match="model dimension 2 != point dimension 1"):
+        integrate_characteristics(builtin_model("free", d=2), PhasePoint(0.1, 0.2), 0.5)
 
 
 def test_ehrenfest_guard_threshold_and_monotonicity():

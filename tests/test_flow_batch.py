@@ -20,6 +20,7 @@ from phaseprop import (
     ConfigurationError,
     FlowOptions,
     HamiltonianModel,
+    IntegrationError,
     ModelError,
     PhasePoint,
     VariationalFrame,
@@ -214,6 +215,18 @@ def test_endpoint_callers_reject_negative_times():
     for model in (MODELS["harmonic"], MODELS["quartic"]):
         with pytest.raises(ConfigurationError, match="nonnegative"):
             kernel_Ksc(X, X, -0.1, model, 0.1)
+        with pytest.raises(ConfigurationError, match="T must be nonnegative, got -0.1"):
+            integrate_characteristics(model, X, -0.1)
+
+
+def test_adaptive_failure_names_the_last_valid_sample():
+    # under H = p^2 - q^4 the orbit from (2, 0) blows up well before t = 1:
+    # DOP853's step falls below the spacing of floats after the first sample
+    model = polynomial_model({(0, 2): 1.0, (4, 0): -1.0})
+    with pytest.raises(IntegrationError, match="adaptive integration failed: Required step"
+                       ) as exc:
+        flow_batch(model, [2.0], [0.0], 1.0, FlowOptions(method="adaptive"))
+    assert exc.value.last_valid_time == 0.0
 
 
 def test_adaptive_log_dets_stay_on_their_branch_over_a_coarse_grid():

@@ -28,6 +28,19 @@ def test_phase_point_vector_round_trip():
 def test_builtin_model_rejects_unknown_kind():
     with pytest.raises(ConfigurationError, match="kind"):
         builtin_model("anharmonic")
+    with pytest.raises(ConfigurationError, match="model dimension must be >= 1, got 0"):
+        builtin_model("free", d=0)
+
+
+@pytest.mark.parametrize("q, p, message", [
+    ([0.1, 0.2], [0.3], r"equal length d >= 1, got shapes \(2,\) and \(1,\)"),
+    ([], [], r"equal length d >= 1, got shapes \(0,\) and \(0,\)"),
+    ([[0.1]], [[0.2]], r"equal length d >= 1, got shapes \(1, 1\)"),
+    (0.1, math.inf, "coordinates must be finite"),
+], ids=["unequal", "empty", "two-dimensional", "non-finite"])
+def test_phase_point_rejects_malformed_coordinates(q, p, message):
+    with pytest.raises(ConfigurationError, match=message):
+        PhasePoint(q, p)
 
 
 def test_builtin_values_and_derivatives():

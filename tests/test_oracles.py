@@ -211,6 +211,9 @@ def test_manifold_lines_and_actions():
     assert offset == pytest.approx(-0.4 * 1.4 / 1.8)
     with pytest.raises(CausticError):
         exact_manifold("harmonic", 3 * np.pi / 8)
+    with pytest.raises(CausticError, match="generating action is singular") as exc:
+        exact_action_S("harmonic", np.array([0.5]), 3 * np.pi / 8)
+    assert exc.value.t_star == 3 * np.pi / 8
     # p = dS/dx reproduces the line
     d = 1e-6
     for kind in KINDS:
@@ -244,3 +247,29 @@ def test_deviations_registry_is_complete_and_well_formed():
         assert {"id", "display", "as_printed", "adopted", "status"} <= set(e)
         assert e["status"] in {
             "corrected", "scope-limited", "structural", "tolerance-adjusted"}
+
+
+POINT_2D = PhasePoint([0.1, 0.2], [0.3, -0.1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_manifold("quartic", 0.4), "unknown reference model kind 'quartic'"),
+    (lambda: exact_phase_solution("free", POINT_2D, 0.4, HBAR),
+     "reference solutions are one-dimensional"),
+    (lambda: exact_kernel("free", POINT_2D, PhasePoint(0.0, 0.0), 0.4, HBAR),
+     "reference kernels are one-dimensional"),
+    (lambda: exact_van_vleck("free", 0.9, -0.2, 0.0, HBAR),
+     "reference position kernels require t > 0"),
+], ids=["unknown-kind", "phase-solution-2d", "kernel-2d", "van-vleck-t0"])
+def test_oracles_reject_what_they_have_no_closed_form_for(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
+def test_deviations_registry_must_be_a_list(tmp_path, monkeypatch):
+    from phaseprop import oracles
+
+    (tmp_path / "deviations.json").write_text('{"id": "not-a-list"}')
+    monkeypatch.setattr(oracles.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ConfigurationError, match="deviations registry must be a JSON list"):
+        load_deviations()

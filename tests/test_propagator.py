@@ -406,6 +406,30 @@ def test_van_vleck_raises_at_focal_time():
     assert late.value.t_star == pytest.approx(np.pi / 2, abs=1e-6)
 
 
+@pytest.mark.parametrize("x, t, model, message", [
+    (0.5, 0.3, builtin_model("free", d=2), "van_vleck_kernel supports d = 1 only"),
+    (0.5, 0.0, builtin_model("free"), "t must be positive, got 0.0"),
+    # p^2 + q^4 carries no orbit from 0 to 3 in t = 0.3 from the scanned momenta
+    (3.0, 0.3, polynomial_model({(0, 2): 1.0, (4, 0): 1.0}),
+     "no trajectory from y=0.0 reaches x=3.0 at t=0.3 within the scan window"),
+], ids=["2d", "t0", "unreachable"])
+def test_van_vleck_rejects_what_it_cannot_sum(x, t, model, message):
+    with pytest.raises(ConfigurationError, match=message):
+        van_vleck_kernel(x, 0.0, t, model, HBAR)
+
+
+def test_eval_packet_reads_the_bundle_and_needs_its_hbar():
+    X0 = PhasePoint(0.3, -0.2)
+    bundle = propagate_packet(builtin_model("harmonic"), X0, 0.5, HBAR)
+    assert bundle.hbar == HBAR
+    x = np.linspace(-2.0, 2.0, 41)
+    np.testing.assert_allclose(eval_packet(bundle, 0.0, x), gaussian_packet(X0, HBAR, x),
+                               rtol=1e-14, atol=0)
+    bare = integrate_characteristics(builtin_model("harmonic"), X0, 0.5)
+    with pytest.raises(ConfigurationError, match="eval_packet needs a bundle that carries hbar"):
+        eval_packet(bare, 0.5, x)
+
+
 def per_pair_sum(Psi0, t, model, hbar, out_axes):
     """Reference kernel sum, one ``kernel_Ksc`` call per (target, source)
     pair, over the sources the propagator keeps (above 1e-13 of the peak)."""

@@ -154,6 +154,30 @@ def test_field_validation():
         ComplexField((x,), np.zeros((4, 4)), HBAR)  # rank mismatch
 
 
+AXIS = np.linspace(-2.0, 2.0, 41)
+STATE = ComplexField((AXIS,), np.exp(-AXIS ** 2), HBAR)
+FIELD = ComplexField((AXIS, AXIS), np.exp(-AXIS[:, None] ** 2 - AXIS ** 2), HBAR)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wave_packet_transform(FIELD, (AXIS, AXIS)),
+     "wave_packet_transform expects a rank-1 field"),
+    (lambda: wave_packet_transform(ComplexField((AXIS,), np.zeros(41), HBAR), (AXIS, AXIS)),
+     "position-space state is identically zero"),
+    (lambda: inverse_transform(STATE, AXIS), "inverse_transform expects a rank-2 field"),
+    (lambda: fock_bargmann_residual(STATE), "fock_bargmann_residual expects a rank-2 field"),
+    (lambda: husimi_check(FIELD), "husimi_check expects a rank-1 field"),
+    (lambda: husimi_check(STATE, (AXIS[:5] + 0.05, AXIS)),
+     "husimi_check q axis must lie on position-grid nodes"),
+    (lambda: gaussian_packet(PhasePoint([0.0, 0.1], [0.2, 0.3]), HBAR, AXIS[:, None]),
+     r"x last axis must have length d=2, got shape \(41, 1\)"),
+], ids=["analysis-rank", "analysis-zero", "synthesis-rank", "residual-rank",
+        "husimi-rank", "husimi-off-nodes", "packet-shape"])
+def test_transform_entries_reject_malformed_input(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
 def test_csv_dump_is_deterministic(tmp_path):
     x = np.linspace(-1.0, 1.0, 11)
     f = ComplexField((x,), gaussian_packet(PhasePoint(0.0, 0.5), HBAR, x), HBAR)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from phaseprop import (
     BranchError,
@@ -70,6 +71,10 @@ def test_wkb_data_validation():
     with pytest.raises(ConfigurationError):
         bad = GaussianPoly([1.0], mu=0.0, sigma=1.0)  # norm != 1
         WKBData(S0=[0.0, 0.0, 0.5], R0=bad)
+    with pytest.raises(ConfigurationError, match="sigma must be positive, got 0.0"):
+        GaussianPoly([1.0], sigma=0.0)
+    with pytest.raises(ConfigurationError, match="phase coefficients must be real"):
+        WKBData(S0=Polynomial([0.0, 0.0, 0.5j]), R0=unit_gaussian())
 
 
 def test_wkb_state_values():
@@ -153,6 +158,8 @@ def test_transported_manifold_matches_line_displays():
 
 def test_transport_raises_at_fold_with_location():
     data3 = cubic_data()
+    with pytest.raises(ConfigurationError, match="alpha grid must be 1-D with >= 2 samples"):
+        transport_manifold(data3, builtin_model("free"), 0.6, [-5.0])
     alpha = np.linspace(-5.0, -2.5, 26)
     with pytest.raises(CausticError) as exc:
         transport_manifold(data3, builtin_model("free"), 0.6, alpha)
@@ -236,6 +243,11 @@ def test_asymptotic_phase_off_manifold_and_errors():
     # the foot of (0, 100), alpha = 23.6, lies past the sampled [-8, 8]
     with pytest.raises(ProjectionError):
         asymptotic_phase_Fsc(PhasePoint(0.0, 100.0), 0.4, data, model)
+    X2 = PhasePoint([0.1, 0.2], [0.1, 0.2])
+    with pytest.raises(ConfigurationError, match="asymptotic_phase_Fsc supports d = 1 only"):
+        asymptotic_phase_Fsc(X2, 0.4, data, model)
+    with pytest.raises(ConfigurationError, match="stationary_point_z supports d = 1 only"):
+        stationary_point_z(data, X2)
 
 
 def test_projection_onto_the_free_manifold_is_the_foot_of_the_perpendicular():
@@ -303,6 +315,10 @@ def test_solution_on_manifold_rejects_a_point_off_the_manifold():
     X = model.exact_flow(PhasePoint(0.5, 0.5), 0.4)
     with pytest.raises(ProjectionError, match="off p = S0'"):
         solution_on_manifold(PhasePoint(X.q, X.p + 0.4), 0.4, data, model, HBAR)
+    with pytest.raises(ConfigurationError, match="solution_on_manifold supports d = 1 only"):
+        solution_on_manifold(PhasePoint([0.1, 0.2], [0.1, 0.2]), 0.4, data, model, HBAR)
+    with pytest.raises(ConfigurationError, match="t must be nonnegative, got -0.4"):
+        solution_on_manifold(X, -0.4, data, model, HBAR)
 
 
 # The stationary-phase Hessian F'' that solution_on_manifold's amplitude
@@ -425,3 +441,5 @@ def test_gaussian_integral_against_quadrature():
         gaussian_integral(np.array([[1.0, 0.2], [0.0, 1.0]]), v, HBAR)
     with pytest.raises(DomainError):
         gaussian_integral(np.array([[-1.0, 0.0], [0.0, 1.0]]), v, HBAR)
+    with pytest.raises(ConfigurationError, match=r"shape mismatch: M \(2, 2\), v \(1,\)"):
+        gaussian_integral(M, v[:1], HBAR)
