@@ -14,9 +14,10 @@ one pass, by closed forms or integration as ``_method`` alone chooses;
 :func:`flow_batch` is its endpoint view and the bundle its per-step
 record of a batch of one.  The frame and action equations are linear
 along an orbit that does not depend on them, so the rk4 pass
-(:func:`_rk4`) steps the orbit points alone, then gives each run of up
-to 64 steps its frames, action and log-dets in one vectorized pass;
-adaptive DOP853 steps the joint system (:class:`_CharRHS`).
+(:func:`_rk4`) steps the orbit points alone, then gives each run of steps
+its frames, action and log-dets in one vectorized pass: a first run of at
+most 64 steps, then runs as long as a memory budget allows; adaptive
+DOP853 steps the joint system (:class:`_CharRHS`).
 """
 from __future__ import annotations
 
@@ -86,11 +87,22 @@ class SiegelMatrix:
 
 def _check_siegel(M: np.ndarray) -> None:
     """Raise unless every matrix of ``M`` (one, or a stack) is symmetric
-    with positive-definite imaginary part."""
+    with positive-definite imaginary part.  The test reads the lower
+    triangle, as ``eigvalsh`` does.  A 1 x 1 or 2 x 2 imaginary part is
+    positive definite exactly when its leading minors are positive, so those
+    stacks skip the LAPACK call, whose wrapper costs more than the arithmetic."""
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
     if (np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise DomainError("SiegelMatrix must be symmetric to 1e-10")
-    if (np.linalg.eigvalsh(M.imag).min(axis=-1) <= 0).any():
+    Y, n = M.imag, M.shape[-1]
+    if n == 1:
+        bad = Y[..., 0, 0] <= 0
+    elif n == 2:
+        a = Y[..., 0, 0]
+        bad = (a <= 0) | (a * Y[..., 1, 1] - Y[..., 1, 0] * Y[..., 1, 0] <= 0)
+    else:
+        bad = np.linalg.eigvalsh(Y).min(axis=-1) <= 0
+    if bad.any():
         raise DomainError("SiegelMatrix imaginary part must be positive definite")
 
 
@@ -318,9 +330,9 @@ class _CharRHS:
         return dy
 
 
-# a run of rk4 steps holds at most _RUN_STEPS steps, and its stacked stage
-# Hessians about _RUN_BYTES
-_RUN_STEPS, _RUN_BYTES = 64, 1 << 20
+# the first run of rk4 steps holds at most _RUN_STEPS steps, and every run's
+# stage arrays about _RUN_BYTES
+_RUN_STEPS, _RUN_BYTES = 64, 4 << 20
 
 
 def _rk4(model, q, p, times):
@@ -331,10 +343,14 @@ def _rk4(model, q, p, times):
     The frame system is linear along an orbit that does not depend on the
     frame, and the action rate depends on the orbit alone.  So the stage
     loop (:func:`_orbit_steps`) steps the orbit points ``X`` only, for a
-    run of up to :data:`_RUN_STEPS` steps (fewer on large batches, so its
-    stacked stage Hessians stay near :data:`_RUN_BYTES`).  The run then
-    gets its frames, action and log-dets in one pass over all its steps
-    and orbits: each step's RK4 update of the frame is a propagator,
+    run of as many steps as keep its stage arrays near :data:`_RUN_BYTES`:
+    each stage's ``X``, ``g`` and ``H''``, held twice, as the loop returns
+    them and joined orbits-last (:func:`_orbits_last`).  The first run
+    takes at most :data:`_RUN_STEPS` steps, so a caller that stops at an
+    early sample integrates no further; a later run spreads the work it
+    costs beyond its steps over as many steps as the budget allows.  Each
+    run then gets its frames, action and log-dets in one pass over all its
+    steps and orbits: each step's RK4 update of the frame is a propagator,
     ``F_{n+1} = P_n F_n``, so the run's frames are ``P_n ... P_0 F``
     (:func:`_propagators`); the action adds the RK4 increments and the
     log-dets the branch-safe increments of the run's determinants, each a
@@ -348,9 +364,11 @@ def _rk4(model, q, p, times):
     ld = np.log(_dets(F.view(complex)))
     yield _run(x[None], F[None], act[None], ld[:, None])
     steps = np.diff(times)
-    size = min(max(_RUN_BYTES // (32 * max(n, 1) * (2 * d) ** 2), 1), _RUN_STEPS)
-    for start in range(0, steps.size, size):
-        h = steps[start:start + size]
+    # 4 stages of 2d + 2d + (2d)^2 doubles, each held twice, per step and orbit
+    size = max(_RUN_BYTES // (256 * d * (d + 1) * max(n, 1)), 1)
+    start, stop = 0, min(size, _RUN_STEPS)
+    while start < steps.size:
+        h, start, stop = steps[start:stop], stop, stop + size
         with np.errstate(invalid="ignore"):  # a non-finite stage raises below
             xs, stages = _orbit_steps(rhs, x, h)
         X, G, H = map(_orbits_last, zip(*stages))
@@ -538,11 +556,12 @@ def _sample_orbits(model: HamiltonianModel, Q, P, times,
     times in one stacked call.  Integration carries all N orbits in one
     lazy pass, so a caller that stops early integrates no further, and
     tracks the log-dets at every step.  ``rk4`` gives each interval of
-    ``times`` :func:`_n_steps` equal steps, taken in runs of up to
-    :data:`_RUN_STEPS` (:func:`_rk4`): a sample is yielded once its run is
-    done, so a caller that stops early has integrated at most to the end of
-    that run.  ``adaptive`` (:func:`_adaptive`) holds each orbit to ``rtol``
-    and reads its dense output at ``times`` only.
+    ``times`` :func:`_n_steps` equal steps, taken in runs (:func:`_rk4`): a
+    sample is yielded once its run is done, so a caller that stops early has
+    integrated at most to the end of that run, and a caller that stops
+    within the first :data:`_RUN_STEPS` steps no further than those.
+    ``adaptive`` (:func:`_adaptive`) holds each orbit to ``rtol`` and reads
+    its dense output at ``times`` only.
     """
     opts = opts or FlowOptions()
     method = _method(model, opts)

@@ -24,7 +24,8 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import _default_times, _n_steps, _sample_orbits, _step_grid
+from phaseprop.flow import (_check_siegel, _default_times, _n_steps, _sample_orbits,
+                            _step_grid)
 
 QUARTIC = {(0, 2): 1.0, (4, 0): 1.0}
 
@@ -310,3 +311,63 @@ def test_bundle_points_and_frames_are_the_pass_samples_bit_for_bit(model, opts):
             assert got.tobytes() == want.tobytes()
     assert b.points is b.points and b.frames is b.frames  # built once
     assert b.point(0.5) is b.points[-1] and b.frame(0.5) is b.frames[-1]
+
+
+def siegel_rejects(M) -> bool:
+    try:
+        _check_siegel(M)
+    except DomainError:
+        return True
+    return False
+
+
+def eigvalsh_rejects(M) -> bool:
+    return bool((np.linalg.eigvalsh(M.imag).min(axis=-1) <= 0).any())
+
+
+def siegel_stack(rng, size, n):
+    """Symmetric complex matrices whose imaginary parts ``B B^T + s I``, with
+    ``s`` drawn from [-1, 1], are positive definite or not in about equal
+    shares."""
+    R = rng.normal(size=(size, n, n))
+    B = rng.normal(size=(size, n, n)) / np.sqrt(n)
+    s = rng.uniform(-1.0, 1.0, (size, 1, 1))
+    return (R + np.swapaxes(R, 1, 2)) / 2 + 1j * (B @ np.swapaxes(B, 1, 2) + s * np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_siegel_check_decides_as_eigvalsh(n):
+    # 1 x 1 and 2 x 2 stacks are decided by their leading minors, larger
+    # ones by eigvalsh: each matrix alone, and a stack that mixes good and
+    # bad ones, is rejected exactly when eigvalsh finds an eigenvalue <= 0
+    rng = np.random.default_rng(n)
+    M = siegel_stack(rng, 200, n)
+    decisions = [siegel_rejects(m) for m in M]
+    assert decisions == [eigvalsh_rejects(m) for m in M]
+    assert 50 < sum(decisions) < 150
+    good = M[[not d for d in decisions]]
+    assert not siegel_rejects(good) and siegel_rejects(M) and siegel_rejects(M[:, None])
+
+
+@pytest.mark.parametrize("Y", [
+    [[0.0]], [[-0.5]], [[-0.0]], [[1e-300]],
+    [[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],  # a zero diagonal entry
+    [[-1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1.0]],  # a negative one
+    [[1.0, 1.0], [1.0, 1.0]], [[4.0, 2.0], [2.0, 1.0]],  # a zero determinant
+    [[2.0, 1.0], [1.0, 0.5]], [[1.0, -2.0], [-2.0, 4.0]],
+    [[1.0, 0.5], [0.5, 1.0]], [[1e-8, 0.0], [0.0, 1e8]],  # positive definite
+])
+def test_siegel_check_decides_boundary_cases_as_eigvalsh(Y):
+    M = 0.3 + 1j * np.array(Y)
+    assert siegel_rejects(M) == eigvalsh_rejects(M)
+
+
+def test_siegel_check_reads_the_lower_triangle_and_exact_minors():
+    # an upper triangle within the 1e-10 symmetry tolerance of the lower one
+    # decides nothing: eigvalsh reads the lower triangle, and so do the minors
+    for lower, upper in ((1.0 - 1e-11, 1.0 + 1e-11), (1.0 + 1e-11, 1.0 - 1e-11)):
+        M = 1j * np.array([[1.0, upper], [lower, 1.0]])
+        assert siegel_rejects(M) == eigvalsh_rejects(M) == (lower > 1.0)
+    # a zero determinant is rejected even where eigvalsh rounds its zero
+    # eigenvalue up: LAPACK's 2 x 2 formula returns 1.1e-16 on this matrix
+    assert siegel_rejects(1j * np.array([[9.0, 3.0], [3.0, 1.0]]))

@@ -357,15 +357,19 @@ def joint_rk4(model, Q, P, t, step):
     return dict(zip(FIELDS, (q, p, F[:, :d], F[:, d:], act, ld[0], ld[1])))
 
 
-@pytest.mark.parametrize("n", [1, 17, 289, 1595])
-@pytest.mark.parametrize("step", [1e-3, 1e-2])
-def test_rk4_batch_matches_the_joint_system(n, step):
+@pytest.mark.parametrize("step, n, t", [
+    *(pytest.param(step, n, 0.5, id=f"{step}-{n}")
+      for step in (1e-3, 1e-2) for n in (1, 17, 289, 1595)),
+    # one orbit over three runs of steps: 64, then 8192 and the rest
+    pytest.param(1e-3, 1, 10.0, id="0.001-1-three-runs"),
+])
+def test_rk4_batch_matches_the_joint_system(step, n, t):
     # the orbit-first pass steps q, p and the action as the joint system
     # does, bit for bit; its frames and log-dets differ by round-off only
     src = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
-    got = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], 0.5,
+    got = flow_batch(MODELS["quartic"], src[:, :1], src[:, 1:], t,
                      FlowOptions(method="rk4", step=step))
-    want = joint_rk4(MODELS["quartic"], src[:, :1], src[:, 1:], 0.5, step)
+    want = joint_rk4(MODELS["quartic"], src[:, :1], src[:, 1:], t, step)
     for name in FIELDS:
         if name in ("q", "p", "action"):
             assert np.array_equal(getattr(got, name), want[name]), name
@@ -387,6 +391,24 @@ def test_an_rk4_step_evaluates_the_derivatives_four_times(n):
     wrapped = dataclasses.replace(model, bulk_derivatives=counted)
     flow_batch(wrapped, [0.3], [-0.2], n / 64, FlowOptions(method="rk4", step=1 / 64))
     assert rows == [1] * (4 * n)
+
+
+def test_a_long_pass_stopped_at_its_first_step_integrates_one_short_run():
+    # later runs are as long as the memory budget allows, but the first
+    # holds at most 64 steps: a caller that stops at the first sample after
+    # t = 0 of a 10 000-step orbit pays for no more than those
+    model = MODELS["quartic"]
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return model.bulk_derivatives(X)
+
+    wrapped = dataclasses.replace(model, bulk_derivatives=counted)
+    samples = _sample_orbits(wrapped, np.array([[0.3]]), np.array([[-0.2]]),
+                             np.array([0.0, 1e-3, 10.0]), FlowOptions(method="rk4", step=1e-3))
+    first = list(itertools.islice(samples, 2))
+    assert first[1].q[0, 0] != 0.3 and 0 < sum(rows) <= 4 * 64
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -167,3 +167,50 @@ def test_compiled_polynomial_matches_its_terms(coeffs, pts):
                           (model.hessian(X)[0, 1], 1, 1), (model.hessian(X)[1, 0], 1, 1)):
             want, scale = per_term(coeffs, a, b, m, n)
             assert abs(got - want) <= 1e-13 * scale, (m, n, got, want)
+
+
+def jet_columns(model, X):
+    """``H`` and its derivatives at the rows of ``X``, one row each, in the
+    columns ``H, H_q, H_p, H_qq, H_qp, H_pq, H_pp``."""
+    g, H2 = model.bulk_derivatives(X)
+    return np.column_stack([model.bulk_value(X), g, H2.reshape(len(X), 4)])
+
+
+DROPS = {"all": (), "no-constant": ((0, 0),), "no-linear": ((1, 0), (0, 1)),
+         "no-mixed": tuple(m for m in MONOMIALS if min(m) > 0)}
+
+
+@pytest.mark.parametrize("drop", DROPS.values(), ids=DROPS.keys())
+@pytest.mark.parametrize("seed", range(6))
+def test_few_point_jet_matches_the_power_table(seed, drop):
+    # up to 4 points the jet takes pow of each coordinate, beyond that the
+    # multiplied power table: a batch of n points agrees with its rows, each
+    # evaluated alone, to 1e-14 of the column's scale, the largest sum of the
+    # moduli of its terms
+    rng = np.random.default_rng(seed)
+    coeffs = {m: rng.uniform(-3.0, 3.0) for m in MONOMIALS
+              if m not in drop and rng.random() < 0.7}
+    coeffs[(4, 0)] = rng.uniform(-3.0, 3.0)  # keeps the model off the quadratic closed forms
+    model = polynomial_model(coeffs)
+    moduli = polynomial_model({m: abs(c) for m, c in coeffs.items()})
+    for n in (1, 4, 5, 9):
+        X = rng.uniform(-2.0, 2.0, (n, 2))
+        batch = jet_columns(model, X)
+        rows = np.concatenate([jet_columns(model, x[None]) for x in X])
+        scale = jet_columns(moduli, np.abs(X)).max(axis=0)
+        assert (np.abs(batch - rows) <= 1e-14 * scale).all(), n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_few_point_and_table_jets_overflow_in_the_same_entries(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = {m: rng.uniform(-3.0, 3.0) for m in MONOMIALS if rng.random() < 0.7}
+    coeffs[(4, 0)] = rng.uniform(-3.0, 3.0)
+    model = polynomial_model(coeffs)
+    X = np.array([[1e80, 0.5], [0.3, -1e100], [-1e90, 2.0], [1e160, 1e160],
+                  [1.5, -0.25], [2e61, -3e70]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = jet_columns(model, X)
+        rows = np.concatenate([jet_columns(model, x[None]) for x in X])
+    assert not np.isfinite(batch).all()
+    assert np.array_equal(np.isfinite(batch), np.isfinite(rows))
