@@ -17,7 +17,8 @@ along an orbit that does not depend on them, so the rk4 pass
 (:func:`_rk4`) steps the orbit points alone, then gives each run of steps
 its frames, action and log-dets in one vectorized pass: a first run of at
 most 64 steps, then runs as long as a memory budget allows; adaptive
-DOP853 steps the joint system (:class:`_CharRHS`).
+DOP853 steps the joint system (:class:`_CharRHS`).  Both read ``f = J grad H``
+and ``Df = J H''`` from the model's ``bulk_field`` and never apply ``J``.
 """
 from __future__ import annotations
 
@@ -282,51 +283,43 @@ def _unpack(y, d: int):
 
 class _CharRHS:
     """The characteristic equations of a batch of orbits launched from the
-    rows of ``q0``, ``p0``: ``dX/dt = g J^T``, ``dF/dt = (J H'') F`` for the
-    frame ``F = [A; B]`` and ``dAct/dt = p . H_p - H(X_0)``, with ``g``, ``H''``
-    the model's gradient and Hessian at ``X``.  ``_rk4`` reads the parts; a
-    call is the joint right-hand side on packed states (:func:`_pack`), where
-    a real matrix acts on the interleaved (re, im) frame as on the complex
-    one, so the frame's rate is one real product."""
+    rows of ``q0``, ``p0``: ``dX/dt = f``, ``dF/dt = Df F`` for the frame
+    ``F = [A; B]`` and ``dAct/dt = p . H_p - H(X_0)``, with ``f = (H_p,
+    -H_q)`` and ``Df`` the model's ``bulk_field`` row at ``X``.  ``_rk4``
+    reads the parts; a call is the joint right-hand side on packed states
+    (:func:`_pack`), where a real matrix acts on the interleaved (re, im)
+    frame as on the complex one, so the frame's rate is one real product."""
 
     def __init__(self, model: HamiltonianModel, q0, p0):
-        self.derivatives, self.q0, self.p0 = model.bulk_derivatives, q0, p0
+        self.field, self.q0, self.p0 = model.bulk_field, q0, p0
         self.H0 = model.bulk_value(np.concatenate([q0, p0], axis=1))
         self.d = q0.shape[1]
-        self.JT = _symplectic(self.d).T
 
-    def generator(self, H2, axis: int = -2):
-        """``J H''`` of a stack of Hessians whose rows run along ``axis``:
-        the p rows over the negated q rows."""
-        d, rows = self.d, (slice(None),) * (axis % H2.ndim)  # the axes before the rows
-        return np.concatenate([H2[rows + (slice(d, None),)], -H2[rows + (slice(d),)]], axis=axis)
-
-    def action_rate(self, p, gp, axis: int = -1):
+    def action_rate(self, p, Hp, axis: int = -1):
         """``p . H_p - H(X_0)`` along ``axis``."""
-        return np.vecdot(p, gp, axis=axis) - self.H0
+        return np.vecdot(p, Hp, axis=axis) - self.H0
 
-    def require_finite(self, q, p, g, H2):
+    def require_finite(self, X, v):
         """Raise :class:`ModelError` naming the point and the orbit of the
-        first row of a stage whose derivatives are not finite."""
-        ok = np.isfinite(g).all(axis=1) & np.isfinite(H2).all(axis=(1, 2))
+        first row of a stage at ``X`` whose field rows ``v`` are not finite."""
+        ok = np.isfinite(v).all(axis=1)
         if not ok.all():
-            j = int(np.argmin(ok))
+            j, d = int(np.argmin(ok)), self.d
             raise ModelError(
-                f"non-finite model derivative at q={q[j]}, p={p[j]} on the "
+                f"non-finite model derivative at q={X[j, :d]}, p={X[j, d:]} on the "
                 f"orbit from q={self.q0[j]}, p={self.p0[j]}")
 
     def __call__(self, y):
         n, d = len(y), self.d
-        q, p = y[:, :d], y[:, d:2 * d]
         with np.errstate(invalid="ignore"):  # a non-finite derivative raises below
-            g, H2 = self.derivatives(y[:, :2 * d])
+            v = self.field(y[:, :2 * d])
         dy = np.empty_like(y)
-        dy[:, :2 * d] = g @ self.JT
-        dy[:, 2 * d:-1] = (self.generator(H2) @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)
-                           ).reshape(n, 4 * d * d)
-        dy[:, -1] = self.action_rate(p, g[:, d:])
+        dy[:, :2 * d] = v[:, :2 * d]
+        dy[:, 2 * d:-1] = (v[:, 2 * d:].reshape(n, 2 * d, 2 * d)
+                           @ y[:, 2 * d:-1].reshape(n, 2 * d, 2 * d)).reshape(n, 4 * d * d)
+        dy[:, -1] = self.action_rate(y[:, d:2 * d], v[:, :d])
         if not np.isfinite(dy).all():  # any non-finite derivative reaches dy
-            self.require_finite(q, p, g, H2)
+            self.require_finite(y[:, :2 * d], v)
         return dy
 
 
@@ -344,47 +337,46 @@ def _rk4(model, q, p, times):
     frame, and the action rate depends on the orbit alone.  So the stage
     loop (:func:`_orbit_steps`) steps the orbit points ``X`` only, for a
     run of as many steps as keep its stage arrays near :data:`_RUN_BYTES`:
-    each stage's ``X``, ``g`` and ``H''``, held twice, as the loop returns
-    them and joined orbits-last (:func:`_orbits_last`).  The first run
-    takes at most :data:`_RUN_STEPS` steps, so a caller that stops at an
-    early sample integrates no further; a later run spreads the work it
+    each stage's ``X`` and field row ``(f, Df)``, held twice, as the loop
+    returns them and joined orbits-last (:func:`_orbits_last`).  The first
+    run takes at most :data:`_RUN_STEPS` steps, so a caller that stops at
+    an early sample integrates no further; a later run spreads the work it
     costs beyond its steps over as many steps as the budget allows.  Each
     run then gets its frames, action and log-dets in one pass over all its
     steps and orbits: each step's RK4 update of the frame is a propagator,
-    ``F_{n+1} = P_n F_n``, so the run's frames are ``P_n ... P_0 F``
-    (:func:`_propagators`); the action adds the RK4 increments and the
-    log-dets the branch-safe increments of the run's determinants, each a
-    cumulative sum.  ``X`` and the action are the
-    joint system's RK4 (:class:`_CharRHS`) bit for bit; the frames and
-    log-dets differ by round-off.  A non-finite derivative in a run first
-    yields the states before its step, then raises :class:`ModelError`."""
+    ``F_{n+1} = P_n F_n``, read from the stages' ``Df``, so the run's
+    frames are ``P_n ... P_0 F`` (:func:`_propagators`); the action adds the
+    RK4 increments and the log-dets the branch-safe increments of the run's
+    determinants, each a cumulative sum.  ``X`` and the action are the joint
+    system's RK4 (:class:`_CharRHS`) bit for bit; the frames and log-dets
+    differ by round-off.  A non-finite field row in a run first yields the
+    states before its step, then raises :class:`ModelError`."""
     rhs, (n, d) = _CharRHS(model, q, p), q.shape
     y = _pack(q, p)
     x, F, act = y[:, :2 * d], _unpack(y, d)[2].view(float), y[:, -1]
     ld = np.log(_dets(F.view(complex)))
     yield _run(x[None], F[None], act[None], ld[:, None])
     steps = np.diff(times)
-    # 4 stages of 2d + 2d + (2d)^2 doubles, each held twice, per step and orbit
+    # 4 stages of X (2d) and field row (2d + 4d^2) doubles, twice, per step and orbit
     size = max(_RUN_BYTES // (256 * d * (d + 1) * max(n, 1)), 1)
     start, stop = 0, min(size, _RUN_STEPS)
     while start < steps.size:
         h, start, stop = steps[start:stop], stop, stop + size
         with np.errstate(invalid="ignore"):  # a non-finite stage raises below
-            xs, stages = _orbit_steps(rhs, x, h)
-        X, G, H = map(_orbits_last, zip(*stages))
+            xs, stages = _orbit_steps(rhs.field, x, h)
+        X, V = map(_orbits_last, zip(*stages))  # V holds f, then Df row by row
         m, bad = h.size, None
-        if not (np.isfinite(G).all() and np.isfinite(H).all()):
-            ok = (np.isfinite(G).all(axis=0) & np.isfinite(H).all(axis=(0, 1))).all(axis=-1)
-            bad = int(np.argmin(ok.ravel()))  # the first failing stage, as step * 4 + stage
+        if not np.isfinite(V).all():
+            bad = int(np.argmin(np.isfinite(V).all(axis=(0, -1)).ravel()))  # step * 4 + stage
             m = bad // 4
         if m:
             h, xs = h[:m, None], np.concatenate(xs[1:m + 1]).reshape(m, n, 2 * d)
-            P = _propagators(rhs.generator(H[:, :, :m], axis=0), h)
+            P = _propagators(V[2 * d:].reshape((2 * d, 2 * d) + V.shape[1:])[:, :, :m], h)
             Fs = np.empty((m + 1,) + F.shape)
             Fs[0] = F
             F0 = np.ascontiguousarray(np.moveaxis(F, 0, -1))[:, :, None]
             Fs[1:] = np.moveaxis(_mul(P, F0), (0, 1), (-2, -1))  # F_{n+1} = P_n ... P_0 F
-            r = rhs.action_rate(X[d:, :m], G[d:, :m], axis=0)
+            r = rhs.action_rate(X[d:, :m], V[:d, :m], axis=0)
             acts = np.cumsum(np.concatenate(
                 [act[None], h / 6 * (r[:, 0] + 2 * r[:, 1] + 2 * r[:, 2] + r[:, 3])]), axis=0)
             dets = _dets(Fs.view(complex))
@@ -393,27 +385,28 @@ def _rk4(model, q, p, times):
             x, F, act, ld = xs[-1], Fs[-1], acts[-1], lds[:, -1]
             yield _run(xs, Fs[1:], acts[1:], lds[:, 1:])
         if bad is not None:
-            X, G, H = stages[bad]
-            rhs.require_finite(X[:, :d], X[:, d:], G, H)
+            rhs.require_finite(*stages[bad])
 
 
-def _orbit_steps(rhs, x, h):
-    """RK4 steps ``h`` of the orbit points ``x`` alone, ``X' = g J^T``:
-    the points after each step (``x`` first), and each stage's point and
-    derivatives ``(X, g, H'')``.  ``J^T`` is a signed permutation, so the
-    product ``g (c J^T)`` of a stage update is ``c g J^T`` exactly."""
-    derivatives, xs, stages = rhs.derivatives, [x], []
-    hJ = h[:, None, None] * rhs.JT
-    for J2, J1, J6 in zip(hJ / 2, hJ, hJ / 6):  # J^T times h/2, h and h/6
-        g1, H1 = derivatives(x)
-        x2 = x + np.dot(g1, J2)
-        g2, H2 = derivatives(x2)
-        x3 = x + np.dot(g2, J2)
-        g3, H3 = derivatives(x3)
-        x4 = x + np.dot(g3, J1)
-        g4, H4 = derivatives(x4)
-        stages += (x, g1, H1), (x2, g2, H2), (x3, g3, H3), (x4, g4, H4)
-        x = x + np.dot(g1 + 2 * g2 + 2 * g3 + g4, J6)
+def _orbit_steps(field, x, h):
+    """RK4 steps ``h`` of the orbit points ``x`` alone, ``X' = f``: the
+    points after each step (``x`` first), and each stage's point and field
+    row ``(X, v)``, whose first ``2d`` entries are the velocity ``f``; the step
+    fractions are Python floats, which multiply an array faster than numpy's."""
+    xs, stages, k = [x], [], x.shape[1]
+    for h2, h1, h6 in zip((h / 2).tolist(), h.tolist(), (h / 6).tolist()):
+        v1 = field(x)
+        f1 = v1[:, :k]
+        x2 = x + h2 * f1
+        v2 = field(x2)
+        f2 = v2[:, :k]
+        x3 = x + h2 * f2
+        v3 = field(x3)
+        f3 = v3[:, :k]
+        x4 = x + h1 * f3
+        v4 = field(x4)
+        stages += (x, v1), (x2, v2), (x3, v3), (x4, v4)
+        x = x + h6 * (f1 + 2 * f2 + 2 * f3 + v4[:, :k])
         xs.append(x)
     return xs, stages
 

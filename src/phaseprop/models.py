@@ -78,20 +78,20 @@ class HamiltonianModel:
         ``polynomial``.
 
     The remaining fields are private hooks.  ``bulk_value`` and
-    ``bulk_derivatives`` take a stack ``X`` of points, one row ``(q, p)``
-    each (shape ``(N, 2d)``), the rows the flow module steps;
-    ``bulk_value`` returns shape ``(N,)`` and ``bulk_derivatives`` the
-    pair ``(g, H'')`` of shapes ``(N, 2d)`` and ``(N, 2d, 2d)``, fused
-    because the flow module, their one caller, steps batches of orbits
-    with both at the same points.  The factories write each derivative
-    once, stacked, and the point callables are its one-point views; a
-    model given point callables only gets stacks that call them row by
-    row.  Quadratic models carry the closed forms of the ``exact`` method,
-    read by the flow module alone and broadcast over a stack of times:
-    ``bulk_flow``/``bulk_action`` (flow and action of coordinate arrays)
-    and ``frame_at`` (the base-point-independent frame ``(A, B)`` and its two
-    log-dets, each pair stacked);
-    ``exact_flow`` and ``inverse_flow`` are point views of ``bulk_flow``.
+    ``bulk_field`` take a stack ``X`` of points, one row ``(q, p)`` each
+    (shape ``(N, 2d)``), the rows the flow module steps; ``bulk_value``
+    returns shape ``(N,)`` and ``bulk_field`` one row per point of what the
+    flow reads: the vector field ``f = J grad H = (H_p, -H_q)``, then its
+    Jacobian ``Df = J H''`` (rows ``(H_pq, H_pp)``, ``(-H_qq, -H_qp)``) row
+    by row, shape ``(N, 2d + 4d^2)``.  The factories write each stack once,
+    and the point callables are its one-point views, which undo ``J``
+    exactly; a model given point callables only gets stacks that call them
+    row by row.  Quadratic models carry the closed forms of the ``exact``
+    method, read by the flow module alone and broadcast over a stack of
+    times: ``bulk_flow``/``bulk_action`` (flow and action of coordinate
+    arrays) and ``frame_at`` (the base-point-independent frame ``(A, B)``
+    and its two log-dets, each pair stacked); ``exact_flow`` and
+    ``inverse_flow`` are point views of ``bulk_flow``.
     """
 
     dim: int
@@ -106,16 +106,17 @@ class HamiltonianModel:
     bulk_action: Callable | None = field(default=None, repr=False)
     frame_at: Callable | None = field(default=None, repr=False)
     inverse_flow: Callable | None = field(default=None, repr=False)
-    # stacked derivatives; not part of the public surface
+    # stacked value and vector field; not part of the public surface
     bulk_value: Callable | None = field(default=None, repr=False)
-    bulk_derivatives: Callable | None = field(default=None, repr=False)
+    bulk_field: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.bulk_value is None:
             object.__setattr__(self, "bulk_value", _row_by_row(self.value))
-        if self.bulk_derivatives is None:
-            gradient, hessian = _row_by_row(self.gradient), _row_by_row(self.hessian)
-            object.__setattr__(self, "bulk_derivatives", lambda X: (gradient(X), hessian(X)))
+        if self.bulk_field is None:
+            g, h, d = self.gradient, self.hessian, self.dim
+            object.__setattr__(self, "bulk_field", _row_by_row(
+                lambda X: np.concatenate([_J(g(X), d), _J(h(X), d).ravel()])))
 
     def action(self, X: PhasePoint, t: float) -> float:
         """Closed-form phase-space action, when available."""
@@ -132,20 +133,25 @@ def _row_by_row(point_fn):
     return stacked
 
 
-def _from_stacks(dim, bulk_value, bulk_derivatives, **hooks):
+def _J(a, d: int) -> np.ndarray:
+    """``J a`` of a 2d-vector or 2d x 2d matrix ``a``, exact; ``-J a`` undoes it."""
+    return np.concatenate([a[d:], np.negative(a[:d])])
+
+
+def _from_stacks(dim, bulk_value, bulk_field, **hooks):
     """Model whose point callables are one-point views of its stacks."""
     def value(X):
         return float(bulk_value(X.as_vector()[None])[0])
 
     def gradient(X):
-        return bulk_derivatives(X.as_vector()[None])[0][0]
+        return -_J(bulk_field(X.as_vector()[None])[0, :2 * dim], dim)
 
     def hessian(X):
-        return bulk_derivatives(X.as_vector()[None])[1][0]
+        return -_J(bulk_field(X.as_vector()[None])[0, 2 * dim:].reshape(2 * dim, -1), dim)
 
     return HamiltonianModel(dim=dim, value=value, gradient=gradient,
                             hessian=hessian, bulk_value=bulk_value,
-                            bulk_derivatives=bulk_derivatives, **hooks)
+                            bulk_field=bulk_field, **hooks)
 
 
 # The built-ins |p|^2, |p|^2 + sum(q) and |p|^2 + |q|^2 as (S, b) of _quadratic
@@ -181,7 +187,7 @@ def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
     w = math.sqrt(abs(det))
     cos, sin = (np.cos, np.sin) if det > 0 else (np.cosh, np.sinh)
     eye = np.eye(d)
-    hess = np.kron(np.array(S, dtype=float), eye)
+    jacobian = _J(np.kron(np.array(S, dtype=float), eye), d).ravel()  # Df = J H''
     slopes = np.array([complex(m00, m01), 1j * (s00 + s11)])  # of a and v in Sn
 
     def trig(t):
@@ -202,10 +208,10 @@ def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
         return (0.5 * (s00 * q * q + 2.0 * s01 * q * p + s11 * p * p)
                 + b0 * q + b1 * p).sum(axis=-1) + h0
 
-    def bulk_derivatives(X):
+    def bulk_field(X):
         q, p = X[:, :d], X[:, d:]
-        g = np.concatenate([s00 * q + s01 * p + b0, s10 * q + s11 * p + b1], axis=-1)
-        return g, np.broadcast_to(hess, q.shape[:-1] + hess.shape)
+        return np.concatenate([s10 * q + s11 * p + b1, -(s00 * q + s01 * p + b0),
+                               np.broadcast_to(jacobian, (len(X), jacobian.size))], axis=1)
 
     def bulk_flow(q, p, t):
         return affine(q, p, *trig(t), 2.0 * trig(0.5 * t)[1] ** 2 if b0 or b1 else 0.0)
@@ -238,7 +244,7 @@ def _quadratic(S, b, h0: float, d: int, kind: str) -> HamiltonianModel:
             av = np.log(av)
         return ab[..., None, None] * eye, d * av
 
-    return _from_stacks(d, bulk_value, bulk_derivatives, kind=kind,
+    return _from_stacks(d, bulk_value, bulk_field, kind=kind,
                         exact_flow=lambda X, t: PhasePoint(*bulk_flow(X.q, X.p, t)),
                         inverse_flow=lambda X, t: PhasePoint(*bulk_flow(X.q, X.p, -t)),
                         bulk_flow=bulk_flow, bulk_action=bulk_action, frame_at=frame_at)
@@ -286,15 +292,16 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float]) -> HamiltonianMode
     Derivatives are computed exactly from the coefficients, which are
     compiled once into a matrix over the monomials ``q**a * p**b`` (a, b
     <= 4) that ``H`` or a derivative of it uses.  A monomial's row holds
-    its coefficient in ``H``, ``dH/dq``, ``dH/dp`` and the four entries
-    of the Hessian, so the value, gradient and Hessian of a stack come
-    from one product of its monomial table with that matrix.  The batch
-    size picks how the table is built.  Up to :data:`_FEW_POINTS` points,
-    as in a one-orbit rk4 stage, numpy's per-call overhead sets the cost,
-    so the table is ``q**a * p**b`` by ``pow`` over the monomials'
-    exponents: 6 numpy calls.  Larger batches pay for ``pow``'s cost per
-    element, so their powers are built by multiplying (``x**3 = x**2 * x``,
-    ``x**4 = x**2 * x**2``) and gathered by ``take``: 18 calls.
+    its coefficient in ``H``, then in the field row ``(H_p, -H_q)``,
+    ``J H''`` (a signed permutation, exact), so the value and the field of
+    a stack each come from one product of its monomial table with that
+    matrix.  The batch size picks how the table is built.  Up to
+    :data:`_FEW_POINTS` points, as in a one-orbit rk4 stage, numpy's
+    per-call overhead sets the cost, so the table is ``q**a * p**b`` by
+    ``pow`` over the monomials' exponents: 6 numpy calls.  Larger batches
+    pay for ``pow``'s cost per element, so their powers are built by
+    multiplying (``x**3 = x**2 * x``, ``x**4 = x**2 * x**2``) and gathered
+    by ``take``: 18 calls.
     Timed with ``timeit`` on ``p**2 + q**4`` (6 monomials; 2-core x86 host,
     numpy 2.4): 4.0 against 5.8 us at one point, 130 against 10 us at 291
     points, and about equal at 5 to 8 points.  The two round a power
@@ -318,39 +325,39 @@ def polynomial_model(coeffs: Mapping[tuple[int, int], float]) -> HamiltonianMode
             if i >= m and j >= n:  # d^m/dq^m d^n/dp^n of c q^i p^j
                 rows.setdefault((i - m, j - n), np.zeros(len(_JET_ORDERS)))[col] += (
                     c * math.perm(i, m) * math.perm(j, n))
+    if all(i + j <= 2 for i, j in rows):  # H, grad H and H'' at 0 fix a quadratic
+        h0, b0, b1, *S = rows.get((0, 0), np.zeros(len(_JET_ORDERS)))
+        return _quadratic((S[:2], S[2:]), (b0, b1), float(h0), 1, "polynomial")
     # the exponents (a, b) of the monomials q**a * p**b, and their rows in
     # the flattened power table of jet
-    qexp, pexp = np.array(list(rows), dtype=float).reshape(-1, 2).T
+    qexp, pexp = np.array(list(rows), dtype=float).T
     qrow, prow = (2 * qexp).astype(int), (2 * pexp + 1).astype(int)
-    coef = np.array(list(rows.values())).reshape(len(rows), len(_JET_ORDERS))
+    # H, f = (H_p, -H_q), J H'' as signed columns, C-ordered by take: BLAS rounds
+    # a one-point product by layout and column place (ndarray.dot: @ at half the cost)
+    coef = np.array([*rows.values()]).take([0, 2, 1, 5, 6, 3, 4], 1) * [1, 1, -1, 1, 1, -1, -1]
 
     # an overflowed power times a zero coefficient gives NaN, not a warning:
-    # the flow reports non-finite derivatives as a ModelError.  The flow's
+    # the flow reports a non-finite field as a ModelError.  The flow's
     # stage loops enter that error state once for all their calls, so the
     # jet itself does not; the value and the point callables enter it here.
-    def jet(X):  # columns of _JET_ORDERS
+    def jet(X):  # H, then the field row
         if len(X) <= _FEW_POINTS:
-            return (X[:, :1] ** qexp * X[:, 1:] ** pexp) @ coef
+            return (X[:, :1] ** qexp * X[:, 1:] ** pexp).dot(coef)
         x = np.empty((5, 2, len(X)))  # x[k] = (q**k, p**k)
         x[0] = 1.0
         x[1] = X.T
         np.multiply(x[1], x[1], out=x[2])
         np.multiply(x[1:3], x[2], out=x[3:])  # x**3 = x * x**2, x**4 = x**2 * x**2
         x = x.reshape(10, len(X))  # row 2k is q**k, row 2k + 1 is p**k
-        return (x.take(qrow, 0) * x.take(prow, 0)).T @ coef
+        return (x.take(qrow, 0) * x.take(prow, 0)).T.dot(coef)
 
     @np.errstate(invalid="ignore")
     def bulk_value(X):
         return jet(X)[:, 0]
 
-    def bulk_derivatives(X):
-        out = jet(X)
-        return out[:, 1:3], out[:, 3:].reshape(len(out), 2, 2)
+    def bulk_field(X):
+        return jet(X)[:, 1:]
 
-    if all(i + j <= 2 for i, j in rows):  # H'', grad H and H at 0 fix a quadratic
-        zero = np.zeros((1, 2))
-        (g,), (S,) = bulk_derivatives(zero)
-        return _quadratic(S, g, float(bulk_value(zero)[0]), 1, "polynomial")
-    model = _from_stacks(1, bulk_value, bulk_derivatives, kind="polynomial")
+    model = _from_stacks(1, bulk_value, bulk_field, kind="polynomial")
     return replace(model, gradient=np.errstate(invalid="ignore")(model.gradient),
                    hessian=np.errstate(invalid="ignore")(model.hessian))

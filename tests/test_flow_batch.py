@@ -208,6 +208,44 @@ def test_model_from_point_callables_flows_like_its_factory_model():
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_row_by_row_field_integrates_one_orbit_like_the_compiled_jet():
+    # the default hook turns each point's gradient and Hessian into the
+    # field row (J grad H, J H''): one rk4 orbit of it lands on the
+    # compiled model's bits, as J and its inverse only move and negate
+    quartic = MODELS["quartic"]
+    hand = HamiltonianModel(dim=1, value=quartic.value, gradient=quartic.gradient,
+                            hessian=quartic.hessian)
+    X0, opts = PhasePoint(0.6, -0.3), FlowOptions(method="rk4", step=1e-2)
+    got = integrate_characteristics(hand, X0, 0.7, opts)
+    want = integrate_characteristics(quartic, X0, 0.7, opts)
+    for name in ("q", "p", "action"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def test_a_finite_velocity_with_a_non_finite_jacobian_fails(method):
+    # H = p^2 + q^2 from point callables whose Hessian is NaN past q = 0.5:
+    # the velocity stays finite, so only the Jacobian, which moves the
+    # frame, can stop the orbit from (0, 1), which crosses q = 0.5 at
+    # t = pi/12 ~ 0.262
+    def hessian(X):
+        return np.full((2, 2), np.nan) if X.q[0] > 0.5 else 2.0 * np.eye(2)
+
+    model = HamiltonianModel(dim=1, value=lambda X: float(X.q[0] ** 2 + X.p[0] ** 2),
+                             gradient=lambda X: 2.0 * X.as_vector(), hessian=hessian)
+    samples = _sample_orbits(model, np.array([[0.0]]), np.array([[1.0]]),
+                             np.linspace(0.0, 1.0, 101), FlowOptions(method=method, step=0.01))
+    got = []
+    with pytest.raises(ModelError, match=r"orbit from q=\[0\.\], p=\[1\.\]") as err:
+        got.extend(samples)
+    if method == "rk4":
+        # the states at t = 0 to 0.26, then the error at the first stage
+        # past q = 0.5, the midpoint of the step to t = 0.27
+        assert len(got) == 27
+        q = float(err.value.args[0].split("q=[")[1].split("]")[0])
+        assert q == pytest.approx(0.5056, abs=1e-4)
+
+
 def test_endpoint_callers_reject_negative_times():
     # flow_batch takes signed times (the on-manifold solution flows
     # backward); the public callers keep their t >= 0 contract
@@ -359,7 +397,8 @@ def joint_rk4(model, Q, P, t, step):
 
 @pytest.mark.parametrize("step, n, t", [
     *(pytest.param(step, n, 0.5, id=f"{step}-{n}")
-      for step in (1e-3, 1e-2) for n in (1, 17, 289, 1595)),
+      # 4 and 5 orbits sit on either side of the jet's few-point formulation
+      for step in (1e-3, 1e-2) for n in (1, 4, 5, 17, 289, 1595)),
     # one orbit over three runs of steps: 64, then 8192 and the rest
     pytest.param(1e-3, 1, 10.0, id="0.001-1-three-runs"),
 ])
@@ -378,17 +417,17 @@ def test_rk4_batch_matches_the_joint_system(step, n, t):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 def test_an_rk4_step_evaluates_the_derivatives_four_times(n):
-    # one orbit over n steps takes 4n stage evaluations, counted through a
-    # wrapping model, across runs of steps: no Hessian-only pass, and no
-    # evaluation at a step's end
+    # one orbit over n steps takes 4n one-row evaluations of the vector
+    # field, counted through a wrapping model, across runs of steps: no
+    # Jacobian-only pass, and no evaluation at a step's end
     model = MODELS["quartic"]
     rows = []
 
     def counted(X):
         rows.append(len(X))
-        return model.bulk_derivatives(X)
+        return model.bulk_field(X)
 
-    wrapped = dataclasses.replace(model, bulk_derivatives=counted)
+    wrapped = dataclasses.replace(model, bulk_field=counted)
     flow_batch(wrapped, [0.3], [-0.2], n / 64, FlowOptions(method="rk4", step=1 / 64))
     assert rows == [1] * (4 * n)
 
@@ -402,9 +441,9 @@ def test_a_long_pass_stopped_at_its_first_step_integrates_one_short_run():
 
     def counted(X):
         rows.append(len(X))
-        return model.bulk_derivatives(X)
+        return model.bulk_field(X)
 
-    wrapped = dataclasses.replace(model, bulk_derivatives=counted)
+    wrapped = dataclasses.replace(model, bulk_field=counted)
     samples = _sample_orbits(wrapped, np.array([[0.3]]), np.array([[-0.2]]),
                              np.array([0.0, 1e-3, 10.0]), FlowOptions(method="rk4", step=1e-3))
     first = list(itertools.islice(samples, 2))

@@ -153,16 +153,17 @@ def per_term(coeffs, q, p, m, n):
 def test_compiled_polynomial_matches_its_terms(coeffs, pts):
     model = polynomial_model(coeffs)
     value = model.bulk_value(pts)
-    grad, hess = model.bulk_derivatives(pts)
-    assert value.shape == (len(pts),) and grad.shape == (len(pts), 2)
-    assert hess.shape == (len(pts), 2, 2)
+    field = model.bulk_field(pts)
+    assert value.shape == (len(pts),) and field.shape == (len(pts), 6)
+    # f = (H_p, -H_q) and Df = [[H_pq, H_pp], [-H_qq, -H_qp]]
+    f, Df = field[:, :2], field[:, 2:].reshape(len(pts), 2, 2)
     for k, (a, b) in enumerate(pts):
         X = PhasePoint(a, b)
         for got, m, n in ((value[k], 0, 0), (model.value(X), 0, 0),
-                          (grad[k, 0], 1, 0), (grad[k, 1], 0, 1),
+                          (-f[k, 1], 1, 0), (f[k, 0], 0, 1),
                           (model.gradient(X)[0], 1, 0), (model.gradient(X)[1], 0, 1),
-                          (hess[k, 0, 0], 2, 0), (hess[k, 1, 1], 0, 2),
-                          (hess[k, 0, 1], 1, 1), (hess[k, 1, 0], 1, 1),
+                          (-Df[k, 1, 0], 2, 0), (Df[k, 0, 1], 0, 2),
+                          (-Df[k, 1, 1], 1, 1), (Df[k, 0, 0], 1, 1),
                           (model.hessian(X)[0, 0], 2, 0), (model.hessian(X)[1, 1], 0, 2),
                           (model.hessian(X)[0, 1], 1, 1), (model.hessian(X)[1, 0], 1, 1)):
             want, scale = per_term(coeffs, a, b, m, n)
@@ -170,10 +171,9 @@ def test_compiled_polynomial_matches_its_terms(coeffs, pts):
 
 
 def jet_columns(model, X):
-    """``H`` and its derivatives at the rows of ``X``, one row each, in the
-    columns ``H, H_q, H_p, H_qq, H_qp, H_pq, H_pp``."""
-    g, H2 = model.bulk_derivatives(X)
-    return np.column_stack([model.bulk_value(X), g, H2.reshape(len(X), 4)])
+    """``H`` and its vector field row at the rows of ``X``, one row each, in
+    the columns ``H, H_p, -H_q, H_pq, H_pp, -H_qq, -H_qp``."""
+    return np.column_stack([model.bulk_value(X), model.bulk_field(X)])
 
 
 DROPS = {"all": (), "no-constant": ((0, 0),), "no-linear": ((1, 0), (0, 1)),
@@ -197,7 +197,7 @@ def test_few_point_jet_matches_the_power_table(seed, drop):
         X = rng.uniform(-2.0, 2.0, (n, 2))
         batch = jet_columns(model, X)
         rows = np.concatenate([jet_columns(model, x[None]) for x in X])
-        scale = jet_columns(moduli, np.abs(X)).max(axis=0)
+        scale = np.abs(jet_columns(moduli, np.abs(X))).max(axis=0)
         assert (np.abs(batch - rows) <= 1e-14 * scale).all(), n
 
 

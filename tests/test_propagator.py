@@ -682,6 +682,12 @@ def _sub_quadratic_derivatives(X):
     return np.stack([X[:, 0] / s, 2 * X[:, 1]], axis=1), H2
 
 
+def _sub_quadratic_field(X):
+    """``f = (H_p, -H_q)`` and the rows of ``Df = J H''``, one row per point."""
+    g, H2 = _sub_quadratic_derivatives(X)
+    return np.column_stack([g[:, 1], -g[:, 0], H2[:, 1], -H2[:, 0]])
+
+
 # H = p^2 + sqrt(1 + q^2): a potential of the paper's sub-quadratic class,
 # whose second derivative is bounded, and no closed form
 SUB_QUADRATIC = HamiltonianModel(
@@ -689,7 +695,7 @@ SUB_QUADRATIC = HamiltonianModel(
     value=lambda X: float(_sub_quadratic_value(X.as_vector()[None])[0]),
     gradient=lambda X: _sub_quadratic_derivatives(X.as_vector()[None])[0][0],
     hessian=lambda X: _sub_quadratic_derivatives(X.as_vector()[None])[1][0],
-    bulk_value=_sub_quadratic_value, bulk_derivatives=_sub_quadratic_derivatives)
+    bulk_value=_sub_quadratic_value, bulk_field=_sub_quadratic_field)
 
 
 def clumps_field(hbar):
