@@ -16,7 +16,8 @@ oracle-dump           dump any closed-form reference display on a grid.
 Configuration is a versioned INI file (``schema_version`` under ``[meta]``);
 all physical parameters are runtime values.  Reports are machine-first (JSON
 lines, one object per line) with a human summary on standard output.  Outputs
-are deterministic: an identical config yields bit-identical CSV/JSONL files.
+are deterministic: an identical config yields bit-identical CSV/JSONL files at
+one BLAS thread count, whose pool changes the fields' rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
+import pickle
+import subprocess
 import sys
 import warnings
 from contextlib import contextmanager
@@ -32,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _csvwriter
 from .errors import ConfigurationError, PhasePropError, SpacingWarning, _warn_at_caller
 from .flow import FlowOptions, integrate_characteristics
 from .models import HamiltonianModel, PhasePoint, builtin_model, polynomial_model
@@ -46,7 +51,8 @@ from .oracles import (
     initial_position_state,
 )
 from .propagator import _Kernel, apply_propagator, position_space_solution
-from .transform import ComplexField, _overlap, wave_packet_transform, write_field_csv
+from .transform import (ComplexField, _csv_job, _overlap, field_metadata, wave_packet_transform,
+                        write_field_csv)
 from .wkb import GaussianPoly, WKBData, lift_wkb, solution_on_manifold, transport_manifold
 
 SCHEMA_VERSION = 1
@@ -341,10 +347,17 @@ def _record_warnings(report: Report, caught) -> None:
 
 
 @contextmanager
-def _printed_warnings():
-    """Record every warning the block emits, then print each one."""
+def _caught_warnings():
+    """Record every warning the block emits into the yielded list."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        yield caught
+
+
+@contextmanager
+def _printed_warnings():
+    """Record every warning the block emits, then print each one."""
+    with _caught_warnings() as caught:
         yield
     for w in caught:
         print(f"warning: {w.message}")
@@ -401,18 +414,82 @@ def _on_manifold_error(got: ComplexField, want: ComplexField,
 # verbs
 # ---------------------------------------------------------------------------
 
-def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path):
+# the writer process's pipe: eight 81 x 81 phase-field jobs, and Linux's
+# default pipe-max-size
+_PIPE_BYTES = 1 << 20
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _dump_count(config: RunConfig) -> int:
+    """The field dumps of a propagating verb: t = 0, then each nonzero time."""
+    return 1 + sum(1 for t in config.times if t != 0.0)
+
+
+@contextmanager
+def _dump_writer(dumps: int):
+    """Yield ``write(field, path)``, which writes a field dump and returns its
+    :func:`field_metadata`, for a verb that writes ``dumps`` dumps.
+
+    With more than one dump and at least two CPUs, ``write`` sends each dump
+    to one writer process (:mod:`._csvwriter` run as a script), which
+    formats and writes the file while this process computes the next field,
+    and returns the metadata at once.  Where the platform lets it, the pipe
+    holds :data:`_PIPE_BYTES`, so that a send rarely waits for the child.
+    Leaving the block closes the pipe and waits for the child, even on an
+    error, so no process outlives the verb; a failed write then raises here
+    with the exception the child met.  Otherwise ``write`` is
+    :func:`write_field_csv`.  Both paths run the one formatter, so the files
+    are the same bytes."""
+    if dumps < 2 or _cpu_count() < 2 or not sys.executable:
+        yield write_field_csv
+        return
+    child = subprocess.Popen([sys.executable, "-I", "-S", _csvwriter.__file__],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        import fcntl
+        fcntl.fcntl(child.stdin, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # not Linux, or past the system's pipe-max-size: the default pipe
+
+    def write(field: ComplexField, path: Path) -> dict:
+        try:
+            child.stdin.write(_csvwriter.job_record(_csv_job(field, path)))
+            child.stdin.flush()
+        except BrokenPipeError:
+            pass  # the child has ended; its exit code is read below
+        return field_metadata(field, path=str(path))
+
+    try:
+        yield write
+    finally:
+        error = child.communicate()[0]
+    if error:
+        raise pickle.loads(error)
+    if child.returncode:
+        raise ChildProcessError(f"the field writer exited with code {child.returncode}")
+
+
+def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path, write):
     """Write ``phase_t0.csv`` for the initial phase field, then propagate it
-    to each nonzero time and write ``phase_t<t>.csv``; yields
-    ``(t, field, file name, write_field_csv metadata)`` after each write."""
+    to each nonzero time and write ``phase_t<t>.csv``, each through
+    ``write`` (a :func:`_dump_writer`'s); yields ``(t, field, file name,
+    field metadata)`` after each write.  On the writer process's path a
+    file may still be in the making when its tuple is yielded."""
     Psi0 = _initial_phase_field(config)
-    yield 0.0, Psi0, "phase_t0.csv", write_field_csv(Psi0, out_dir / "phase_t0.csv")
+    yield 0.0, Psi0, "phase_t0.csv", write(Psi0, out_dir / "phase_t0.csv")
     for t in config.times:
         if t == 0.0:
             continue
         Psi_t = apply_propagator(Psi0, t, model, out_axes=Psi0.axes)
         name = f"phase_t{t:g}.csv"
-        yield t, Psi_t, name, write_field_csv(Psi_t, out_dir / name)
+        yield t, Psi_t, name, write(Psi_t, out_dir / name)
 
 
 def _is_reference_state(config: RunConfig) -> bool:
@@ -433,9 +510,8 @@ def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
         and _is_reference_state(config)
 
     ok = True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for t, Psi_t, name, meta in _phase_dumps(config, model, out_dir):
+    with _caught_warnings() as caught, _dump_writer(_dump_count(config)) as write:
+        for t, Psi_t, name, meta in _phase_dumps(config, model, out_dir, write):
             # t = 0 projection check: the transform restricted to t = 0 must
             # reproduce the closed-form initial phase state (reference data)
             if t == 0.0 and reference:
@@ -458,7 +534,7 @@ def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
                 entry["within_tolerance"] = bool(errs["max_rel"] <= config.rel_tolerance)
                 ok &= entry["within_tolerance"]
                 report.add("field_error", t=t, **entry)
-        _record_warnings(report, caught)
+    _record_warnings(report, caught)
 
     report.add("summary", status="ok" if ok else "tolerance-exceeded")
     report.write(out_dir / "report.jsonl")
@@ -554,8 +630,8 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
 
 def _verb_propagate_phase(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
-    with _printed_warnings():
-        n = sum(1 for _ in _phase_dumps(config, model, out_dir))
+    with _printed_warnings(), _dump_writer(_dump_count(config)) as write:
+        n = sum(1 for _ in _phase_dumps(config, model, out_dir, write))
     print(f"propagate-phase: wrote {n} field dumps to {out_dir}")
     return 0
 
@@ -563,16 +639,16 @@ def _verb_propagate_phase(args, config: RunConfig, out_dir: Path) -> int:
 def _verb_propagate_position(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     psi0 = config.position_state()
-    with _printed_warnings():
-        write_field_csv(psi0, out_dir / "position_t0.csv")
+    n = _dump_count(config)
+    with _printed_warnings(), _dump_writer(n) as write:
+        write(psi0, out_dir / "position_t0.csv")
         for t in config.times:
             if t == 0.0:
                 continue
             psi_t = position_space_solution(psi0, t, model,
                                             out_axis=psi0.axes[0])
-            write_field_csv(psi_t, out_dir / f"position_t{t:g}.csv")
-    print(f"propagate-position: wrote {1 + sum(1 for t in config.times if t != 0)} "
-          f"state dumps to {out_dir}")
+            write(psi_t, out_dir / f"position_t{t:g}.csv")
+    print(f"propagate-position: wrote {n} state dumps to {out_dir}")
     return 0
 
 

@@ -494,6 +494,12 @@ def _adaptive(model, q, p, times, rtol):
                 else track[0] + _log_increment(track[1], dets)), dets
 
     rhs, d, shape = _CharRHS(model, q, p), q.shape[1], (len(q), -1)
+    if not len(q):  # no orbit to step, and DOP853 cannot size an empty state
+        qk, pk, F, act = _unpack(_pack(q, p), d)
+        none = np.empty(0, dtype=complex)
+        for _ in times:
+            yield FlowBatch(qk, pk, F[:, :d], F[:, d:], act, none, none)
+        return
     solver = RowwiseDOP853(lambda t, y: rhs(y.reshape(shape)).ravel(), float(times[0]),
                            _pack(q, p).ravel(), float(times[-1]), rtol=rtol, atol=rtol * 1e-2)
     signed = solver.direction * times  # increasing

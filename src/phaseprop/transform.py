@@ -9,14 +9,15 @@ which converge spectrally for the smooth decaying integrands used here.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
 import numpy as np
 
+from ._csvwriter import write_rows
 from .errors import (ConfigurationError, SpacingWarning, TruncationError,
                      _warn_at_caller)
 from .models import PhasePoint
@@ -495,23 +496,26 @@ def field_metadata(field: ComplexField, **extra) -> dict:
     return meta
 
 
+def _csv_job(field: ComplexField, path) -> tuple:
+    """The arguments of the :func:`._csvwriter.write_rows` call that writes
+    ``field`` to ``path``: names, axes and values as plain lists, so that
+    the job goes to the CLI's writer process as :mod:`marshal` data."""
+    names = _AXIS_NAMES.get(field.rank, tuple(f"axis{k}" for k in range(field.rank)))
+    vals = field.values.ravel()
+    return (os.fspath(path), names, [axis.tolist() for axis in field.axes],
+            vals.real.tolist(), vals.imag.tolist())
+
+
 def write_field_csv(field: ComplexField, path) -> dict:
     """Write a field as CSV (one row per node, C order) and return its
     metadata dict.
 
     The header is a fixed function of the rank — ``x,re,im`` for states,
     ``q,p,re,im`` for phase fields — and values are printed with
-    repr-exact precision so identical runs produce identical bytes.
+    repr-exact precision so identical runs produce identical bytes.  The
+    text comes from the one formatter, :func:`._csvwriter.write_rows`,
+    which the CLI's writer process also runs; here it runs in this
+    process, so the file is written when the call returns.
     """
-    names = _AXIS_NAMES.get(field.rank, tuple(f"axis{k}" for k in range(field.rank)))
-    # C order over the nodes is the order of itertools.product over the axes;
-    # each axis value is formatted once, and the file is one %-format over the
-    # nodes' coordinate strings and the values' re and im
-    nodes = [",".join(node) for node in itertools.product(
-        *(["%.17g" % a for a in axis.tolist()] for axis in field.axes))]
-    vals = field.values.ravel()
-    cells = [None] * (3 * len(nodes))
-    cells[0::3], cells[1::3], cells[2::3] = nodes, vals.real.tolist(), vals.imag.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + ",re,im\n" + "%s,%.17g,%.17g\n" * len(nodes) % tuple(cells))
+    write_rows(*_csv_job(field, path))
     return field_metadata(field, path=str(path))

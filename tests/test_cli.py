@@ -5,13 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phaseprop
-from phaseprop import propagator
+from phaseprop import cli, propagator
 from phaseprop.cli import load_config, main
 from phaseprop.models import PhasePoint, polynomial_model
 from phaseprop.propagator import kernel_Ksc
@@ -421,6 +422,96 @@ def test_run_and_propagate_phase_write_identical_field_dumps(tmp_path, capsys):
     assert names == ["phase_t0.2.csv", "phase_t0.4.csv", "phase_t0.csv"]
     for name in names:
         assert (phase_out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+WRITER_CONFIG = BASE_CONFIG.replace("times = 0.4", "times = 0, 0.2, 0.4")
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The processes that the CLI starts, recorded as they start."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("verb", ["run", "propagate-phase", "propagate-position"])
+def test_the_writer_process_writes_the_bytes_of_the_in_process_writer(tmp_path, monkeypatch,
+                                                                       children, verb):
+    # two CPUs hand the dumps to a writer process, one keeps them in-process
+    cfg = write_config(tmp_path, WRITER_CONFIG)
+    outs = {cpus: tmp_path / f"cpus{cpus}" for cpus in (2, 1)}
+    for cpus, out in outs.items():
+        monkeypatch.setattr(cli, "_cpu_count", lambda n=cpus: n)
+        assert main([verb, "--config", cfg, "--out-dir", str(out)]) == 0
+    # one child, for the two-CPU run, and it has ended
+    assert len(children) == 1 and children[0].returncode == 0
+    names = sorted(p.name for p in outs[1].iterdir())
+    assert names == sorted(p.name for p in outs[2].iterdir())
+    assert len([n for n in names if n.endswith(".csv")]) == 3
+    for name in names:
+        assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("verb, name", [("run", "phase_t0.2.csv"),
+                                        ("propagate-phase", "phase_t0.csv"),
+                                        ("propagate-position", "position_t0.2.csv")])
+def test_a_failed_dump_raises_alike_on_both_paths(tmp_path, monkeypatch, children, verb, name):
+    # a dump whose destination is a directory: the same exception type, and
+    # the same files left behind, with or without the writer process
+    cfg = write_config(tmp_path, WRITER_CONFIG)
+    raised, left = {}, {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_cpu_count", lambda n=cpus: n)
+        out = tmp_path / f"cpus{cpus}"
+        (out / name).mkdir(parents=True)
+        with pytest.raises(OSError) as exc:
+            main([verb, "--config", cfg, "--out-dir", str(out)])
+        raised[cpus] = exc.type
+        left[cpus] = sorted((p.name, p.is_dir()) for p in out.iterdir())
+    assert raised[2] is raised[1]
+    assert left[2] == left[1]
+    assert len(children) == 1 and children[0].returncode is not None
+
+
+def test_a_writer_that_ends_early_fails_the_verb(tmp_path, monkeypatch, children):
+    # a child that exits before reading a job: the verb waits for it and
+    # raises instead of reporting dumps that were never written
+    script = tmp_path / "exit3.py"
+    script.write_text("import sys\nsys.exit(3)\n")
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli._csvwriter, "__file__", str(script))
+    out = tmp_path / "out"
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        main(["run", "--config", write_config(tmp_path, WRITER_CONFIG), "--out-dir", str(out)])
+    assert children[0].returncode == 3
+    assert not (out / "report.jsonl").exists()
+
+
+def test_a_live_thread_leaves_the_report_unchanged(tmp_path, monkeypatch, children):
+    # the writer starts by fork and exec; a forked pool would warn that the
+    # process is multi-threaded, and run records every warning in its report
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, WRITER_CONFIG)
+    plain, threaded = tmp_path / "plain", tmp_path / "threaded"
+    assert main(["run", "--config", cfg, "--out-dir", str(plain)]) == 0
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert main(["run", "--config", cfg, "--out-dir", str(threaded)]) == 0
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(children) == 2
+    assert (threaded / "report.jsonl").read_bytes() == (plain / "report.jsonl").read_bytes()
 
 
 def test_kernel_dump_honors_kernel_section(tmp_path):

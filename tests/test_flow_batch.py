@@ -257,6 +257,22 @@ def test_endpoint_callers_reject_negative_times():
             integrate_characteristics(model, X, -0.1)
 
 
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def test_an_empty_batch_yields_empty_states(method):
+    # a root scan with no live bracket flows no orbit; each sample is then
+    # an empty state of the batch's field shapes and dtypes
+    model, opts = MODELS["quartic"], FlowOptions(method=method)
+    none = np.empty((0, 1))
+    shapes = [(0, 1), (0, 1), (0, 1, 1), (0, 1, 1), (0,), (0,), (0,)]
+    kinds = "ffccfcc"
+    samples = [flow_batch(model, none, none, t, opts) for t in (0.0, 0.3)]
+    samples += list(_sample_orbits(model, none, none, np.linspace(0.0, 0.3, 4), opts))
+    assert len(samples) == 6
+    for state in samples:
+        assert [f.shape for f in state] == shapes
+        assert [f.dtype.kind for f in state] == list(kinds)
+
+
 def test_adaptive_failure_names_the_last_valid_sample():
     # under H = p^2 - q^4 the orbit from (2, 0) blows up well before t = 1:
     # DOP853's step falls below the spacing of floats after the first sample
