@@ -5,11 +5,11 @@ Run as a script (``python -I -S _csvwriter.py``), this file is the CLI's
 writer process.  It reads jobs from standard input until the input closes,
 each the arguments of one :func:`write_rows` call as :mod:`marshal` data
 (:func:`job_record`), and writes each file.  On the first failed write it
-pickles the exception to standard output and writes no later job, so the
-files on disk are those that an in-process writer leaves.  It imports only
-built-in modules, so the child interpreter starts in about the time of a
-bare one; ``pickle``, which takes as long again to import, is imported only
-to report a failure.
+pickles the exception to standard output and exits, so the files on disk
+are those that an in-process writer leaves, and the parent's next send
+meets a closed pipe.  It imports only built-in modules, so the child
+interpreter starts in about the time of a bare one; ``pickle``, which takes
+as long again to import, is imported only to report a failure.
 """
 import itertools
 import marshal
@@ -41,24 +41,19 @@ def job_record(job) -> bytes:
 
 
 def _serve(jobs, errors):
-    """Write the job of each record on ``jobs`` until it ends; pickle the
-    first failure to ``errors``, and read but skip every later job.
+    """Write the job of each record on ``jobs`` until it ends, or until a
+    write fails: then pickle the exception to ``errors`` and return.
 
     A record is the job's :mod:`marshal` bytes after their length, 8 bytes
     little-endian: ``marshal.load`` on a pipe would read each float by a
     call of its own."""
-    failed = False
     while size := int.from_bytes(jobs.read(8), "little"):
-        job = marshal.loads(jobs.read(size))
-        if failed:
-            continue  # read on, so the parent never blocks on a full pipe
         try:
-            write_rows(*job)
+            write_rows(*marshal.loads(jobs.read(size)))
         except Exception as exc:
             import pickle
-            failed = True
             pickle.dump(exc, errors)
-            errors.flush()
+            return
 
 
 if __name__ == "__main__":

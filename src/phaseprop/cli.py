@@ -414,11 +414,6 @@ def _on_manifold_error(got: ComplexField, want: ComplexField,
 # verbs
 # ---------------------------------------------------------------------------
 
-# the writer process's pipe: eight 81 x 81 phase-field jobs, and Linux's
-# default pipe-max-size
-_PIPE_BYTES = 1 << 20
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -440,40 +435,34 @@ def _dump_writer(dumps: int):
     With more than one dump and at least two CPUs, ``write`` sends each dump
     to one writer process (:mod:`._csvwriter` run as a script), which
     formats and writes the file while this process computes the next field,
-    and returns the metadata at once.  Where the platform lets it, the pipe
-    holds :data:`_PIPE_BYTES`, so that a send rarely waits for the child.
-    Leaving the block closes the pipe and waits for the child, even on an
-    error, so no process outlives the verb; a failed write then raises here
-    with the exception the child met.  Otherwise ``write`` is
-    :func:`write_field_csv`.  Both paths run the one formatter, so the files
-    are the same bytes."""
+    and returns the metadata at once.  Leaving the block closes the pipe and
+    waits for the child, even on an error, so no process outlives the verb;
+    a failed write then raises here with the exception the child met.
+    Otherwise ``write`` is :func:`write_field_csv`: with one CPU the child
+    only adds its start and the pipe to the same work, and with one dump
+    there is no next field to overlap (``BENCH_28.json``, ``path_choice``).
+    Both paths run the one formatter, so the files are the same bytes."""
     if dumps < 2 or _cpu_count() < 2 or not sys.executable:
         yield write_field_csv
         return
     child = subprocess.Popen([sys.executable, "-I", "-S", _csvwriter.__file__],
                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    try:
-        import fcntl
-        fcntl.fcntl(child.stdin, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass  # not Linux, or past the system's pipe-max-size: the default pipe
 
     def write(field: ComplexField, path: Path) -> dict:
-        try:
-            child.stdin.write(_csvwriter.job_record(_csv_job(field, path)))
-            child.stdin.flush()
-        except BrokenPipeError:
-            pass  # the child has ended; its exit code is read below
+        # a child that has ended fails this send with BrokenPipeError, which
+        # leaves the block; the finally then raises what ended the child
+        child.stdin.write(_csvwriter.job_record(_csv_job(field, path)))
+        child.stdin.flush()
         return field_metadata(field, path=str(path))
 
     try:
         yield write
     finally:
         error = child.communicate()[0]
-    if error:
-        raise pickle.loads(error)
-    if child.returncode:
-        raise ChildProcessError(f"the field writer exited with code {child.returncode}")
+        if error:
+            raise pickle.loads(error)
+        if child.returncode:
+            raise ChildProcessError(f"the field writer exited with code {child.returncode}")
 
 
 def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path, write):

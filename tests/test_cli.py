@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import phaseprop
-from phaseprop import cli, propagator
+from phaseprop import _csvwriter, cli, propagator
 from phaseprop.cli import load_config, main
 from phaseprop.models import PhasePoint, polynomial_model
 from phaseprop.propagator import kernel_Ksc
@@ -478,6 +480,20 @@ def test_a_failed_dump_raises_alike_on_both_paths(tmp_path, monkeypatch, childre
     assert raised[2] is raised[1]
     assert left[2] == left[1]
     assert len(children) == 1 and children[0].returncode is not None
+
+
+def test_the_writer_process_stops_at_its_first_failed_write(tmp_path):
+    # it reads no later job, so the verb's next send meets a closed pipe
+    # instead of the verb propagating every remaining time first
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.mkdir()
+    records = [_csvwriter.job_record((str(path), ("x",), [[0.0, 1.0]], [1.0, 2.0], [0.0, 0.5]))
+               for path in (bad, good)]
+    jobs, errors = io.BytesIO(b"".join(records)), io.BytesIO()
+    _csvwriter._serve(jobs, errors)
+    assert isinstance(pickle.loads(errors.getvalue()), OSError)
+    assert jobs.tell() == len(records[0])
+    assert not good.exists()
 
 
 def test_a_writer_that_ends_early_fails_the_verb(tmp_path, monkeypatch, children):
