@@ -50,7 +50,7 @@ from .oracles import (
     initial_phase_state,
     initial_position_state,
 )
-from .propagator import _Kernel, apply_propagator, position_space_solution
+from .propagator import _Kernel, _propagated_fields, _propagated_states
 from .transform import (ComplexField, _csv_job, _overlap, field_metadata, wave_packet_transform,
                         write_field_csv)
 from .wkb import GaussianPoly, WKBData, lift_wkb, solution_on_manifold, transport_manifold
@@ -422,11 +422,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _dump_count(config: RunConfig) -> int:
-    """The field dumps of a propagating verb: t = 0, then each nonzero time."""
-    return 1 + sum(1 for t in config.times if t != 0.0)
-
-
 @contextmanager
 def _dump_writer(dumps: int):
     """Yield ``write(field, path)``, which writes a field dump and returns its
@@ -465,18 +460,17 @@ def _dump_writer(dumps: int):
             raise ChildProcessError(f"the field writer exited with code {child.returncode}")
 
 
-def _phase_dumps(config: RunConfig, model: HamiltonianModel, out_dir: Path, write):
+def _phase_dumps(config: RunConfig, times, out_dir: Path, write):
     """Write ``phase_t0.csv`` for the initial phase field, then propagate it
-    to each nonzero time and write ``phase_t<t>.csv``, each through
-    ``write`` (a :func:`_dump_writer`'s); yields ``(t, field, file name,
-    field metadata)`` after each write.  On the writer process's path a
-    file may still be in the making when its tuple is yielded."""
+    to the nonzero ``times`` (:func:`_propagated_fields`) and write each
+    ``phase_t<t>.csv``, each through ``write`` (a :func:`_dump_writer`'s);
+    yields ``(t, field, file name, field metadata)`` after each write, before
+    the next time's sum starts.  On the writer process's path a file may
+    still be in the making when its tuple is yielded."""
+    model = config.model()
     Psi0 = _initial_phase_field(config)
     yield 0.0, Psi0, "phase_t0.csv", write(Psi0, out_dir / "phase_t0.csv")
-    for t in config.times:
-        if t == 0.0:
-            continue
-        Psi_t = apply_propagator(Psi0, t, model, out_axes=Psi0.axes)
+    for t, Psi_t in zip(times, _propagated_fields(Psi0, times, model, out_axes=Psi0.axes)):
         name = f"phase_t{t:g}.csv"
         yield t, Psi_t, name, write(Psi_t, out_dir / name)
 
@@ -494,13 +488,13 @@ def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
     report.add("config", schema_version=SCHEMA_VERSION, model=config.model_kind,
                hbar=config.hbar, times=list(config.times),
                rel_tolerance=config.rel_tolerance)
-    model = config.model()
     reference = config.model_kind in KINDS and config.initial_kind == "wkb" \
         and _is_reference_state(config)
 
     ok = True
-    with _caught_warnings() as caught, _dump_writer(_dump_count(config)) as write:
-        for t, Psi_t, name, meta in _phase_dumps(config, model, out_dir, write):
+    times = [t for t in config.times if t != 0.0]  # t = 0 dumps the initial field
+    with _caught_warnings() as caught, _dump_writer(1 + len(times)) as write:
+        for t, Psi_t, name, meta in _phase_dumps(config, times, out_dir, write):
             # t = 0 projection check: the transform restricted to t = 0 must
             # reproduce the closed-form initial phase state (reference data)
             if t == 0.0 and reference:
@@ -559,8 +553,7 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
         reach = float(np.abs(axes[1]).max())
         # the warnings of every analysis and lift, and one for each hbar whose
         # p axis the position grid cannot resolve, go to the report
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _caught_warnings() as caught:
             for hb in values:
                 psi = ComplexField(axes=(x,), values=data.state(x, hb), hbar=hb)
                 nyq = np.pi * hb / psi.spacing()
@@ -618,9 +611,9 @@ def _verb_convergence(args, config: RunConfig, out_dir: Path) -> int:
 
 
 def _verb_propagate_phase(args, config: RunConfig, out_dir: Path) -> int:
-    model = config.model()
-    with _printed_warnings(), _dump_writer(_dump_count(config)) as write:
-        n = sum(1 for _ in _phase_dumps(config, model, out_dir, write))
+    times = [t for t in config.times if t != 0.0]
+    with _printed_warnings(), _dump_writer(1 + len(times)) as write:
+        n = sum(1 for _ in _phase_dumps(config, times, out_dir, write))
     print(f"propagate-phase: wrote {n} field dumps to {out_dir}")
     return 0
 
@@ -628,16 +621,12 @@ def _verb_propagate_phase(args, config: RunConfig, out_dir: Path) -> int:
 def _verb_propagate_position(args, config: RunConfig, out_dir: Path) -> int:
     model = config.model()
     psi0 = config.position_state()
-    n = _dump_count(config)
-    with _printed_warnings(), _dump_writer(n) as write:
+    times = [t for t in config.times if t != 0.0]
+    with _printed_warnings(), _dump_writer(1 + len(times)) as write:
         write(psi0, out_dir / "position_t0.csv")
-        for t in config.times:
-            if t == 0.0:
-                continue
-            psi_t = position_space_solution(psi0, t, model,
-                                            out_axis=psi0.axes[0])
+        for t, psi_t in zip(times, _propagated_states(psi0, times, model)):
             write(psi_t, out_dir / f"position_t{t:g}.csv")
-    print(f"propagate-position: wrote {n} state dumps to {out_dir}")
+    print(f"propagate-position: wrote {1 + len(times)} state dumps to {out_dir}")
     return 0
 
 

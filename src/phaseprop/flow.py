@@ -9,16 +9,16 @@ anisotropy form ``Z = B A^{-1}`` lives in the Siegel upper half-space
 and is always recovered algebraically from the linear frame, never
 integrated through its own (caustic-singular) Riccati equation.
 
-``_sample_orbits`` carries N orbits at once through a grid of times in
-one pass, by closed forms or integration as ``_method`` alone chooses;
-:func:`flow_batch` is its endpoint view and the bundle its per-step
-record of a batch of one.  The frame and action equations are linear
-along an orbit that does not depend on them, so the rk4 pass
-(:func:`_rk4`) steps the orbit points alone, then gives each run of steps
-its frames, action and log-dets in one vectorized pass: a first run of at
-most 64 steps, then runs as long as a memory budget allows; adaptive
-DOP853 steps the joint system (:class:`_CharRHS`).  Both read ``f = J grad H``
-and ``Df = J H''`` from the model's ``bulk_field`` and never apply ``J``.
+``_sample_orbits`` carries N orbits at once through a grid of times in one
+pass, by closed forms or integration as ``_method`` alone chooses; it gives
+:func:`flow_batch`'s endpoints, a bundle's samples and, in one pass, all of
+a grid propagator's times.  The frame and action equations are linear along
+an orbit that does not depend on them, so the rk4 pass (:func:`_rk4`) steps
+the orbit points alone, then gives each run of steps its frames, action and
+log-dets in one vectorized pass: a first run of at most 64 steps, then runs
+as long as a memory budget allows; adaptive DOP853 steps the joint system
+(:class:`_CharRHS`).  Both read ``f = J grad H`` and ``Df = J H''`` from the
+model's ``bulk_field`` and never apply ``J``.
 """
 from __future__ import annotations
 
@@ -232,11 +232,6 @@ def _n_steps(d, step: float | None):
     exceeds its step by up to 2e-12)."""
     h = step if step is not None else 1e-3
     return np.ceil(np.abs(d) / h * (1 - 1e-9)).astype(int)
-
-
-def _default_times(T: float, step: float | None) -> np.ndarray:
-    """The step grid of ``[0, T]``: equal steps no longer than ``step``."""
-    return np.linspace(0.0, T, _n_steps(T, step) + 1)
 
 
 def _step_grid(times: np.ndarray, step: float | None):
@@ -619,7 +614,7 @@ def integrate_characteristics(model: HamiltonianModel, X0: PhasePoint,
     if model.dim != X0.d:
         raise ConfigurationError(
             f"model dimension {model.dim} != point dimension {X0.d}")
-    times = _default_times(float(T), opts.step)
+    times, _ = _step_grid(np.array([0.0, T]), opts.step)
     # each field of the batch of one, stacked over the samples
     q, p, A, B, action, logdetA, logdet_w = (
         np.concatenate(field, dtype=dtype) for field, dtype in zip(
@@ -679,8 +674,8 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     the operator norm of the flow Jacobian at the bundle's samples
     (monotone growth yields a single entry at the first crossing).
     Disabled — empty list — when the bundle carries no ``hbar``.  Never
-    aborts.  ``apply_propagator`` and ``position_space_solution`` read
-    the same crossings from their own orbit pass when they integrate.
+    aborts.  The grid propagators read the same crossings on ``[0, t]``
+    for each of their times from their one orbit pass when they integrate.
     """
     if bundle.hbar is None:
         return []

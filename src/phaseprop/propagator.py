@@ -20,10 +20,9 @@ import numpy as np
 from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
                      _warn_at_caller)
 from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
-                   _anisotropy, _check_siegel, _default_times,
-                   _ehrenfest_crossings, _method, _real_jacobian,
-                   _sample_orbits, _symplectic, ehrenfest_guard,
-                   flow_batch, integrate_characteristics)
+                   _anisotropy, _check_siegel, _ehrenfest_crossings, _method,
+                   _real_jacobian, _sample_orbits, _step_grid, _symplectic,
+                   ehrenfest_guard, flow_batch, integrate_characteristics)
 from .models import HamiltonianModel, PhasePoint
 from .transform import (_PAD, ComplexField, _checked_axis, _clip_momentum,
                         _edge_ratio, _momentum_scale, _padded_axis, _phase_table,
@@ -160,13 +159,13 @@ def kernel_Ksc(X: PhasePoint, Y: PhasePoint, t: float,
     return complex(kernel.values(X.as_vector(), hbar)[0])
 
 
-def _check_input(field: ComplexField, rank: int, t: float, caller: str, name: str) -> None:
+def _check_input(field: ComplexField, rank: int, times, caller: str, name: str) -> None:
     """The entry checks of the grid propagators, in order: the field's rank,
-    ``t >= 0`` and a field that is not zero everywhere."""
+    ``times >= 0`` and a field that is not zero everywhere."""
     if field.rank != rank:
         raise ConfigurationError(f"{caller} expects a rank-{rank} field")
-    if t < 0:
-        raise ConfigurationError(f"t must be nonnegative, got {t}")
+    if min(times, default=0.0) < 0:
+        raise ConfigurationError(f"t must be nonnegative, got {min(times)}")
     if not field.values.any():
         raise ConfigurationError(f"{name} is zero everywhere: nothing to propagate")
 
@@ -190,31 +189,33 @@ def _derive_out_axes(model, box, t, hbar, opts):
             _padded_axis(float(e.p.min()), float(e.p.max()), hbar))
 
 
-def _guarded_flow(model, Q, P, center, t, hbar, opts):
-    """The endpoints at ``t >= 0`` of the orbits from the rows of ``Q``,
-    ``P``, as :func:`flow_batch` gives them.  Warns, at the line that called
-    the grid propagator, of each Ehrenfest crossing of the orbit from
-    ``center``: a closed-form orbit read at ``t/200`` steps, an integrated
-    one on the step grid of the sources' pass, as the batch's last row."""
+def _guarded_orbits(model, Q, P, center, times, hbar, opts):
+    """Yield the endpoints at each of the ascending ``times >= 0`` of the
+    orbits from the 1-D arrays ``Q``, ``P``, as :func:`flow_batch` gives
+    them, from one :func:`_sample_orbits` pass.  Before a time ``t > 0``'s,
+    warns, at the line that called the grid propagator, of each Ehrenfest
+    crossing on ``[0, t]`` of the orbit from ``center``: a closed-form orbit
+    read at ``t/200`` steps, an integrated one as the pass's last row."""
     opts = opts or FlowOptions()
-    Q = np.asarray(Q, dtype=float).reshape(-1, model.dim)
-    P = np.asarray(P, dtype=float).reshape(-1, model.dim)
-    if t <= 0 or _method(model, opts) == "exact":
-        e = flow_batch(model, Q, P, t, opts)
-        crossings = [] if t <= 0 else ehrenfest_guard(integrate_characteristics(
-            model, center, t, replace(opts, step=t / 200, hbar=hbar)))
-    else:
-        times = _default_times(t, opts.step)
-        A, B = [], []
-        for s in _sample_orbits(model, np.vstack([Q, center.q]), np.vstack([P, center.p]),
-                                times, opts):
-            A.append(s.A[-1])
-            B.append(s.B[-1])
-        e = FlowBatch(*(field[:-1] for field in s))
-        crossings = _ehrenfest_crossings(times, np.stack(A), np.stack(B), hbar)
-    for msg in crossings:
-        _warn_at_caller(msg, EhrenfestWarning)
-    return e
+    if _method(model, opts) == "exact":
+        for t, e in zip(times, _sample_orbits(model, Q[:, None], P[:, None], times, opts)):
+            if t > 0:
+                for msg in ehrenfest_guard(integrate_characteristics(
+                        model, center, t, replace(opts, step=t / 200, hbar=hbar))):
+                    _warn_at_caller(msg, EhrenfestWarning)
+            yield e
+        return
+    grid, ends = _step_grid(np.concatenate([[0.0], times]), opts.step)
+    A, B = [], []
+    for i, s in enumerate(_sample_orbits(model, np.concatenate([Q, center.q])[:, None],
+                                         np.concatenate([P, center.p])[:, None], grid, opts)):
+        A.append(s.A[-1])
+        B.append(s.B[-1])
+        for _ in range(ends[1:].count(i)):  # each of the times that lands on sample i
+            if grid[i] > 0:
+                for msg in _ehrenfest_crossings(grid[:i + 1], np.stack(A), np.stack(B), hbar):
+                    _warn_at_caller(msg, EhrenfestWarning)
+            yield FlowBatch(*(field[:-1] for field in s))
 
 
 # Largest real part of an exponent in the tables of the separable sums.  The
@@ -479,11 +480,19 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     default for models that carry closed forms) is summed by
     :func:`_affine_sum`, an integrated one by :func:`_integrated_sum`.
     Warns of boundary mass above 1e-6 of the peak and, through
-    :func:`_guarded_flow`, when the linearized flow along the orbit from the
-    centre of the input's support outgrows ``hbar^{-1/2}``.  Never silently
-    truncates a non-decayed input.
+    :func:`_guarded_orbits`, when the linearized flow along the orbit from
+    the centre of the input's support outgrows ``hbar^{-1/2}``.  Never
+    silently truncates a non-decayed input.  One time of
+    :func:`_propagated_fields`.
     """
-    _check_input(Psi0, 2, t, "apply_propagator", "the input field")
+    return next(_propagated_fields(Psi0, [t], model, out_axes, opts))
+
+
+def _propagated_fields(Psi0: ComplexField, times, model: HamiltonianModel,
+                       out_axes=None, opts: FlowOptions | None = None):
+    """Yield :func:`apply_propagator` at each of the ascending ``times``: one
+    set-up, then each time's sum as one orbit pass reaches it."""
+    _check_input(Psi0, 2, times, "apply_propagator", "the input field")
     hbar = Psi0.hbar
     if out_axes is not None:
         if len(out_axes) != 2:
@@ -499,14 +508,13 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     iq, ip, Wg = _kept_sources(Psi0)
 
     box = _support(Psi0)
-    if out_axes is None:
-        qo, po = _derive_out_axes(model, box, t, hbar, opts)
-
     (qa, qb), (pa, pb) = box
-    e = _guarded_flow(model, qs[iq], ps[ip], PhasePoint([(qa + qb) / 2], [(pa + pb) / 2]),
-                      t, hbar, opts)
+    center = PhasePoint([(qa + qb) / 2], [(pa + pb) / 2])
     summed = _affine_sum if _method(model, opts or FlowOptions()) == "exact" else _integrated_sum
-    return ComplexField((qo, po), summed(e, hbar, qs, ps, iq, ip, Wg, qo, po), hbar)
+    for t, e in zip(times, _guarded_orbits(model, qs[iq], ps[ip], center, times, hbar, opts)):
+        if out_axes is None:
+            qo, po = _derive_out_axes(model, box, t, hbar, opts)
+        yield ComplexField((qo, po), summed(e, hbar, qs, ps, iq, ip, Wg, qo, po), hbar)
 
 
 # Output nodes per synthesis window: few, so that a window's source slice is
@@ -631,9 +639,16 @@ def position_space_solution(psi0: ComplexField, t: float,
     one by :func:`_windowed_synthesis`; each drops only the terms of
     sources farther than :func:`_reach` from a node.  Emits Ehrenfest
     warnings as :func:`apply_propagator` does, for the orbit from the mean
-    of the kept sources.
+    of the kept sources.  One time of :func:`_propagated_states`.
     """
-    _check_input(psi0, 1, t, "position_space_solution", "the input state")
+    return next(_propagated_states(psi0, [t], model, phase_axes, out_axis, opts))
+
+
+def _propagated_states(psi0: ComplexField, times, model: HamiltonianModel,
+                       phase_axes=None, out_axis=None, opts: FlowOptions | None = None):
+    """Yield :func:`position_space_solution` at each of the ascending
+    ``times``: one analysis, then each time's sum as one orbit pass reaches it."""
+    _check_input(psi0, 1, times, "position_space_solution", "the input state")
     hbar = psi0.hbar
     x = _checked_axis(out_axis, "out_axis") if out_axis is not None else psi0.axes[0]
     if phase_axes is None:
@@ -647,15 +662,16 @@ def position_space_solution(psi0: ComplexField, t: float,
     Qg, Pg = Psi0.axes[0][iq], Psi0.axes[1][ip]
 
     center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
-    e = _guarded_flow(model, Qg, Pg, center, t, hbar, opts)
-    amp = np.exp(-0.5 * e.logdetA)
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5)
-    src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
-    if _method(model, opts or FlowOptions()) == "exact":
-        out = _separable_synthesis(e, src, hbar, *Psi0.axes, iq, ip, x)
-    else:
-        out = _windowed_synthesis(e, src, hbar, x)
-    return ComplexField((x,), out, hbar)
+    exact = _method(model, opts or FlowOptions()) == "exact"
+    for e in _guarded_orbits(model, Qg, Pg, center, times, hbar, opts):
+        amp = np.exp(-0.5 * e.logdetA)
+        src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
+        if exact:
+            out = _separable_synthesis(e, src, hbar, *Psi0.axes, iq, ip, x)
+        else:
+            out = _windowed_synthesis(e, src, hbar, x)
+        yield ComplexField((x,), out, hbar)
 
 
 def van_vleck_kernel(x: float, y: float, t: float, model: HamiltonianModel,

@@ -20,8 +20,8 @@ from numpy.polynomial import Polynomial
 
 from .errors import (BranchError, CausticError, ConfigurationError,
                      DomainError, ProjectionError, _warn_at_caller)
-from .flow import (FlowOptions, _default_times, _log_increment, _method,
-                   _sample_orbits, flow_batch)
+from .flow import (FlowOptions, _log_increment, _method, _sample_orbits,
+                   _step_grid, flow_batch)
 from .models import HamiltonianModel, PhasePoint
 from .propagator import _Kernel
 from .transform import ComplexField
@@ -442,7 +442,7 @@ def solution_on_manifold(X: PhasePoint, t: float, data: WKBData,
             f"{abs(xi - xi_expected):.3e}")
 
     grid = (np.linspace(0.0, t, 41) if _method(model, opts) == "exact"
-            else _default_times(t, opts.step))
+            else _step_grid(np.array([0.0, t]), opts.step)[0])
     us = []
     for e in _sample_orbits(model, back.q, back.p, grid, opts):
         dq, dp = _tangent(data, eta, e)

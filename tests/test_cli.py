@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,76 @@ def test_a_live_thread_leaves_the_report_unchanged(tmp_path, monkeypatch, childr
     assert (threaded / "report.jsonl").read_bytes() == (plain / "report.jsonl").read_bytes()
 
 
+def test_run_sends_each_dump_before_the_next_times_sum_starts(tmp_path, monkeypatch, children):
+    # the verb's one pass over its times is lazy: the writer process formats
+    # one time's dump while this process sums the next time's field
+    calls, writer, affine_sum = [], cli._dump_writer, propagator._affine_sum
+
+    @contextmanager
+    def recording_writer(dumps):
+        with writer(dumps) as write:
+            def send(field, path):
+                calls.append(path.name)
+                return write(field, path)
+            yield send
+
+    def recording_sum(*args):
+        calls.append("sum")
+        return affine_sum(*args)
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_dump_writer", recording_writer)
+    monkeypatch.setattr(propagator, "_affine_sum", recording_sum)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, WRITER_CONFIG), "--out-dir", str(out)]) == 0
+    assert len(children) == 1 and children[0].returncode == 0  # the writer process's path
+    assert calls == ["phase_t0.csv", "sum", "phase_t0.2.csv", "sum", "phase_t0.4.csv"]
+
+
+def readme_config():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text().split("\n```ini\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_run_reports_the_inputs_edge_mass_once_and_each_times_crossings(tmp_path):
+    # the edge mass describes the input field: two times report it once.  An
+    # Ehrenfest crossing belongs to [0, t]: the inverted oscillator's at
+    # t = 0.75 is reported for t = 1 and again for t = 1.5
+    edge = BASE_CONFIG.replace("times = 0.4", "times = 0.2, 0.4")
+    for c in "qp":
+        edge = edge.replace(f"{c}_min = -5\n{c}_max = 5", f"{c}_min = -3\n{c}_max = 3")
+    inverted = readme_config().replace(
+        "kind = free\n", "kind = polynomial\ncoeffs = (0;2):1.0, (2;0):-1.0\n").replace(
+        "times = 0.1, 0.5, 1.0", "times = 0.5, 1.0, 1.5")
+    warned = {}
+    # the truncated field misses the 1e-2 tolerance at t = 0.2
+    for name, text, rc in (("edge", edge, 1), ("inverted", inverted, 0)):
+        out = tmp_path / name
+        assert main(["run", "--config", write_config(tmp_path, text, f"{name}.ini"),
+                     "--out-dir", str(out)]) == rc
+        warned[name] = entries_of(read_report(out), "warning")
+    edge_mass = [w for w in warned["edge"] if "at the grid boundary" in w["message"]]
+    assert [w["category"] for w in edge_mass] == ["UserWarning"]
+    assert [w["message"] for w in warned["inverted"] if w["category"] == "EhrenfestWarning"] == [
+        "linearized flow norm 4.482 exceeds hbar^-1/2 = 4.472 at t = 0.75; "
+        "single-packet propagation is no longer controlled"] * 2
+
+
+def test_propagate_position_prints_its_analysis_warnings_once(tmp_path, capsys):
+    # 161 position nodes are coarser than sqrt(hbar)/4 and resolve too few
+    # momenta: the one analysis warns of each once, for the two times
+    text = BASE_CONFIG.replace("times = 0.4", "times = 0.2, 0.4").replace(
+        "count = 801", "count = 161")
+    out = tmp_path / "out"
+    assert main(["propagate-position", "--config", write_config(tmp_path, text),
+                 "--out-dir", str(out)]) == 0
+    warned = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("warning: ")]
+    assert len(warned) == 2
+    assert "resolves momenta only up to" in warned[0]
+    assert "position grid spacing 0.1 exceeds" in warned[1]
+
+
 def test_kernel_dump_honors_kernel_section(tmp_path):
     """kernel-dump samples K(., Y, t) on the configured phase grid."""
     cfg = write_config(
@@ -753,9 +824,7 @@ def test_the_readme_cli_examples_run(tmp_path, monkeypatch):
 
 
 def test_the_readme_config_schema_loads_as_written(tmp_path):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("\n```ini\n", 1)[1].split("\n```", 1)[0]
-    config = load_config(write_config(tmp_path, block))
+    config = load_config(write_config(tmp_path, readme_config()))
     assert (config.model_kind, config.hbar, config.times) == ("free", 0.05, (0.1, 0.5, 1.0))
     assert (config.initial_kind, config.s0, config.r) == ("wkb", (0.0, 0.0, 0.5), 2)
     assert [a.size for a in (config.position_axis, *config.phase_axes, config.alpha_axis)] == [

@@ -24,8 +24,7 @@ from phaseprop import (
     polynomial_model,
     symplectic_J,
 )
-from phaseprop.flow import (_check_siegel, _default_times, _n_steps, _sample_orbits,
-                            _step_grid)
+from phaseprop.flow import _check_siegel, _n_steps, _sample_orbits, _step_grid
 
 QUARTIC = {(0, 2): 1.0, (4, 0): 1.0}
 
@@ -114,8 +113,8 @@ def test_a_step_that_divides_the_interval_gives_its_steps():
 
 STEP_GRIDS = pytest.mark.parametrize("times, step", [
     # the guard pass of a phase-quartic apply and a default-step one
-    (_default_times(0.5, 1e-2), 1e-2),
-    (_default_times(1.0, 1e-3), 1e-3),
+    (_step_grid(np.array([0.0, 0.5]), 1e-2)[0], 1e-2),
+    (_step_grid(np.array([0.0, 1.0]), 1e-3)[0], 1e-3),
     # van_vleck_kernel: n = clip(ceil(t / 1e-3), 256, 400) intervals of t / n
     (np.linspace(0.0, 0.4, 401), 0.4 / 400),
     (np.linspace(0.0, 2.0, 401), 2.0 / 400),

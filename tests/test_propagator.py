@@ -37,8 +37,9 @@ from phaseprop import (
     wave_packet_transform,
 )
 from phaseprop import flow
-from phaseprop.flow import _default_times, flow_batch
-from phaseprop.propagator import _Kernel, _default_phase_axes, _kept_sources
+from phaseprop.flow import _step_grid, flow_batch
+from phaseprop.propagator import (_Kernel, _default_phase_axes, _kept_sources,
+                                  _propagated_fields, _propagated_states)
 from phaseprop.oracles import (
     exact_kernel,
     exact_phase_field,
@@ -640,7 +641,7 @@ def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
                              opts=opts)
         [(q, p, times, guard)] = passes
         assert q == p == 0.0  # the centre of the support box
-        assert np.array_equal(times, _default_times(0.3, 0.1))
+        assert np.array_equal(times, _step_grid(np.array([0.0, 0.3]), 0.1)[0])
         assert (guard.method, guard.rtol, guard.step) == (method, 1e-6, 0.1)
         assert seen == []
         propagate_packet(builtin_model("harmonic"), PhasePoint(0.0, 0.0), 0.3, HBAR, opts)
@@ -786,7 +787,115 @@ def test_an_integrated_propagation_steps_one_pass(monkeypatch, entry):
             position_space_solution(ComplexField((x,), initial_position_state(x, HBAR), HBAR),
                                     0.5, TRAP, phase_axes=axes, opts=RK4)
     assert len(grids) == 1
-    assert np.array_equal(grids[0], _default_times(0.5, 1e-2))
+    assert np.array_equal(grids[0], _step_grid(np.array([0.0, 0.5]), 1e-2)[0])
+
+
+# a verb's times: one orbit pass over them all against one call per time
+TIMES = (0.1, 0.5, 1.0)
+PACKET_17 = packet_field(AXIS_17, PhasePoint(0.05, -0.03), 0.05)
+STATE_X = np.linspace(-8.0, 8.0, 321)
+STATE = ComplexField((STATE_X,), initial_position_state(STATE_X, HBAR), HBAR)
+STATE_AXES = (np.linspace(-4.0, 4.0, 25), np.linspace(-4.0, 4.0, 25))
+# DOP853 at rtol 1e-13: the reference for the integrated passes
+DOP853 = FlowOptions(method="adaptive", rtol=1e-13)
+
+
+def one_pass_and_per_time(entry, model, opts, times=TIMES):
+    """``(outputs, Ehrenfest messages)`` of the entry's generator over all of
+    ``times``, then of one public call per time.  The phase field's output
+    axes are derived at each time; the state is analysed on 25^2 nodes."""
+    if entry == "apply":
+        arg, gen, call, kw = PACKET_17, _propagated_fields, apply_propagator, {}
+    else:
+        arg, gen, call = STATE, _propagated_states, position_space_solution
+        kw = {"phase_axes": STATE_AXES}
+    runs = []
+    for outputs in (lambda: list(gen(arg, times, model, opts=opts, **kw)),
+                    lambda: [call(arg, t, model, opts=opts, **kw) for t in times]):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            out = outputs()
+        runs.append((out, [str(w.message) for w in record if w.category is EhrenfestWarning]))
+    return runs
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+@pytest.mark.parametrize("model", [builtin_model("free"), builtin_model("linear"),
+                                   builtin_model("harmonic"), INVERTED],
+                         ids=["free", "linear", "harmonic", "inverted"])
+def test_one_pass_over_a_verbs_times_is_the_per_time_calls_on_closed_forms(entry, model):
+    # one stacked closed-form call over all times, and each time's own
+    # t/200 guard bundle: the fields and the Ehrenfest warnings bit for bit
+    (once, warned_once), (each, warned_each) = one_pass_and_per_time(entry, model, None)
+    for a, b in zip(once, each, strict=True):
+        assert all(np.array_equal(u, v) for u, v in zip(a.axes, b.axes, strict=True))
+        assert np.array_equal(a.values, b.values)
+    assert warned_once == warned_each
+    if model is INVERTED and entry == "apply":
+        assert warned_once == [crossing("4.482", "0.75")]  # t = 1 crosses at 0.75
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+def test_one_rk4_pass_over_times_on_its_grid_is_the_per_time_calls(entry):
+    # the pass's step grid lands on each time, so only the steps' round-off
+    # differs from the per-time grids: 9.4e-15 of the peak at most, measured
+    (once, _), (each, _) = one_pass_and_per_time(entry, QUARTIC, RK4)
+    for a, b in zip(once, each, strict=True):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+@pytest.mark.parametrize("opts, times", [(RK4, (0.105, 0.5, 1.0)),
+                                         (FlowOptions(method="adaptive"), TIMES)],
+                         ids=["rk4-off-grid", "adaptive"])
+def test_one_integrated_pass_is_as_close_to_dop853_as_the_per_time_calls(entry, opts, times):
+    # off its grid rk4 steps [0.105, 0.5] in 40 steps of 0.009875 instead of
+    # [0, 0.5] in 50 of 0.01, and adaptive reads times 0.1 and 0.5 from a
+    # dense output to t = 1: each at most twice as far from DOP853 at rtol
+    # 1e-13 as the per-time call, or 1e-12 of the peak.  Measured: the rk4
+    # passes at most 1.03x the calls' error, the adaptive ones at most 1.4x
+    (once, _), (each, _) = one_pass_and_per_time(entry, QUARTIC, opts, times)
+    for t, a, b in zip(times, once, each, strict=True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 25^2 analysis is coarse
+            if entry == "apply":
+                ref = apply_propagator(PACKET_17, t, QUARTIC, out_axes=b.axes, opts=DOP853)
+            else:
+                ref = position_space_solution(STATE, t, QUARTIC, phase_axes=STATE_AXES,
+                                              opts=DOP853)
+        peak = np.abs(ref.values).max()
+        err_once = np.abs(a.values - ref.values).max()
+        err_each = np.abs(b.values - ref.values).max()
+        assert err_once <= max(2 * err_each, 1e-12 * peak), (t, err_once, err_each)
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+def test_an_integrated_multi_time_call_steps_one_pass_over_all_its_times(monkeypatch, entry):
+    # one _sample_orbits pass over the step grid of (0, 0.1, 0.5, 1.0): 100
+    # steps of 1e-2, where one call per time steps 10 + 50 + 100 = 160
+    grids, original = [], flow._sample_orbits
+
+    def counting(model, Q, P, times, opts=None):
+        grids.append(times)
+        return original(model, Q, P, times, opts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the guard integrated an orbit of its own")
+
+    monkeypatch.setattr("phaseprop.propagator._sample_orbits", counting)
+    monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if entry == "apply":
+            out = list(_propagated_fields(PACKET_17, TIMES, QUARTIC, out_axes=PACKET_17.axes,
+                                          opts=RK4))
+        else:
+            out = list(_propagated_states(STATE, TIMES, QUARTIC, phase_axes=STATE_AXES,
+                                          opts=RK4))
+    assert len(out) == 3 and len(grids) == 1
+    assert np.array_equal(grids[0], _step_grid(np.array([0.0, *TIMES]), 1e-2)[0])
+    assert grids[0].size - 1 == 100
+    assert sum(_step_grid(np.array([0.0, t]), 1e-2)[0].size - 1 for t in TIMES) == 160
 
 
 def test_the_guard_crosses_once_within_a_step_on_the_inverted_oscillator():

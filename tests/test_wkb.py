@@ -29,7 +29,7 @@ from phaseprop import (
     transport_manifold,
     vertical_tangent_time,
 )
-from phaseprop.flow import _default_times, _method, _sample_orbits, flow_batch
+from phaseprop.flow import _method, _sample_orbits, _step_grid, flow_batch
 from phaseprop.wkb import _F_values, _tangent
 from phaseprop.oracles import (
     exact_manifold,
@@ -349,7 +349,7 @@ def stationary_phase_products(X, t, data, model, opts):
     src_xi = xi + (STENCIL_STEPS[:, None] * STENCIL[:, 1]).ravel()
     opts = opts or FlowOptions()
     grid = (np.linspace(0.0, t, 41) if _method(model, opts) == "exact"
-            else _default_times(t, opts.step))
+            else _step_grid(np.array([0.0, t]), opts.step)[0])
     hessian, tangent = [], []
     for e in _sample_orbits(model, src_eta[:, None], src_xi[:, None], grid, opts):
         dw = (e.A[0, 0, 0] - 1j * e.B[0, 0, 0]) / 2
