@@ -51,8 +51,8 @@ from .oracles import (
     initial_position_state,
 )
 from .propagator import _Kernel, _propagated_fields, _propagated_states
-from .transform import (ComplexField, _csv_job, _overlap, field_metadata, wave_packet_transform,
-                        write_field_csv)
+from .transform import (ComplexField, _csv_job, _edge_ratio, _overlap, field_metadata,
+                        wave_packet_transform, write_field_csv)
 from .wkb import GaussianPoly, WKBData, lift_wkb, solution_on_manifold, transport_manifold
 
 SCHEMA_VERSION = 1
@@ -503,7 +503,8 @@ def _verb_run(args, config: RunConfig, out_dir: Path) -> int:
                 err0 = _field_errors(Psi_t, ComplexField(axes=Psi_t.axes, values=want0,
                                                          hbar=config.hbar))
                 report.add("t0_projection", **err0)
-            report.add("field_dump", t=t, path=name, norm=meta["norm"])
+            report.add("field_dump", t=t, path=name, norm=meta["norm"],
+                       edge=_edge_ratio(Psi_t.values))
             if t != 0.0 and reference:
                 want = exact_phase_field(config.model_kind, Psi_t.axes, t, config.hbar)
                 errs = _field_errors(Psi_t, want)

@@ -674,8 +674,7 @@ def ehrenfest_guard(bundle: TrajectoryBundle) -> list[str]:
     the operator norm of the flow Jacobian at the bundle's samples
     (monotone growth yields a single entry at the first crossing).
     Disabled — empty list — when the bundle carries no ``hbar``.  Never
-    aborts.  The grid propagators read the same crossings on ``[0, t]``
-    for each of their times from their one orbit pass when they integrate.
+    aborts.  The grid propagators guard the orbit of their heaviest kept source.
     """
     if bundle.hbar is None:
         return []

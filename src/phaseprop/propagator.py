@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (CausticError, ConfigurationError, EhrenfestWarning,
                      _warn_at_caller)
-from .flow import (FlowBatch, FlowOptions, SiegelMatrix, TrajectoryBundle,
+from .flow import (FlowOptions, SiegelMatrix, TrajectoryBundle,
                    _anisotropy, _check_siegel, _ehrenfest_crossings, _method,
                    _real_jacobian, _sample_orbits, _step_grid, _symplectic,
                    ehrenfest_guard, flow_batch, integrate_characteristics)
@@ -178,44 +178,48 @@ def _kept_sources(field: ComplexField):
     return iq, ip, field.values[iq, ip] * (field.spacing(0) * field.spacing(1))
 
 
-def _derive_out_axes(model, box, t, hbar, opts):
-    """Propagated support box: flow the corners and centre of ``box``, the
-    input's support (:func:`_support`), forward and pad the range of their
-    images as every derived grid is padded (:func:`_padded_axis`)."""
-    (qa, qb), (pa, pb) = box
-    e = flow_batch(model, [qa, qa, qb, qb, (qa + qb) / 2],
-                   [pa, pb, pa, pb, (pa + pb) / 2], t, opts)
-    return (_padded_axis(float(e.q.min()), float(e.q.max()), hbar),
-            _padded_axis(float(e.p.min()), float(e.p.max()), hbar))
+def _derive_out_axes(e, inside, hbar):
+    """The derived output grid: the padded range (:func:`_padded_axis`) of
+    the images, among the endpoints ``e``, of the sources ``inside`` the
+    input's support (:func:`_support`)."""
+    q, p = e.q[inside, 0], e.p[inside, 0]
+    return (_padded_axis(float(q.min()), float(q.max()), hbar),
+            _padded_axis(float(p.min()), float(p.max()), hbar))
 
 
-def _guarded_orbits(model, Q, P, center, times, hbar, opts):
+def _guarded_orbits(model, Q, P, W, times, hbar, opts):
     """Yield the endpoints at each of the ascending ``times >= 0`` of the
     orbits from the 1-D arrays ``Q``, ``P``, as :func:`flow_batch` gives
     them, from one :func:`_sample_orbits` pass.  Before a time ``t > 0``'s,
     warns, at the line that called the grid propagator, of each Ehrenfest
-    crossing on ``[0, t]`` of the orbit from ``center``: a closed-form orbit
-    read at ``t/200`` steps, an integrated one as the pass's last row."""
+    crossing on ``[0, t]`` of the heaviest source's orbit (largest ``|W|``):
+    its row of an rk4 pass, else its own bundle (``t/200`` steps on closed forms)."""
     opts = opts or FlowOptions()
-    if _method(model, opts) == "exact":
-        for t, e in zip(times, _sample_orbits(model, Q[:, None], P[:, None], times, opts)):
-            if t > 0:
-                for msg in ehrenfest_guard(integrate_characteristics(
-                        model, center, t, replace(opts, step=t / 200, hbar=hbar))):
-                    _warn_at_caller(msg, EhrenfestWarning)
-            yield e
+    method, g = _method(model, opts), int(np.argmax(np.abs(W)))
+    if method == "rk4":  # the pass steps every node of the times' grid anyway
+        grid, ends = _step_grid(np.concatenate([[0.0], times]), opts.step)
+        A, B = [], []
+        for i, s in enumerate(_sample_orbits(model, Q[:, None], P[:, None], grid, opts)):
+            A.append(s.A[g])
+            B.append(s.B[g])
+            for _ in range(ends[1:].count(i)):  # each of the times that lands on node i
+                if grid[i] > 0:
+                    for msg in _ehrenfest_crossings(grid[:i + 1], np.stack(A), np.stack(B), hbar):
+                        _warn_at_caller(msg, EhrenfestWarning)
+                yield s
         return
-    grid, ends = _step_grid(np.concatenate([[0.0], times]), opts.step)
-    A, B = [], []
-    for i, s in enumerate(_sample_orbits(model, np.concatenate([Q, center.q])[:, None],
-                                         np.concatenate([P, center.p])[:, None], grid, opts)):
-        A.append(s.A[-1])
-        B.append(s.B[-1])
-        for _ in range(ends[1:].count(i)):  # each of the times that lands on sample i
-            if grid[i] > 0:
-                for msg in _ehrenfest_crossings(grid[:i + 1], np.stack(A), np.stack(B), hbar):
-                    _warn_at_caller(msg, EhrenfestWarning)
-            yield FlowBatch(*(field[:-1] for field in s))
+    exact = method == "exact"
+    states = _sample_orbits(model, Q[:, None], P[:, None],
+                            times if exact else np.concatenate([[0.0], times]), opts)
+    if not exact:
+        next(states)  # the sources at t = 0
+    for t, e in zip(times, states):
+        if t > 0:
+            guard = replace(opts, step=t / 200 if exact else opts.step, hbar=hbar)
+            for msg in ehrenfest_guard(integrate_characteristics(
+                    model, PhasePoint(Q[g], P[g]), t, guard)):
+                _warn_at_caller(msg, EhrenfestWarning)
+        yield e
 
 
 # Largest real part of an exponent in the tables of the separable sums.  The
@@ -471,17 +475,18 @@ def apply_propagator(Psi0: ComplexField, t: float, model: HamiltonianModel,
     """Propagate a phase-space field: ``Psi(X, t) = integral
     K(X, Y, t) Psi0(Y) dY`` by grid quadrature, at the field's own ``hbar``.
 
-    The output grid is the input's support flowed forward and padded
-    (:func:`_derive_out_axes`) unless ``out_axes=(q, p)``, two uniform
-    increasing axes, overrides it.  The propagation is unitary on analyzed
-    fields, so the output norm matches the input norm to quadrature
+    The output grid is the padded range of the images of the input's
+    support, the sources above 1e-6 of the peak modulus, read from their own
+    orbits (:func:`_derive_out_axes`), unless ``out_axes=(q, p)``, two
+    uniform increasing axes, overrides it.  The propagation is unitary on
+    analyzed fields, so the output norm matches the input norm to quadrature
     accuracy.  Sources below 1e-13 of the peak modulus are dropped
     (:func:`_kept_sources`).  A flow in closed form (method ``"exact"``, the
     default for models that carry closed forms) is summed by
     :func:`_affine_sum`, an integrated one by :func:`_integrated_sum`.
     Warns of boundary mass above 1e-6 of the peak and, through
-    :func:`_guarded_orbits`, when the linearized flow along the orbit from
-    the centre of the input's support outgrows ``hbar^{-1/2}``.  Never
+    :func:`_guarded_orbits`, when the linearized flow along the orbit of the
+    kept source of the largest weight outgrows ``hbar^{-1/2}``.  Never
     silently truncates a non-decayed input.  One time of
     :func:`_propagated_fields`.
     """
@@ -506,14 +511,11 @@ def _propagated_fields(Psi0: ComplexField, times, model: HamiltonianModel,
             "boundary; propagated norm may be lossy", UserWarning)
     qs, ps = Psi0.axes
     iq, ip, Wg = _kept_sources(Psi0)
-
-    box = _support(Psi0)
-    (qa, qb), (pa, pb) = box
-    center = PhasePoint([(qa + qb) / 2], [(pa + pb) / 2])
+    inside = _support(Psi0.values)[iq, ip]
     summed = _affine_sum if _method(model, opts or FlowOptions()) == "exact" else _integrated_sum
-    for t, e in zip(times, _guarded_orbits(model, qs[iq], ps[ip], center, times, hbar, opts)):
+    for e in _guarded_orbits(model, qs[iq], ps[ip], Wg, times, hbar, opts):
         if out_axes is None:
-            qo, po = _derive_out_axes(model, box, t, hbar, opts)
+            qo, po = _derive_out_axes(e, inside, hbar)
         yield ComplexField((qo, po), summed(e, hbar, qs, ps, iq, ip, Wg, qo, po), hbar)
 
 
@@ -612,7 +614,7 @@ def _default_phase_axes(psi0: ComplexField, hbar: float):
     half-width of the local phase-gradient scale plus the pad, at least
     the q axis's extent, within the momenta the position spacing resolves
     (a source packet at ``|p| > pi hbar / dx`` aliases on the grid)."""
-    (lo, hi), = _support(psi0)
+    lo, hi = psi0.axes[0][_support(psi0.values)][[0, -1]]
     qs = _padded_axis(lo, hi, hbar)
     dx = psi0.spacing()
     P = max(abs(qs[0]), abs(qs[-1]), _momentum_scale(psi0, hbar) + _PAD * math.sqrt(hbar))
@@ -638,8 +640,8 @@ def position_space_solution(psi0: ComplexField, t: float,
     ``"exact"``) is summed by :func:`_separable_synthesis`, an integrated
     one by :func:`_windowed_synthesis`; each drops only the terms of
     sources farther than :func:`_reach` from a node.  Emits Ehrenfest
-    warnings as :func:`apply_propagator` does, for the orbit from the mean
-    of the kept sources.  One time of :func:`_propagated_states`.
+    warnings as :func:`apply_propagator` does, for the orbit of the kept
+    source of the largest weight.  One time of :func:`_propagated_states`.
     """
     return next(_propagated_states(psi0, [t], model, phase_axes, out_axis, opts))
 
@@ -661,10 +663,9 @@ def _propagated_states(psi0: ComplexField, times, model: HamiltonianModel,
     iq, ip, Wg = _kept_sources(Psi0)
     Qg, Pg = Psi0.axes[0][iq], Psi0.axes[1][ip]
 
-    center = PhasePoint([float(np.mean(Qg))], [float(np.mean(Pg))])
     pref = (np.pi * hbar) ** (-0.25) * (2 * np.pi * hbar) ** (-0.5)
     exact = _method(model, opts or FlowOptions()) == "exact"
-    for e in _guarded_orbits(model, Qg, Pg, center, times, hbar, opts):
+    for e in _guarded_orbits(model, Qg, Pg, Wg, times, hbar, opts):
         amp = np.exp(-0.5 * e.logdetA)
         src = pref * amp * Wg * np.exp(1j / hbar * (e.action + 0.5 * Pg * Qg))
         if exact:

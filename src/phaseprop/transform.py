@@ -361,12 +361,11 @@ def fock_bargmann_residual(Psi: ComplexField) -> float:
     return float(np.abs(res).max() / np.abs(v).max())
 
 
-def _support(field: ComplexField) -> list:
-    """Per axis, the least and the greatest coordinate of the nodes where
-    the field exceeds 1e-6 of its peak modulus."""
-    mag = np.abs(field.values)
-    nodes = np.nonzero(mag > 1e-6 * mag.max())
-    return [(float(a[i.min()]), float(a[i.max()])) for a, i in zip(field.axes, nodes)]
+def _support(values: np.ndarray) -> np.ndarray:
+    """Whether each node of a field's ``values`` exceeds 1e-6 of its peak
+    modulus: the nodes of its support."""
+    mag = np.abs(values)
+    return mag > 1e-6 * mag.max()
 
 
 def _clip_momentum(P: float, nyq: float, dx: float, what: str) -> float:
@@ -405,7 +404,7 @@ def _default_husimi_grid(psi: ComplexField):
     dx = psi.spacing()
     hbar = psi.hbar
     pad = _PAD * math.sqrt(hbar)
-    (lo, hi), = _support(psi)
+    lo, hi = x[_support(psi.values)][[0, -1]]
     i0 = int(np.searchsorted(x, max(float(x[0]), lo - pad) - 1e-12))
     i1 = int(np.searchsorted(x, min(float(x[-1]), hi + pad) + 1e-12)) - 1
     stride = max(1, int(np.floor(_SPACING * math.sqrt(hbar) / dx)))

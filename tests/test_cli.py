@@ -19,6 +19,7 @@ from phaseprop import _csvwriter, cli, propagator
 from phaseprop.cli import load_config, main
 from phaseprop.models import PhasePoint, polynomial_model
 from phaseprop.propagator import kernel_Ksc
+from phaseprop.transform import _edge_ratio
 from phaseprop.oracles import exact_kernel, exact_manifold, exact_position_solution
 from phaseprop.wkb import GaussianPoly, WKBData, lift_wkb
 
@@ -584,6 +585,31 @@ def test_run_reports_the_inputs_edge_mass_once_and_each_times_crossings(tmp_path
     assert [w["message"] for w in warned["inverted"] if w["category"] == "EhrenfestWarning"] == [
         "linearized flow norm 4.482 exceeds hbar^-1/2 = 4.472 at t = 0.75; "
         "single-packet propagation is no longer controlled"] * 2
+
+
+def quartic_readme_config():
+    """README's reference config under H = p^2 + q^4, its commented coeffs."""
+    return readme_config().replace("kind = free\n", "kind = polynomial\n").replace(
+        "; coeffs = (0;2):1.0, (4;0):1.0", "coeffs = (0;2):1.0, (4;0):1.0")
+
+
+@pytest.mark.parametrize("kind", ["free", "quartic"])
+def test_each_field_dump_reports_its_edge_mass(tmp_path, kind):
+    # each dump's edge is the edge-mass ratio of the field in its file; the
+    # quartic field outgrows the input's axes, on whose boundary it carries
+    # 3.1e-3 of its peak at t = 0.5 and 1.75e-2 at t = 1
+    text = readme_config() if kind == "free" else quartic_readme_config()
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out-dir", str(out)]) == 0
+    dumps = entries_of(read_report(out), "field_dump")
+    assert [d["t"] for d in dumps] == [0.0, 0.1, 0.5, 1.0]
+    for d in dumps:
+        _, _, re, im = read_csv(out / d["path"]).T
+        assert d["edge"] == _edge_ratio((re + 1j * im).reshape(81, 81))
+    if kind == "quartic":
+        edge = {d["t"]: d["edge"] for d in dumps}
+        assert edge[0.5] == pytest.approx(3.08e-3, rel=1e-3)
+        assert edge[1.0] == pytest.approx(1.754e-2, rel=1e-3)
 
 
 def test_propagate_position_prints_its_analysis_warnings_once(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from phaseprop import flow
 from phaseprop.flow import _step_grid, flow_batch
 from phaseprop.propagator import (_Kernel, _default_phase_axes, _kept_sources,
                                   _propagated_fields, _propagated_states)
+from phaseprop.transform import _padded_axis
 from phaseprop.oracles import (
     exact_kernel,
     exact_phase_field,
@@ -615,37 +617,47 @@ def test_position_solution_integrates_when_asked_to(monkeypatch):
 
 
 def test_the_guard_and_the_packet_keep_the_callers_flow_options(monkeypatch):
-    # the guard's orbit is read from the sources' pass over the caller's step
-    # grid with the caller's options, its centre the batch's last row
+    # the pass holds the kept sources and nothing else, over the caller's
+    # step grid under rk4 and at the times alone under adaptive, whose guard
+    # is a bundle of its own; both keep the caller's options
     seen, passes = [], []
 
     def recording(model, X0, T, opts=None):
-        seen.append(opts)
+        seen.append((X0, T, opts))
         return flow.integrate_characteristics(model, X0, T, opts)
 
     def recording_pass(model, Q, P, times, opts=None):
-        passes.append((Q[-1, 0], P[-1, 0], times, opts))
+        passes.append((Q[:, 0], P[:, 0], times, opts))
         return flow._sample_orbits(model, Q, P, times, opts)
 
     monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", recording)
     monkeypatch.setattr("phaseprop.propagator._sample_orbits", recording_pass)
     axis = np.linspace(-1.0, 1.0, 5)
     Psi0 = ComplexField((axis, axis), np.ones((5, 5)), HBAR)
+    iq, ip, _ = _kept_sources(Psi0)
     for method in ("adaptive", "rk4"):
         seen.clear()
-        passes.clear()
         opts = FlowOptions(method=method, step=0.1, rtol=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             apply_propagator(Psi0, 0.3, builtin_model("harmonic"), out_axes=Psi0.axes,
                              opts=opts)
-        [(q, p, times, guard)] = passes
-        assert q == p == 0.0  # the centre of the support box
-        assert np.array_equal(times, _step_grid(np.array([0.0, 0.3]), 0.1)[0])
-        assert (guard.method, guard.rtol, guard.step) == (method, 1e-6, 0.1)
-        assert seen == []
+        [(q, p, times, sources)] = passes
+        passes.clear()
+        assert np.array_equal(q, axis[iq]) and np.array_equal(p, axis[ip])
+        assert sources == opts
+        if method == "rk4":
+            assert np.array_equal(times, _step_grid(np.array([0.0, 0.3]), 0.1)[0])
+            assert seen == []
+        else:
+            assert np.array_equal(times, [0.0, 0.3])
+            # every weight is equal, so the first source is the heaviest
+            [(X0, T, guard)] = seen
+            assert (X0.q.tolist(), X0.p.tolist(), T) == ([axis[0]], [axis[0]], 0.3)
+            assert guard == replace(opts, hbar=HBAR)
+        seen.clear()
         propagate_packet(builtin_model("harmonic"), PhasePoint(0.0, 0.0), 0.3, HBAR, opts)
-        assert [(o.method, o.rtol, o.hbar) for o in seen] == [(method, 1e-6, HBAR)]
+        assert [(o.method, o.rtol, o.hbar) for _, _, o in seen] == [(method, 1e-6, HBAR)]
 
 
 QUARTIC = polynomial_model({(0, 2): 1.0, (4, 0): 1.0})
@@ -852,20 +864,24 @@ def test_one_integrated_pass_is_as_close_to_dop853_as_the_per_time_calls(entry, 
     # off its grid rk4 steps [0.105, 0.5] in 40 steps of 0.009875 instead of
     # [0, 0.5] in 50 of 0.01, and adaptive reads times 0.1 and 0.5 from a
     # dense output to t = 1: each at most twice as far from DOP853 at rtol
-    # 1e-13 as the per-time call, or 1e-12 of the peak.  Measured: the rk4
-    # passes at most 1.03x the calls' error, the adaptive ones at most 1.4x
+    # 1e-13 as the per-time call, or 1e-12 of the peak.  A derived grid is
+    # the range of the sources' images, which move with the steps, so each
+    # output is compared on its own axes.  Measured: the rk4 passes at most
+    # 1.03x the calls' error, the adaptive ones at most 1.44x
     (once, _), (each, _) = one_pass_and_per_time(entry, QUARTIC, opts, times)
-    for t, a, b in zip(times, once, each, strict=True):
+
+    def error(t, out):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the 25^2 analysis is coarse
             if entry == "apply":
-                ref = apply_propagator(PACKET_17, t, QUARTIC, out_axes=b.axes, opts=DOP853)
+                ref = apply_propagator(PACKET_17, t, QUARTIC, out_axes=out.axes, opts=DOP853)
             else:
                 ref = position_space_solution(STATE, t, QUARTIC, phase_axes=STATE_AXES,
                                               opts=DOP853)
-        peak = np.abs(ref.values).max()
-        err_once = np.abs(a.values - ref.values).max()
-        err_each = np.abs(b.values - ref.values).max()
+        return np.abs(out.values - ref.values).max(), np.abs(ref.values).max()
+
+    for t, a, b in zip(times, once, each, strict=True):
+        (err_once, _), (err_each, peak) = error(t, a), error(t, b)
         assert err_once <= max(2 * err_each, 1e-12 * peak), (t, err_once, err_each)
 
 
@@ -896,6 +912,115 @@ def test_an_integrated_multi_time_call_steps_one_pass_over_all_its_times(monkeyp
     assert np.array_equal(grids[0], _step_grid(np.array([0.0, *TIMES]), 1e-2)[0])
     assert grids[0].size - 1 == 100
     assert sum(_step_grid(np.array([0.0, t]), 1e-2)[0].size - 1 for t in TIMES) == 160
+
+
+def two_packets(axes, a, b, hbar, weights=(1.0, 1.0)):
+    """The transform of packets at ``a`` and ``b``, of the given weights, on
+    the tensor grid of ``axes``."""
+    vals = [[weights[0] * overlap(PhasePoint(q, p), a, hbar)
+             + weights[1] * overlap(PhasePoint(q, p), b, hbar) for p in axes[1]]
+            for q in axes[0]]
+    return ComplexField(axes, (2 * np.pi * hbar) ** -0.5 * np.array(vals), hbar)
+
+
+AXIS_31 = np.linspace(-3.0, 3.0, 31)
+
+
+@pytest.mark.parametrize("model, Psi0, t, opts, shape", [
+    # a rotation: the corners of the support box asked for 125 x 125 nodes
+    (builtin_model("harmonic"), packet_field(AXIS_17, PhasePoint(0.3, 0.2), 0.05), np.pi / 8,
+     None, (106, 103)),
+    # a shear of two packets: the box's corners asked for 300 x 121
+    (builtin_model("free"), two_packets((AXIS_31, AXIS_31), PhasePoint(-1.5, 0.5),
+                                        PhasePoint(1.5, -0.5), 0.05), 1.0, None, (200, 121)),
+    (QUARTIC, packet_field(AXIS_17, PhasePoint(0.3, 0.2), 0.05), 0.5, RK4, (93, 138)),
+], ids=["harmonic", "free-two-packets", "quartic"])
+def test_a_derived_grid_is_the_padded_range_of_the_supports_images(monkeypatch, model, Psi0,
+                                                                   t, opts, shape):
+    # the images come from the sources' own pass: no orbit is flowed for the grid
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the derived grid flowed orbits of its own")
+
+    monkeypatch.setattr("phaseprop.propagator.flow_batch", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # edge mass
+        out = apply_propagator(Psi0, t, model, opts=opts)
+    assert out.values.shape == shape
+    if opts is None:  # closed forms: the support's images, bit for bit
+        mag = np.abs(Psi0.values)
+        iq, ip = np.nonzero(mag > 1e-6 * mag.max())
+        e = flow_batch(model, Psi0.axes[0][iq], Psi0.axes[1][ip], t)
+        want = [_padded_axis(float(c.min()), float(c.max()), Psi0.hbar) for c in (e.q, e.p)]
+        assert all(np.array_equal(a, b) for a, b in zip(out.axes, want, strict=True))
+
+
+# under p^2 + q^4 at hbar = 0.05 the orbit from (-2, 0) crosses hbar^-1/2 at
+# t = 0.57 and the one from (1.5, 0) at t = 0.78; the centre of the support
+# box and the mean of the sources lie between the clumps, where no orbit
+# crosses by t = 1
+CLUMP_AXES = (np.linspace(-3.5, 3.0, 66), np.linspace(-1.2, 1.2, 25))
+CLUMPS = {"left": PhasePoint(-2.0, 0.0), "right": PhasePoint(1.5, 0.0)}
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+@pytest.mark.parametrize("heavy, crossed", [("left", 0.57), ("right", 0.78)])
+def test_the_guard_follows_the_heaviest_source(entry, heavy, crossed):
+    hbar, t = 0.05, 1.0
+    weights = (1.0, 0.5) if heavy == "left" else (0.5, 1.0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        if entry == "apply":
+            Psi0 = two_packets(CLUMP_AXES, *CLUMPS.values(), hbar, weights)
+            apply_propagator(Psi0, t, QUARTIC, out_axes=CLUMP_AXES, opts=RK4)
+        else:
+            x = np.linspace(-4.0, 4.0, 321)
+            psi0 = sum(w * gaussian_packet(c, hbar, x) for w, c in zip(weights, CLUMPS.values()))
+            position_space_solution(ComplexField((x,), psi0, hbar), t, QUARTIC,
+                                    phase_axes=CLUMP_AXES, opts=RK4)
+    # the heavier clump's peak node, on the grid
+    peak = CLUMPS[heavy]
+    node = PhasePoint(CLUMP_AXES[0][np.argmin(np.abs(CLUMP_AXES[0] - peak.q[0]))],
+                      CLUMP_AXES[1][np.argmin(np.abs(CLUMP_AXES[1] - peak.p[0]))])
+    want = ehrenfest_guard(integrate_characteristics(
+        QUARTIC, node, t, FlowOptions(method="rk4", step=RK4.step, hbar=hbar)))
+    assert [crossing_time(m) for m in want] == [crossed]
+    assert [str(w.message) for w in record if w.category is EhrenfestWarning] == want
+
+
+@pytest.mark.parametrize("entry", ["apply", "position"])
+@pytest.mark.parametrize("times", [(0.5,), TIMES], ids=["one-time", "three-times"])
+def test_an_adaptive_pass_samples_only_its_times(monkeypatch, entry, times):
+    # the sources' dense output is read at 0 and the times alone; each time's
+    # guard is a bundle of its own with the caller's method, rtol and step
+    passes, bundles, original = [], [], flow._sample_orbits
+
+    def counting(model, Q, P, times, opts=None):
+        call = {"times": np.asarray(times), "opts": opts, "states": 0}
+        passes.append(call)
+        for state in original(model, Q, P, times, opts):
+            call["states"] += 1
+            yield state
+
+    def recording(model, X0, T, opts=None):
+        bundles.append((T, opts))
+        return flow.integrate_characteristics(model, X0, T, opts)
+
+    monkeypatch.setattr("phaseprop.propagator._sample_orbits", counting)
+    monkeypatch.setattr("phaseprop.propagator.integrate_characteristics", recording)
+    opts = FlowOptions(method="adaptive", step=1e-2, rtol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if entry == "apply":
+            out = list(_propagated_fields(PACKET_17, times, QUARTIC, out_axes=PACKET_17.axes,
+                                          opts=opts))
+        else:
+            out = list(_propagated_states(STATE, times, QUARTIC, phase_axes=STATE_AXES,
+                                          opts=opts))
+    assert len(out) == len(times)
+    [sources] = passes
+    assert sources["states"] == len(times) + 1 and sources["opts"] == opts
+    assert np.array_equal(sources["times"], [0.0, *times])
+    assert bundles == [(t, replace(opts, hbar=out[0].hbar)) for t in times]
 
 
 def test_the_guard_crosses_once_within_a_step_on_the_inverted_oscillator():
